@@ -12,6 +12,12 @@ flags override file values.  CSV output is UTF-8 with LF line endings and
 15 significant digits, written to a temporary file and renamed on success
 so no partial files are left behind.
 
+The subcommands hold no physics and no per-time loops: ``simulate`` makes
+one ``quad_variances`` and one ``envelope`` call over its whole time grid and
+maps both modes' variances to (n_bar, xi) with ``squeezed_thermal``;
+``sweep-ratio`` makes one call per ratio over all its times; ``revivals``
+one ``envelope`` call per revival list.
+
 Exit codes: 0 success; 1 validation tolerance breach or integrator failure;
 2 invalid configuration; 3 formula-validity guard tripped; 4 no revivals in
 this regime.
@@ -20,6 +26,7 @@ this regime.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -41,7 +48,6 @@ from .errors import (
 from .fock import (
     AssemblyBudget,
     FockDensity,
-    FockKet,
     assemble_joint_density,
     lossless_ket,
     partial_trace,
@@ -50,8 +56,8 @@ from .fock import (
     state_metrics,
 )
 from .lindblad import IntegratorConfig, evolve_pure, evolve_trajectory
-from .observables import mode_spec, quad_variances, revival_schedule
-from .params import CouplingParams, Regime, classify_regime, envelope
+from .observables import quad_variances, revival_schedule, squeezed_thermal
+from .params import CouplingParams, classify_regime, envelope
 
 __all__ = ["RunConfig", "main"]
 
@@ -141,6 +147,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _write_csv(path: str, header: str, table: np.ndarray) -> None:
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.15g", delimiter=",", header=header, comments="")
+    _write_atomic(path, buf.getvalue())
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
@@ -168,43 +180,18 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _mode_v_params_equal_coupling(var_xv: float, var_pv: float):
-    """Squeezed-thermal (n_bar, xi) of mode v from its variances.
-
-    Inverts Var X = (n_bar + 1/2) e^{-2 xi}, Var P = (n_bar + 1/2) e^{2 xi};
-    used where the direct closed form is singular (equal coupling).
-    """
-    n_bar = math.sqrt(var_xv * var_pv) - 0.5
-    xi = 0.25 * math.log(var_pv / var_xv)
-    return n_bar, xi
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.out_path:
         raise ConfigError("simulate needs out_path (--out_path or config key)")
     params = cfg.params()
-    steps = int(math.floor(cfg.t_max / cfg.t_step + 1e-9))
-    lines = [CSV_HEADER]
-    equal = params.regime is Regime.EQUAL_COUPLING
-    for i in range(steps + 1):
-        t = i * cfg.t_step
-        qv = quad_variances(params, t, cfg.alpha, cfg.beta)
-        env = envelope(params, t)
-        if params.omega2 == 0:
-            nb_c = xi_c = nb_v = xi_v = 0.0
-        elif equal:
-            sc = mode_spec(params, t, "c")
-            nb_c, xi_c = sc.n_bar, sc.xi
-            nb_v, xi_v = _mode_v_params_equal_coupling(qv.var_xv, qv.var_pv)
-        else:
-            sc = mode_spec(params, t, "c")
-            sv = mode_spec(params, t, "v")
-            nb_c, xi_c = sc.n_bar, sc.xi
-            nb_v, xi_v = sv.n_bar, sv.xi
-        row = [t, qv.var_xc, qv.var_pc, qv.var_xv, qv.var_pv,
+    t = np.arange(math.floor(cfg.t_max / cfg.t_step + 1e-9) + 1) * cfg.t_step
+    qv = quad_variances(params, t, cfg.alpha, cfg.beta)
+    env = envelope(params, t)
+    nb_c, xi_c = squeezed_thermal(qv.var_xc, qv.var_pc, params, t, "c")
+    nb_v, xi_v = squeezed_thermal(qv.var_xv, qv.var_pv, params, t, "v")
+    columns = [t, qv.var_xc, qv.var_pc, qv.var_xv, qv.var_pv,
                nb_c, nb_v, xi_c, xi_v, env.f, env.g, env.h]
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(cfg.out_path, "\n".join(lines) + "\n")
+    _write_csv(cfg.out_path, CSV_HEADER, np.column_stack(columns))
     return EXIT_OK
 
 
@@ -216,12 +203,12 @@ def cmd_revivals(cfg: RunConfig, stream=None) -> int:
     print(f"# revival schedule up to t = {_fmt(cfg.t_max)} (spacing pi/Lambda = {_fmt(math.pi / lam)})",
           file=stream)
     print("# kind  n  time  residual", file=stream)
-    for n, tau in enumerate(schedule.tau_motion):
-        res = abs(envelope(params, tau).f)
-        print(f"motion  {n}  {_fmt(tau)}  {res:.3e}", file=stream)
-    for n, tau in enumerate(schedule.tau_cavity):
-        res = abs(envelope(params, tau).g)
-        print(f"cavity  {n}  {_fmt(tau)}  {res:.3e}", file=stream)
+    for kind, taus, residuals in (
+        ("motion", schedule.tau_motion, envelope(params, schedule.tau_motion).f),
+        ("cavity", schedule.tau_cavity, envelope(params, schedule.tau_cavity).g),
+    ):
+        for n, (tau, res) in enumerate(zip(taus, np.abs(residuals))):
+            print(f"{kind}  {n}  {_fmt(tau)}  {res:.3e}", file=stream)
     return EXIT_OK
 
 
@@ -282,9 +269,11 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
             report(f"t={t:g} quadrature delta", delta, QUAD_TOL)
 
         if params.gamma == 0:
-            psi0 = lossless_ket(params, cfg.alpha, cfg.beta, 0.0, (cfg.nc, cfg.nv))
+            psi_num = lossless_ket(params, cfg.alpha, cfg.beta, 0.0, (cfg.nc, cfg.nv))
+            t_prev = 0.0
             for t in times:
-                psi_num = evolve_pure(params, psi0, t, config)
+                psi_num = evolve_pure(params, psi_num, t - t_prev, config)
+                t_prev = t
                 psi_ana = lossless_ket(params, cfg.alpha, cfg.beta, t, (cfg.nc, cfg.nv))
                 overlap = abs(np.vdot(psi_ana.entries, psi_num.entries)) ** 2
                 norms = (np.linalg.norm(psi_ana.entries) * np.linalg.norm(psi_num.entries)) ** 2
@@ -303,16 +292,10 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
 def cmd_sweep_ratio(cfg: RunConfig, times: Sequence[float]) -> int:
     if not cfg.out_path:
         raise ConfigError("sweep-ratio needs out_path (--out_path or config key)")
-    labels = [f"var_xv_t{t:g}" for t in times]
-    lines = ["ratio," + ",".join(labels)]
-    for k in range(10, 151):  # ratio grid [0.1, 1.5] in exact 0.01 steps
-        ratio = k / 100.0
-        params = classify_regime(1.0, ratio, cfg.gamma)
-        row = [ratio]
-        for t in times:
-            row.append(quad_variances(params, t).var_xv)
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_atomic(cfg.out_path, "\n".join(lines) + "\n")
+    ratios = [k / 100.0 for k in range(10, 151)]  # ratio grid [0.1, 1.5] in exact 0.01 steps
+    var_xv = [quad_variances(classify_regime(1.0, r, cfg.gamma), times).var_xv for r in ratios]
+    header = "ratio," + ",".join(f"var_xv_t{t:g}" for t in times)
+    _write_csv(cfg.out_path, header, np.column_stack([ratios, var_xv]))
     return EXIT_OK
 
 

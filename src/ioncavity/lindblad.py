@@ -52,7 +52,6 @@ class IntegratorConfig:
 
     dt: float = 1e-3
     t_max: float = 50.0
-    method: str = "rk4"
     halving_check: bool = True
 
     def __post_init__(self):
@@ -60,8 +59,6 @@ class IntegratorConfig:
             raise ValueError("dt must be > 0")
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
-        if self.method != "rk4":
-            raise ValueError(f"only classical 'rk4' is supported, got {self.method!r}")
 
     def check_stability(self, params: CouplingParams, dims: Sequence[int]) -> None:
         rate = max(params.omega1, params.omega2, params.gamma)

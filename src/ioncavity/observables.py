@@ -3,22 +3,30 @@ variances, revival schedules, displacement trajectories and the lossless
 pure-state solution.
 
 Each reduced state of the damped two-mode solution is a squeezed thermal
-state.  Its parameters derive from the assembly weights
+state.  Its assembly weights are
 
     zeta = f g,   mu_c = q g^2,   nu_c = g^2,
     nu_v = (1 - f^2)/(q^2 - 1),   mu_v = -q nu_v,
 
-via  n_bar = -1/2 + sqrt((nu + 1/2)^2 - mu^2)  and
-     xi    = (1/4) ln((nu + 1/2 - mu)/(nu + 1/2 + mu)),
+and its quadratures are linear in them: Var X = nu + 1/2 + mu and
+Var P = nu + 1/2 - mu.  One map, :func:`squeezed_thermal`, takes a pair of
+variances to
 
-which places the sign convention (xi_c <= 0, xi_v >= 0) automatically.  The
-quadrature variances are linear in the weights: Var X = nu + 1/2 + mu and
-Var P = nu + 1/2 - mu.
+     n_bar = sqrt(Var X Var P) - 1/2  and  xi = (1/4) ln(Var P / Var X),
+
+which places the sign convention (xi_c <= 0, xi_v >= 0) automatically and
+also serves equal coupling, where the mode-v weights are singular.
+
+Array contract: :func:`assembly_weights`, :func:`squeezed_thermal`,
+:func:`mode_spec`, :func:`quad_variances` and
+:func:`displacement_trajectory` take a scalar t or an ndarray of times
+through one body.  A scalar gives Python floats (complex for the
+displacements); an array gives arrays of its shape.  The envelope parts
+come from ``params._damped_parts``, the one place that branches on L^2.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -26,7 +34,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import RegimeError, ValidityError
-from .params import CouplingParams, Regime, envelope, sin_ratio
+from .params import ArrayLike, CouplingParams, Regime, _damped_parts, _shaped, envelope
 
 __all__ = [
     "ModeSpec",
@@ -35,6 +43,7 @@ __all__ = [
     "LosslessSpec",
     "assembly_weights",
     "mode_spec",
+    "squeezed_thermal",
     "steady_squeeze",
     "nbar_max",
     "revival_schedule",
@@ -44,13 +53,14 @@ __all__ = [
 ]
 
 #: tolerated numerical slack below the exact lower bound 1/4 of the
-#: square-root argument in the n_bar formula
+#: variance product Var X Var P in the n_bar formula
 _ROOT_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """Squeezed-thermal description of one mode at one time.
+    """Squeezed-thermal description of one mode at one time (or elementwise
+    over an array of times).
 
     ``zeta = f g`` is the entangling weight of the joint expansion; ``mu``
     and ``nu`` are the per-mode assembly weights the (n_bar, xi) pair is
@@ -58,11 +68,11 @@ class ModeSpec:
     """
 
     mode: str  # "c" or "v"
-    n_bar: float
-    xi: float
-    zeta: float
-    mu: float
-    nu: float
+    n_bar: ArrayLike
+    xi: ArrayLike
+    zeta: ArrayLike
+    mu: ArrayLike
+    nu: ArrayLike
 
 
 @dataclass(frozen=True)
@@ -80,16 +90,17 @@ class RevivalSchedule:
 
 @dataclass(frozen=True)
 class QuadTuple:
-    """Quadrature means and variances of both modes at one time."""
+    """Quadrature means and variances of both modes at one time (or
+    elementwise over an array of times)."""
 
-    var_xc: float
-    var_pc: float
-    var_xv: float
-    var_pv: float
-    mean_xc: float = 0.0
-    mean_pc: float = 0.0
-    mean_xv: float = 0.0
-    mean_pv: float = 0.0
+    var_xc: ArrayLike
+    var_pc: ArrayLike
+    var_xv: ArrayLike
+    var_pv: ArrayLike
+    mean_xc: ArrayLike = 0.0
+    mean_pc: ArrayLike = 0.0
+    mean_xv: ArrayLike = 0.0
+    mean_pv: ArrayLike = 0.0
 
 
 @dataclass(frozen=True)
@@ -110,8 +121,27 @@ class LosslessSpec:
     product_state: Optional[int] = None
 
 
-def assembly_weights(params: CouplingParams, t: float):
-    """Return (zeta, (mu_c, nu_c), (mu_v, nu_v)) at time t.
+def _weights(params: CouplingParams, t: ArrayLike, mode: str):
+    """(zeta, mu, nu) of one mode at time(s) t, as arrays of the shape of t.
+
+    mu_c = q g^2 is written as omega1 omega2 s^2 (s = g/omega2), which stays
+    finite as omega2 -> 0; nu_v = (1 - f^2)/(q^2 - 1) uses
+    1/(q^2 - 1) = omega2^2 / L0^2, whose factored L0^2 does not cancel near
+    q = 1.  Mode v needs omega1 != omega2.
+    """
+    f, s, _, one_minus_f2 = _damped_parts(params, t)
+    o1, o2 = params.omega1, params.omega2
+    g = o2 * s
+    if mode == "c":
+        mu, nu = o1 * s * g, g * g
+    else:
+        w = one_minus_f2 * o2 / params.lambda0_sq
+        mu, nu = -o1 * w, o2 * w
+    return f * g, mu, nu
+
+
+def assembly_weights(params: CouplingParams, t: ArrayLike):
+    """Return (zeta, (mu_c, nu_c), (mu_v, nu_v)) at time(s) t.
 
     Requires omega2 > 0 and omega1 != omega2 (the mode-v weights are
     singular at equal coupling).
@@ -120,69 +150,60 @@ def assembly_weights(params: CouplingParams, t: float):
         raise RegimeError("assembly weights need omega2 > 0")
     if params.regime is Regime.EQUAL_COUPLING:
         raise RegimeError("mode-v assembly weights are singular at equal coupling")
-    env = envelope(params, t)
-    q = params.q
-    zeta = env.f * env.g
-    nu_c = env.g * env.g
-    mu_c = q * nu_c
-    # 1/(q^2 - 1) = omega2^2 / L0^2; the factored L0^2 does not cancel near q = 1
-    nu_v = (1.0 - env.f * env.f) * (params.omega2 * params.omega2) / params.lambda0_sq
-    mu_v = -q * nu_v
+    zeta, mu_c, nu_c = (_shaped(x, t) for x in _weights(params, t, "c"))
+    _, mu_v, nu_v = (_shaped(x, t) for x in _weights(params, t, "v"))
     return zeta, (mu_c, nu_c), (mu_v, nu_v)
 
 
-def _squeezed_thermal_from_weights(mu: float, nu: float, context: str) -> Tuple[float, float]:
-    """Map assembly weights (mu, nu) to (n_bar, xi), guarding validity.
+def squeezed_thermal(var_x: ArrayLike, var_p: ArrayLike, params: CouplingParams,
+                     t: ArrayLike, mode: str):
+    """(n_bar, xi) of a squeezed thermal state from its quadrature variances.
 
-    The square-root argument must stay >= 1/4 (up to numerical slack) and
-    both logarithm arguments must be positive; violations raise
-    ValidityError naming the offending point rather than clamping.
+    Inverts Var X = (n_bar + 1/2) e^{-2 xi}, Var P = (n_bar + 1/2) e^{2 xi}
+    elementwise: n_bar = sqrt(Var X Var P) - 1/2 and
+    xi = (1/4) ln(Var P / Var X).  Serves every regime, equal coupling
+    included.  ``params``, ``t`` and ``mode`` name the point in errors: a
+    non-finite or non-positive variance, or a product below 1/4 (up to
+    numerical slack), raises ValidityError naming the parameter point and
+    the first offending time rather than clamping.
     """
-    if not (math.isfinite(mu) and math.isfinite(nu)):
-        raise ValidityError(f"non-finite assembly weights (mu={mu}, nu={nu}) at {context}")
-    root_arg = (nu + 0.5) ** 2 - mu * mu
-    if root_arg < 0.25 - _ROOT_SLACK:
+    var_x, var_p, t_b = np.broadcast_arrays(np.asarray(var_x, float), np.asarray(var_p, float),
+                                            np.asarray(t, float))
+    product = var_x * var_p
+    bad = ~(np.isfinite(product) & (var_x > 0) & (var_p > 0) & (product >= 0.25 - _ROOT_SLACK))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
         raise ValidityError(
-            f"square-root argument {root_arg} < 1/4 (mu={mu}, nu={nu}) at {context}"
+            f"squeezed-thermal map out of range: Var X = {var_x.flat[i]}, Var P = {var_p.flat[i]} "
+            "(need finite, positive variances with product >= 1/4) at "
+            f"(omega1={params.omega1}, omega2={params.omega2}, gamma={params.gamma}, "
+            f"t={t_b.flat[i]}, mode={mode})"
         )
-    n_bar = max(0.0, -0.5 + math.sqrt(max(root_arg, 0.0)))
-    num = nu + 0.5 - mu
-    den = nu + 0.5 + mu
-    if num <= 0 or den <= 0:
-        raise ValidityError(
-            f"log argument out of range (num={num}, den={den}, mu={mu}, nu={nu}) at {context}"
-        )
-    xi = 0.25 * math.log(num / den)
-    return n_bar, xi
+    n_bar = np.maximum(0.0, np.sqrt(product) - 0.5)
+    xi = 0.25 * np.log(var_p / var_x)
+    return _shaped(n_bar, t_b), _shaped(xi, t_b)
 
 
-def mode_spec(params: CouplingParams, t: float, mode: str) -> ModeSpec:
-    """Squeezed-thermal parameters (n_bar, xi) of one mode at time t.
+def mode_spec(params: CouplingParams, t: ArrayLike, mode: str) -> ModeSpec:
+    """Squeezed-thermal parameters (n_bar, xi) of one mode at time(s) t.
 
-    For omega2 == 0 the state stays vacuum and all fields are zero.  Mode
-    "v" is rejected at equal coupling, where the closed form is singular;
-    use the equal-coupling branch of :func:`quad_variances` instead.
+    (n_bar, xi) follow from the weights through Var X = nu + 1/2 + mu and
+    Var P = nu + 1/2 - mu (see :func:`squeezed_thermal`).  For
+    omega2 == 0 the state stays vacuum and all fields are zero.  Mode "v"
+    is rejected at equal coupling, where its weights are singular; apply
+    :func:`squeezed_thermal` to :func:`quad_variances` there instead.
     """
     if mode not in ("c", "v"):
         raise ValueError(f"mode must be 'c' or 'v', got {mode!r}")
-    if params.omega2 == 0:
-        return ModeSpec(mode=mode, n_bar=0.0, xi=0.0, zeta=0.0, mu=0.0, nu=0.0)
-    if params.regime is Regime.EQUAL_COUPLING:
-        if mode == "v":
-            raise RegimeError(
-                "mode-v squeezed-thermal form is singular at equal coupling; "
-                "use the equal-coupling branch of quad_variances"
-            )
-        env = envelope(params, t)
-        nu_c = env.g * env.g
-        mu_c = nu_c  # q = 1
-        n_bar, xi = _squeezed_thermal_from_weights(mu_c, nu_c, f"(mode c, t={t})")
-        return ModeSpec(mode="c", n_bar=n_bar, xi=xi, zeta=env.f * env.g, mu=mu_c, nu=nu_c)
-    zeta, wc, wv = assembly_weights(params, t)
-    mu, nu = wc if mode == "c" else wv
-    context = f"(omega1={params.omega1}, omega2={params.omega2}, gamma={params.gamma}, t={t}, mode={mode})"
-    n_bar, xi = _squeezed_thermal_from_weights(mu, nu, context)
-    return ModeSpec(mode=mode, n_bar=n_bar, xi=xi, zeta=zeta, mu=mu, nu=nu)
+    if mode == "v" and params.regime is Regime.EQUAL_COUPLING:
+        raise RegimeError(
+            "mode-v squeezed-thermal weights are singular at equal coupling; "
+            "use squeezed_thermal on the equal-coupling quad_variances"
+        )
+    zeta, mu, nu = _weights(params, t, mode)
+    n_bar, xi = squeezed_thermal(nu + 0.5 + mu, nu + 0.5 - mu, params, t, mode)
+    return ModeSpec(mode=mode, n_bar=n_bar, xi=xi, zeta=_shaped(zeta, t), mu=_shaped(mu, t),
+                    nu=_shaped(nu, t))
 
 
 def steady_squeeze(params: CouplingParams) -> float:
@@ -249,7 +270,7 @@ def revival_schedule(params: CouplingParams, horizon: float) -> RevivalSchedule:
     )
 
 
-def _equal_coupling_growth(omega: float, gamma: float, t: float) -> float:
+def _equal_coupling_growth(omega: float, gamma: float, t: np.ndarray) -> np.ndarray:
     """The growth term (16 omega^2/gamma^2)(gamma t/2 + e^{-gamma t/2} - 1).
 
     Evaluated with expm1 for small gamma t; the gamma -> 0 limit is
@@ -258,75 +279,66 @@ def _equal_coupling_growth(omega: float, gamma: float, t: float) -> float:
     if gamma == 0:
         return 2.0 * omega * omega * t * t
     x = gamma * t / 2.0
-    return (16.0 * omega * omega / (gamma * gamma)) * (math.expm1(-x) + x)
+    return (16.0 * omega * omega / (gamma * gamma)) * (np.expm1(-x) + x)
 
 
 def quad_variances(
-    params: CouplingParams, t: float, alpha: complex = 0j, beta: complex = 0j
+    params: CouplingParams, t: ArrayLike, alpha: complex = 0j, beta: complex = 0j
 ) -> QuadTuple:
-    """Quadrature variances and means of both modes at time t.
+    """Quadrature variances and means of both modes at time(s) t.
 
     Variances do not depend on the coherent displacements (alpha, beta);
     the means are sqrt(2) Re/Im of the displacement trajectory (u, v).
 
-    Generic branch (omega1 != omega2, omega2 > 0):
+    Generic branch (omega1 != omega2), with g = omega2 s:
 
         Var X_c = 1/2 + ((o1+o2)/o2) g^2     Var P_c = 1/2 - ((o1-o2)/o2) g^2
         Var X_v = 1/2 - (o2/(o1+o2))(1-f^2)  Var P_v = 1/2 + (o2/(o1-o2))(1-f^2)
 
-    At equal coupling Var P_c = Var X_v = 1/2 exactly, Var X_c = 1/2 + 2 g^2
-    and Var P_v = 1/2 + (16 O^2/gamma^2)(gamma t/2 + e^{-gamma t/2} - 1).
-    The latter is the master-equation result; it is the equal-coupling limit
-    of the generic Var P_v and is reproduced by the numerical integrator.
+    (the g^2/o2 terms are evaluated as o2 s^2, so omega2 = 0 gives the
+    vacuum values 1/2).  At equal coupling Var P_c = Var X_v = 1/2 exactly,
+    Var X_c = 1/2 + 2 g^2 and
+    Var P_v = 1/2 + (16 O^2/gamma^2)(gamma t/2 + e^{-gamma t/2} - 1).
+    The latter is the master-equation result; it is the equal-coupling
+    limit of the generic Var P_v and is reproduced by the numerical
+    integrator.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     u, v = displacement_trajectory(params, alpha, beta, t)
-    means = dict(
-        mean_xc=math.sqrt(2.0) * u.real,
-        mean_pc=math.sqrt(2.0) * u.imag,
-        mean_xv=math.sqrt(2.0) * v.real,
-        mean_pv=math.sqrt(2.0) * v.imag,
-    )
     o1, o2 = params.omega1, params.omega2
-    if o2 == 0:
-        return QuadTuple(var_xc=0.5, var_pc=0.5, var_xv=0.5, var_pv=0.5, **means)
-    env = envelope(params, t)
-    g2 = env.g * env.g
+    _, s, _, one_minus_f2 = _damped_parts(params, t)
     if params.regime is Regime.EQUAL_COUPLING:
-        return QuadTuple(
-            var_xc=0.5 + 2.0 * g2,
-            var_pc=0.5,
-            var_xv=0.5,
-            var_pv=0.5 + _equal_coupling_growth(o1, params.gamma, t),
-            **means,
+        variances = (0.5 + 2.0 * (o2 * s) * (o2 * s), 0.5, 0.5,
+                     0.5 + _equal_coupling_growth(o1, params.gamma, np.asarray(t, float)))
+    else:
+        variances = (
+            0.5 + (o1 + o2) * o2 * s * s,
+            0.5 - (o1 - o2) * o2 * s * s,
+            0.5 - o2 / (o1 + o2) * one_minus_f2,
+            0.5 + o2 / (o1 - o2) * one_minus_f2,
         )
-    one_mf2 = 1.0 - env.f * env.f
-    return QuadTuple(
-        var_xc=0.5 + (o1 + o2) / o2 * g2,
-        var_pc=0.5 - (o1 - o2) / o2 * g2,
-        var_xv=0.5 - o2 / (o1 + o2) * one_mf2,
-        var_pv=0.5 + o2 / (o1 - o2) * one_mf2,
-        **means,
-    )
+    means = (math.sqrt(2.0) * x for x in (np.real(u), np.imag(u), np.real(v), np.imag(v)))
+    return QuadTuple(*(_shaped(x, t) for x in (*variances, *means)))
 
 
 def displacement_trajectory(
-    params: CouplingParams, alpha: complex, beta: complex, t: float
-) -> Tuple[complex, complex]:
+    params: CouplingParams, alpha: complex, beta: complex, t: ArrayLike
+) -> Tuple[ArrayLike, ArrayLike]:
     """First-moment trajectory (u, v) = (<a>, <b>) for a coherent start.
 
         u = alpha h + (beta q + beta*) g
         v = (-alpha q + alpha*) g + beta f
 
     The (q g) products are evaluated as omega1 sin(L t) e^{-gamma t/4}/L,
-    which stays finite in the omega2 -> 0 limit.
+    which stays finite in the omega2 -> 0 limit.  Complex scalars for a
+    scalar t, complex arrays otherwise.
     """
-    env = envelope(params, t)
-    qg = params.omega1 * sin_ratio(params, t)
-    u = alpha * env.h + (beta * qg + np.conj(beta) * env.g)
-    v = (-alpha * qg + np.conj(alpha) * env.g) + beta * env.f
-    return complex(u), complex(v)
+    f, s, h, _ = _damped_parts(params, t)
+    g = params.omega2 * s
+    qg = params.omega1 * s
+    alpha, beta = complex(alpha), complex(beta)
+    u = alpha * h + (beta * qg + beta.conjugate() * g)
+    v = (-alpha * qg + alpha.conjugate() * g) + beta * f
+    return _shaped(u, t), _shaped(v, t)
 
 
 def lossless_spec(

@@ -9,11 +9,23 @@ scalar envelopes
     g(t) = (omega2/L) sin(L t) exp(-gamma t/4)
     h(t) = (cos(L t) - (gamma/4L) sin(L t)) exp(-gamma t/4)
 
-with L^2 = omega1^2 - omega2^2 - gamma^2/16.  For L^2 < 0 the trig functions
-continue analytically to cosh/sinh (evaluated in exponential form so the
-values stay real and never overflow while decaying), and the L -> 0 limit is
-taken explicitly.  All three satisfy y'' + (gamma/2) y' + (omega1^2 -
-omega2^2) y = 0.
+with L^2 = omega1^2 - omega2^2 - gamma^2/16.  All three satisfy
+y'' + (gamma/2) y' + (omega1^2 - omega2^2) y = 0.
+
+The branch on L^2 lives in one private helper, ``_damped_parts``, through
+which every envelope of the package is evaluated:
+
+* oscillatory (L^2 > 0): damped cos/sin with L = sqrt(L^2);
+* overdamped (L^2 < 0, includes equal coupling with gamma > 0): cosh/sinh
+  as sums of the real exponentials e+- = exp((+-|L| - gamma/4) t), so the
+  values stay real and never overflow while decaying;
+* degenerate (|L^2| at the double-precision noise floor): the L -> 0
+  limit, e.g. f = (1 + gamma t/4) e^{-gamma t/4}.
+
+Once exp(-gamma t/4) underflows, the exact steady-state values (0, 0, 0)
+are returned.  The helper takes a scalar or an array of times; public
+functions return Python floats for a scalar and arrays of the same shape
+otherwise.
 """
 
 from __future__ import annotations
@@ -162,87 +174,83 @@ def from_lab_params(lab: LabParams, gamma: float) -> CouplingParams:
     return classify_regime(scale * lab.g1, scale * lab.g2, gamma)
 
 
-def _trig_parts(params: CouplingParams, t: np.ndarray):
-    """Return (cos_like, sin_over_lambda) for the regime of ``params``.
+def _shaped(x, t):
+    """``x`` over the shape of ``t``: a Python scalar for a scalar ``t``,
+    otherwise an ndarray, with constants broadcast to the full shape."""
+    shape = np.shape(t)
+    if not shape:
+        return np.asarray(x).item()
+    return x if np.shape(x) == shape else np.full(shape, x)
 
-    cos_like ~ cos(L t) and sin_over_lambda ~ sin(L t)/L, analytically
-    continued across the three L^2 branches.  Only used for L^2 >= 0; the
-    overdamped branch is handled separately in exponential form.
+
+def _damped_parts(params: CouplingParams, t: ArrayLike):
+    """Return (f, s, h, 1 - f^2) as arrays of the shape of ``t >= 0``.
+
+    s = sin(L t) e^{-gamma t/4} / L is the damped sine ratio (g = omega2 s).
+    This is the one place that branches on L^2 (see the module docstring).
+    Overdamped, the rate |L| - gamma/4 = -L0^2 / (|L| + gamma/4) and the
+    weight 1 - r = 1 - gamma/(4|L|) = -4 L0^2 / (|L| (4|L| + gamma)) are
+    formed from L0^2, so they do not cancel near equal coupling; f and h
+    are e- plus a multiple of (e+ - e-), which keeps (1, 1) exact at t = 0.
+
+    1 - f is formed directly, since 1 - f*f cancels wherever f ~ 1:
+    -(1/2)(1 + r) expm1(-kappa t) - (1/2)(1 - r) expm1(-(|L| + gamma/4) t)
+    with kappa = L0^2/(|L| + gamma/4) when overdamped, and
+    -expm1(-gamma t/4) + e^{-gamma t/4} (2 sin^2(L t/2) - (gamma/4) sin(L t)/L)
+    otherwise; then 1 - f^2 = (1 - f)(2 - (1 - f)).
+
+    Scalars run as one-element arrays, so they take the same numpy kernels
+    as arrays.
     """
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    shape = t.shape
+    t = np.atleast_1d(t)
+    o1, g = params.omega1, params.gamma
     lam_sq = params.lambda_sq
-    if lam_sq > DEGENERATE_ATOL * params.omega1 ** 2:
-        lam = math.sqrt(lam_sq)
-        return np.cos(lam * t), np.sin(lam * t) / lam
-    return np.ones_like(t), t.astype(float)
 
+    if lam_sq < -DEGENERATE_ATOL * o1 * o1:
+        lam = math.sqrt(-lam_sq)
+        fast = lam + g / 4.0
+        slow = params.lambda0_sq / fast
+        em = np.exp(-fast * t)
+        d = np.exp(-slow * t) - em
+        one_plus_r = 1.0 + g / (4.0 * lam)
+        one_minus_r = -4.0 * params.lambda0_sq / (lam * (4.0 * lam + g))
+        f = em + 0.5 * one_plus_r * d
+        s = d / (2.0 * lam)
+        h = em + 0.5 * one_minus_r * d
+        one_minus_f = -0.5 * one_plus_r * np.expm1(-slow * t) - 0.5 * one_minus_r * np.expm1(-fast * t)
+    else:
+        if lam_sq > DEGENERATE_ATOL * o1 * o1:
+            lam = math.sqrt(lam_sq)
+            c, s = np.cos(lam * t), np.sin(lam * t) / lam
+            vers = 2.0 * np.sin(0.5 * lam * t) ** 2  # 1 - cos(L t) without cancellation
+        else:
+            c, s, vers = np.ones_like(t), t, np.zeros_like(t)
+        damp = np.exp(-g * t / 4.0)
+        f = (c + (g / 4.0) * s) * damp
+        h = (c - (g / 4.0) * s) * damp
+        one_minus_f = -np.expm1(-g * t / 4.0) + damp * (vers - (g / 4.0) * s)
+        s = s * damp
+        dead = g * t / 4.0 > _UNDERFLOW_EXPONENT
+        f, s, h = (np.where(dead, 0.0, x) for x in (f, s, h))
 
-def _overdamped_parts(params: CouplingParams, t: np.ndarray):
-    """Return (|L|, e-, e+ - e-) with e+- = exp((+-|L| - gamma/4) t), for L^2 < 0.
-
-    The slow rate |L| - gamma/4 is formed as -L0^2 / (|L| + gamma/4), which
-    does not cancel when |L| ~ gamma/4 (near equal coupling).
-    """
-    lam = math.sqrt(-params.lambda_sq)
-    quarter = params.gamma / 4.0
-    em = np.exp(-(lam + quarter) * t)
-    ep = np.exp(-params.lambda0_sq / (lam + quarter) * t)
-    return lam, em, ep - em
+    one_minus_f2 = one_minus_f * (2.0 - one_minus_f)
+    return tuple(x.reshape(shape) for x in (f, s, h, one_minus_f2))
 
 
 def envelope(params: CouplingParams, t: ArrayLike) -> EnvelopeValues:
     """Evaluate the envelope triple (f, g, h) at time(s) ``t >= 0``.
 
-    Accepts a scalar or an ndarray of times; the fields of the result have
-    the same shape.  Values are always real:
-
-    * oscillatory branch: damped cos/sin with L = sqrt(L^2);
-    * overdamped branch (includes equal coupling with gamma > 0): the
-      analytic continuation, evaluated as a sum of two real exponentials
-      exp((+-|L| - gamma/4) t) so that decaying envelopes neither overflow
-      nor lose their sign structure.  The branch is cancellation-free: the
-      rate |L| - gamma/4 and the weight 1 - gamma/(4|L|) are both formed
-      from L0^2 = (omega1 - omega2)(omega1 + omega2), so f, g and h keep
-      near machine relative precision up to equal coupling;
-    * degenerate branch (L -> 0): f = (1 + gamma t/4) e^{-gamma t/4},
-      g = omega2 t e^{-gamma t/4}, h = (1 - gamma t/4) e^{-gamma t/4}.
-
-    Once exp(-gamma t/4) underflows (only reachable in the decaying regimes)
-    the exact steady-state values (0, 0, 0) are returned.
+    Accepts a scalar or an array of times; the fields of the result are
+    floats for a scalar and arrays of the same shape otherwise.  Values are
+    always real; the branches are described in the module docstring.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("t must be >= 0")
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    o1, o2, g = params.omega1, params.omega2, params.gamma
-    lam_sq = params.lambda_sq
-
-    if lam_sq < -DEGENERATE_ATOL * o1 * o1:
-        lam, em, d = _overdamped_parts(params, t_arr)
-        # 1 - gamma/(4|L|) = -4 L0^2 / (|L| (4|L| + gamma)), free of the
-        # cancellation at |L| ~ gamma/4 (near equal coupling); writing f and
-        # h as e- plus a multiple of (e+ - e-) keeps (1, 1) exact at t = 0
-        one_plus_r = 1.0 + g / (4.0 * lam)
-        one_minus_r = -4.0 * params.lambda0_sq / (lam * (4.0 * lam + g))
-        f = em + 0.5 * one_plus_r * d
-        gg = o2 / (2.0 * lam) * d
-        h = em + 0.5 * one_minus_r * d
-    else:
-        c, s = _trig_parts(params, t_arr)
-        damp = np.exp(-g * t_arr / 4.0)
-        f = (c + (g / 4.0) * s) * damp
-        gg = o2 * s * damp
-        h = (c - (g / 4.0) * s) * damp
-        if g > 0:
-            dead = g * t_arr / 4.0 > _UNDERFLOW_EXPONENT
-            if np.any(dead):
-                f = np.where(dead, 0.0, f)
-                gg = np.where(dead, 0.0, gg)
-                h = np.where(dead, 0.0, h)
-
-    if scalar:
-        return EnvelopeValues(f=float(f[0]), g=float(gg[0]), h=float(h[0]), t=float(t_arr[0]))
-    return EnvelopeValues(f=f, g=gg, h=h, t=t_arr)
+    f, s, h, _ = _damped_parts(params, t)
+    return EnvelopeValues(f=_shaped(f, t), g=_shaped(params.omega2 * s, t), h=_shaped(h, t),
+                          t=_shaped(np.asarray(t, dtype=float), t))
 
 
 def sin_ratio(params: CouplingParams, t: ArrayLike) -> ArrayLike:
@@ -252,15 +260,4 @@ def sin_ratio(params: CouplingParams, t: ArrayLike) -> ArrayLike:
     displacement trajectories use it to take the (omega1/omega2) g(t) terms
     to their analytic limit.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    o1, g = params.omega1, params.gamma
-    lam_sq = params.lambda_sq
-    if lam_sq < -DEGENERATE_ATOL * o1 * o1:
-        lam, _, d = _overdamped_parts(params, t_arr)
-        out = d / (2.0 * lam)
-    else:
-        _, s = _trig_parts(params, t_arr)
-        out = s * np.exp(-g * t_arr / 4.0)
-        if g > 0:
-            out = np.where(g * t_arr / 4.0 > _UNDERFLOW_EXPONENT, 0.0, out)
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _shaped(_damped_parts(params, t)[1], t)

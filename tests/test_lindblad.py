@@ -225,8 +225,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0)
         with pytest.raises(ValueError):
-            IntegratorConfig(method="euler")
-        with pytest.raises(ValueError):
             IntegratorConfig(t_max=-1.0)
 
     def test_rejects_target_beyond_horizon(self):

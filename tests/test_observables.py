@@ -25,6 +25,7 @@ from ioncavity import (
     Regime,
     RegimeError,
     ValidityError,
+    assembly_weights,
     classify_regime,
     displacement_trajectory,
     envelope,
@@ -33,9 +34,10 @@ from ioncavity import (
     nbar_max,
     quad_variances,
     revival_schedule,
+    sin_ratio,
     steady_squeeze,
 )
-from ioncavity.observables import _squeezed_thermal_from_weights
+from ioncavity.observables import squeezed_thermal
 
 OSC = classify_regime(1.0, 0.6, 0.4)
 OSC3 = classify_regime(1.0, 0.3, 0.4)
@@ -130,10 +132,11 @@ class TestModeSpec:
         assert spec.n_bar > 0.0 and spec.xi < 0.0
 
     def test_validity_guard_raises(self):
+        # weights (mu, nu) = (1, 0.2), then (inf, 0.2), as Var X = nu + 1/2 + mu, Var P = nu + 1/2 - mu
+        with pytest.raises(ValidityError, match=r"omega2=0\.6, gamma=0\.4, t=1\.5, mode=v"):
+            squeezed_thermal([0.5, 1.7], [0.5, -0.3], OSC, [1.0, 1.5], "v")
         with pytest.raises(ValidityError):
-            _squeezed_thermal_from_weights(mu=1.0, nu=0.2, context="synthetic")
-        with pytest.raises(ValidityError):
-            _squeezed_thermal_from_weights(mu=math.inf, nu=0.2, context="synthetic")
+            squeezed_thermal(math.inf, -math.inf, OSC, 1.0, "c")
 
     def test_steady_state_limit(self):
         t = 50.0 / OSC.gamma
@@ -310,6 +313,32 @@ class TestQuadVariances:
         assert (q.var_xc, q.var_pc, q.var_xv, q.var_pv) == (0.5, 0.5, 0.5, 0.5)
 
 
+class TestNearEqualCouplingPrecision:
+    """nu_v and Var P_v at omega2 = 1 - 1e-7 against a 50-digit reference.
+
+    There f stays within ~1e-7 of 1, so 1 - f^2 must be formed without the
+    cancellation of 1 - f*f.  The reference takes the double inputs exactly
+    and continues cos/sin to cosh/sinh through a complex L.
+    """
+
+    @pytest.mark.parametrize("gamma,t", [(0.4, 3.0), (0.4, 0.3), (2.0, 1e-3), (0.0, 3.0)])
+    def test_matches_high_precision_reference(self, gamma, t):
+        mp = pytest.importorskip("mpmath")
+        omega2 = 1.0 - 1e-7
+        with mp.workdps(50):
+            w2, gm, s = mp.mpf(omega2), mp.mpf(gamma), mp.mpf(t)
+            l0_sq = (1 - w2) * (1 + w2)
+            lam = mp.sqrt(mp.mpc(l0_sq - gm * gm / 16))
+            f = mp.re(mp.exp(-gm * s / 4) * (mp.cos(lam * s) + gm / (4 * lam) * mp.sin(lam * s)))
+            nu_v = (1 - f * f) * w2 * w2 / l0_sq
+            var_pv = mp.mpf(0.5) + w2 / (1 - w2) * (1 - f * f)
+            p = classify_regime(1.0, omega2, gamma)
+            _, _, (_, got_nu_v) = assembly_weights(p, t)
+            got_var_pv = quad_variances(p, t).var_pv
+            assert abs((got_nu_v - nu_v) / nu_v) < 1e-12
+            assert abs((got_var_pv - var_pv) / var_pv) < 1e-12
+
+
 class TestDisplacementTrajectory:
     def test_initial_amplitudes(self):
         u, v = displacement_trajectory(OSC, 0.5 + 0.1j, -0.2j, 0.0)
@@ -387,3 +416,48 @@ class TestLosslessSpec:
             lossless_spec(OSC, 0.1, 0.1, 1.0)
         with pytest.raises(RegimeError):
             lossless_spec(classify_regime(1.0, 1.3, 0.0), 0.1, 0.1, 1.0)
+
+
+class TestArrayContract:
+    """One call over an array of times agrees with the scalar calls.
+
+    Scalars come back as Python floats (complex for displacements), arrays
+    as arrays of the input shape; values agree within 2 ulps.
+    """
+
+    TS = np.concatenate([[0.0], np.linspace(0.01, 30.0, 61)])
+    ALPHA, BETA = 0.3 + 0.1j, -0.2j
+
+    @staticmethod
+    def _agree(array_value, scalar_values, kind=float):
+        assert all(type(x) is kind for x in scalar_values)
+        assert np.shape(array_value) == (len(scalar_values),)
+        want = np.array(scalar_values)
+        for part in (np.real, np.imag) if kind is complex else (np.real,):
+            np.testing.assert_array_max_ulp(part(array_value), part(want), maxulp=2)
+
+    @pytest.mark.parametrize("point", [
+        (1.0, 0.6, 0.4), (1.0, 0.6, 4.0), (1.0, 0.6, 4.0 * math.sqrt(1.0 - 0.36)),
+        (1.0, 1.0, 0.4), (1.0, 1.3, 0.4), (1.0, 0.6, 0.0), (1.0, 0.0, 0.4),
+    ], ids=["oscillatory", "overdamped", "degenerate", "equal_coupling", "growing",
+            "lossless", "omega2_zero"])
+    def test_array_matches_scalar(self, point):
+        p = classify_regime(*point)
+        ts = self.TS
+        env = envelope(p, ts)
+        for field in ("f", "g", "h"):
+            self._agree(getattr(env, field), [getattr(envelope(p, t), field) for t in ts])
+        self._agree(sin_ratio(p, ts), [sin_ratio(p, t) for t in ts])
+        quads = quad_variances(p, ts, self.ALPHA, self.BETA)
+        scalar_quads = [quad_variances(p, t, self.ALPHA, self.BETA) for t in ts]
+        for field in quads.__dataclass_fields__:
+            self._agree(getattr(quads, field), [getattr(q, field) for q in scalar_quads])
+        u, v = displacement_trajectory(p, self.ALPHA, self.BETA, ts)
+        scalar_uv = [displacement_trajectory(p, self.ALPHA, self.BETA, t) for t in ts]
+        self._agree(u, [x[0] for x in scalar_uv], complex)
+        self._agree(v, [x[1] for x in scalar_uv], complex)
+        for mode in ("c",) if p.regime is Regime.EQUAL_COUPLING else ("c", "v"):
+            spec = mode_spec(p, ts, mode)
+            scalar_specs = [mode_spec(p, t, mode) for t in ts]
+            for field in ("n_bar", "xi", "zeta", "mu", "nu"):
+                self._agree(getattr(spec, field), [getattr(s, field) for s in scalar_specs])
