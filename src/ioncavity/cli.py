@@ -49,6 +49,7 @@ from .fock import (
     AssemblyBudget,
     FockDensity,
     assemble_joint_density,
+    displacement_op,
     lossless_ket,
     partial_trace,
     quad_stats,
@@ -219,12 +220,7 @@ def _vacuum_joint(nc: int, nv: int) -> FockDensity:
 
 
 def _coherent_joint(alpha: complex, beta: complex, nc: int, nv: int) -> FockDensity:
-    from .fock import displacement_op
-
-    psi = np.zeros(nc * nv, dtype=complex)
-    psi[0] = 1.0
-    D = np.kron(displacement_op(alpha, nc).entries, displacement_op(beta, nv).entries)
-    psi = D @ psi
+    psi = np.kron(displacement_op(alpha, nc).entries[:, 0], displacement_op(beta, nv).entries[:, 0])
     return FockDensity(entries=np.outer(psi, psi.conj()), dims=(nc, nv))
 
 

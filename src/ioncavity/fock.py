@@ -21,15 +21,22 @@ the sign flip of the C-coefficient argument being required for consistency
 with the superoperator route (verified against it in the test suite).  The
 per-mode sign (-1)^n cancels in the joint products, so the assembled
 density operator is independent of this bookkeeping.
+
+Q^{m,n} is built in one place, ``_q_level`` (every Q^{m,L-m} of one level
+L at once), which ``q_operator`` and ``assemble_joint_density`` share.
+``jacobi_poly`` and ``c_coefficient`` take an int or an int array for ``k``
+(and ``l``): scalars give a Python float, and any bad element raises the
+scalar ValueError.  Log-factorials come from one ``math.lgamma`` table and
+each series is summed in index order, so array and scalar calls agree.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from math import lgamma
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -51,7 +58,6 @@ __all__ = [
     "jacobi_poly",
     "c_coefficient",
     "r_operator",
-    "raise_superop",
     "q_operator",
     "default_dim",
     "assemble_joint_density",
@@ -69,9 +75,6 @@ TOL_PSD = 1e-8
 #: direct summation of the operator-family series is capped here; the
 #: assembler's geometric tail bound must already have truncated by then
 MAX_MN_CUTOFF = 60
-
-#: relative weight allowed in the top (m+n) levels of a raise_superop input
-_HEADROOM_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -217,55 +220,69 @@ def thermal_state(n_bar: float, N: int) -> FockDensity:
     return FockDensity(entries=np.diag(p).astype(complex), dims=(N,), trace_deficit=deficit)
 
 
-def jacobi_poly(m: int, k: int, l: int, x: float) -> float:
+@functools.lru_cache(maxsize=None)
+def _log_factorials(bits: int) -> np.ndarray:
+    """Read-only table of log(k!) for k < 2**bits, from math.lgamma."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(1 << bits)])
+    table.flags.writeable = False
+    return table
+
+
+def _term_sum(terms: np.ndarray):
+    """Sum over axis 0 in index order; a Python float for scalar summands.
+
+    A running sum, unlike numpy's pairwise one, adds the zero terms that pad
+    an array call without regrouping the rounding of the others.
+    """
+    total = np.cumsum(terms, axis=0)[-1]
+    return float(total) if total.ndim == 0 else total
+
+
+def jacobi_poly(m: int, k, l, x: float):
     """P_m^{k,l}(x) = sum_{j=max(0,l)}^k (-1)^{j-l} (j+m)!/((j-l)!(k-j)!) x^j/j!.
 
-    Factorial ratios go through log-gamma with explicit sign tracking; x^j is
-    formed directly (0 <= x < 1 cannot overflow).
+    ``k`` and ``l`` are ints or int arrays (broadcast together).  Factorial
+    ratios go through the log-factorial table with explicit sign tracking;
+    x^j is formed directly (0 <= x < 1 cannot overflow).
     """
-    if m < 0 or k < 0:
+    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
+    if m < 0 or (k < 0).any():
         raise ValueError("need m, k >= 0")
-    if l > k:
+    if (l > k).any():
         raise ValueError("need l <= k")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"need 0 <= x < 1, got {x}")
-    total = 0.0
-    for j in range(max(0, l), k + 1):
-        if x == 0.0 and j > 0:
-            break
-        mag = lgamma(j + m + 1) - lgamma(j - l + 1) - lgamma(k - j + 1) - lgamma(j + 1)
-        sign = -1.0 if (j - l) % 2 else 1.0
-        total += sign * math.exp(mag) * x**j
-    return total
+    j = np.arange(k.max(initial=0) + 1).reshape((-1,) + (1,) * k.ndim)
+    live = (j >= l) & (j <= k)
+    jl = np.where(live, j - l, 0)
+    lf = _log_factorials(int(max(m + j.size, jl.max(initial=0))).bit_length())
+    mag = lf[j + m] - lf[jl] - lf[np.where(live, k - j, 0)] - lf[j]
+    sign = np.where((j - l) % 2, -1.0, 1.0)
+    return _term_sum(np.where(live, sign * np.exp(mag) * x**j, 0.0))
 
 
-def c_coefficient(m: int, n: int, k: int, xi: float) -> float:
+def c_coefficient(m: int, n: int, k, xi: float):
     """Coefficient C_k^{m,n}(xi) of the squeezed operator-family expansion.
 
     sqrt((m+n-k)! k!/(m! n!)) sum_l binom-weights cosh^{m-k+2l} sinh^{n+k-2l},
-    log-factorial magnitudes with sign bookkeeping for sinh(xi) < 0.
+    log-factorial magnitudes times the integer powers, whose sign is that of
+    sinh(xi)^{n+k-2l}; ``k`` is an int or an int array.
     """
-    if not 0 <= k <= m + n:
-        raise ValueError(f"need 0 <= k <= m+n, got k={k}, m+n={m + n}")
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
+    k = np.asarray(k)
+    bad = (k < 0) | (k > m + n)
+    if bad.any():
+        raise ValueError(f"need 0 <= k <= m+n, got k={k[bad][0]}, m+n={m + n}")
     ch, sh = math.cosh(xi), math.sinh(xi)
-    pref = 0.5 * (lgamma(m + n - k + 1) + lgamma(k + 1) - lgamma(m + 1) - lgamma(n + 1))
-    total = 0.0
-    for l in range(max(0, k - m), min(n, k) + 1):
-        p_ch, p_sh = m - k + 2 * l, n + k - 2 * l
-        if sh == 0.0 and p_sh > 0:
-            continue
-        term = math.exp(
-            pref
-            + lgamma(m + 1) - lgamma(k - l + 1) - lgamma(m - k + l + 1)
-            + lgamma(n + 1) - lgamma(l + 1) - lgamma(n - l + 1)
-        )
-        term *= ch**p_ch
-        if p_sh:
-            term *= abs(sh) ** p_sh
-            if sh < 0 and p_sh % 2:
-                term = -term
-        total += term
-    return total
+    l = np.arange(n + 1).reshape((-1,) + (1,) * k.ndim)
+    live = (l >= k - m) & (l <= k)
+    lf = _log_factorials((m + n).bit_length())
+    pref = 0.5 * (lf[m + n - k] + lf[k] - lf[m] - lf[n])
+    mag = (pref + lf[m] - lf[np.where(live, k - l, 0)] - lf[np.where(live, m - k + l, 0)]
+           + lf[n] - lf[l] - lf[n - l])
+    p_ch, p_sh = np.where(live, m - k + 2 * l, 0), np.where(live, n + k - 2 * l, 0)
+    return _term_sum(np.where(live, np.exp(mag) * ch**p_ch * sh**p_sh, 0.0))
 
 
 def r_operator(m: int, n: int, n_bar: float, N: int) -> FockOperator:
@@ -288,81 +305,32 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> FockOperator:
         sign = -1.0 if (m + n) % 2 else 1.0
         return FockOperator(entries=sign * r_operator(n, m, n_bar, N).entries.conj().T, dim=N)
     out = np.zeros((N, N), dtype=complex)
-    x = n_bar / (n_bar + 1.0)
-    log_np1 = math.log(n_bar + 1.0)
+    k = np.arange(max(0, N - (m - n)))
+    row = k + m - n
+    lf = _log_factorials((N + m).bit_length())
+    pref = 0.5 * (lf[n] + lf[k] - lf[m] - lf[row])
     sign = -1.0 if n % 2 else 1.0
-    for k in range(N):
-        row = k + m - n
-        if row >= N:
-            break
-        pref = 0.5 * (lgamma(n + 1) + lgamma(k + 1) - lgamma(m + 1) - lgamma(row + 1))
-        out[row, k] = sign * math.exp(pref - (m + 1) * log_np1) * jacobi_poly(m, k, k - n, x)
+    x = n_bar / (n_bar + 1.0)
+    out[row, k] = sign * np.exp(pref - (m + 1) * math.log(n_bar + 1.0)) * jacobi_poly(m, k, k - n, x)
     return FockOperator(entries=out, dim=N)
 
 
-def _single_mode_entries(op) -> Tuple[np.ndarray, int]:
-    """Entries and dimension of a single-mode FockOperator or FockDensity."""
-    if isinstance(op, FockOperator):
-        return op.entries, op.dim
-    if isinstance(op, FockDensity):
-        if op.joint:
-            raise ValueError("need a single-mode operator")
-        return op.entries, op.dims[0]
-    arr = np.asarray(op, dtype=complex)
-    return arr, arr.shape[0]
+def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
+    """Stack of Q^{m,L-m}(n_bar, xi) for m = 0..L, conjugated by U.
 
-
-def raise_superop(op, m: int, n: int) -> FockOperator:
-    """Apply (N+^n/sqrt(n!)) (M+^m/sqrt(m!)) to a single-mode operator.
-
-    M+ X = ad X - X ad and N+ X = a X - X a.  The input is zero-padded by
-    m+n levels before the ladder commutators act and cropped back, so that
-    entries of the result are exact wherever the input itself was exact.
-    The top m+n levels of the input must be negligibly occupied (headroom);
-    otherwise the result near the truncation edge is meaningless and a
-    TruncationError is raised.
+    Q^{m,L-m} = sum_k C_k^{m,L-m}(-xi) U R^{L-k,k}(n_bar) U^dag, where U is
+    S(xi), or D(w) S(xi) to carry a coherent displacement along.
     """
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
-    entries, N = _single_mode_entries(op)
-    if m + n == 0:
-        return FockOperator(entries=entries.copy(), dim=N)
-    if m + n >= N:
-        raise TruncationError(f"raising by m+n={m + n} exceeds dimension N={N}")
-    scale = np.abs(entries).max()
-    if scale > 0:
-        top = max(
-            np.abs(entries[N - (m + n):, :]).max(),
-            np.abs(entries[:, N - (m + n):]).max(),
-        )
-        if top > _HEADROOM_RTOL * scale:
-            raise TruncationError(
-                f"input occupies its top {m + n} levels (relative weight "
-                f"{top / scale:.2e} > {_HEADROOM_RTOL}); no truncation headroom"
-            )
-    Np = N + m + n
-    X = np.zeros((Np, Np), dtype=complex)
-    X[:N, :N] = entries
-    a = ladder(Np).entries
-    ad = a.conj().T
-    for _ in range(m):
-        X = ad @ X - X @ ad
-    for _ in range(n):
-        X = a @ X - X @ a
-    X /= math.sqrt(math.exp(lgamma(m + 1) + lgamma(n + 1)))
-    return FockOperator(entries=X[:N, :N].copy(), dim=N)
+    R = np.stack([r_operator(L - k, k, n_bar, U.shape[0]).entries for k in range(L + 1)])
+    C = np.array([c_coefficient(m, L - m, np.arange(L + 1), -xi) for m in range(L + 1)])
+    return np.tensordot(C, U @ R @ U.conj().T, axes=1)
 
 
 def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> FockOperator:
     """Q^{m,n}(n_bar, xi) = sum_k C_k^{m,n}(-xi) S(xi) R^{m+n-k,k}(n_bar) S(xi)^dag."""
-    S = squeeze_op(xi, N).entries
-    Sd = S.conj().T
-    out = np.zeros((N, N), dtype=complex)
-    for k in range(m + n + 1):
-        c = c_coefficient(m, n, k, -xi)
-        if c != 0.0:
-            out += c * (S @ r_operator(m + n - k, k, n_bar, N).entries @ Sd)
-    return FockOperator(entries=out, dim=N)
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
+    return FockOperator(entries=_q_level(m + n, n_bar, xi, squeeze_op(xi, N).entries)[m], dim=N)
 
 
 def default_dim(params: CouplingParams) -> int:
@@ -414,9 +382,12 @@ def assemble_joint_density(
 ) -> FockDensity:
     """Assemble the exact joint density operator at time t on a truncated basis.
 
-    Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over m+n <= cutoff, then
-    conjugates by D_c(u(t)) (x) D_v(v(t)) for a coherent start.  The
-    returned ``trace_deficit`` is |1 - tr rho|, the truncation loss.
+    Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over m+n <= cutoff, each factor
+    conjugated by its mode's D(w) for a coherent start (w = u(t), v(t)).
+    The returned ``trace_deficit`` is |1 - tr rho|, the loss of the series
+    cutoff only: the squeeze and displacement are exponentiated on the
+    truncated basis, which keeps the trace at 1, so it cannot see basis
+    truncation.
     """
     if params.regime is Regime.EQUAL_COUPLING:
         raise RegimeError("joint assembly is singular at equal coupling (mode-v form)")
@@ -427,39 +398,18 @@ def assemble_joint_density(
     M = _resolve_cutoff(spec_c.zeta, budget)
     Nc, Nv = budget.dims
 
-    Sc = squeeze_op(spec_c.xi, Nc).entries
-    Sv = squeeze_op(spec_v.xi, Nv).entries
-    # S R^{i,k} S^dag cached per mode over all index pairs with i + k <= M
-    def sandwiches(S: np.ndarray, n_bar: float, N: int) -> Dict[Tuple[int, int], np.ndarray]:
-        Sd = S.conj().T
-        return {
-            (i, k): S @ r_operator(i, k, n_bar, N).entries @ Sd
-            for i in range(M + 1)
-            for k in range(M + 1 - i)
-        }
-
-    cav = sandwiches(Sc, spec_c.n_bar, Nc)
-    vib = sandwiches(Sv, spec_v.n_bar, Nv)
-
-    rho = np.zeros((Nc * Nv, Nc * Nv), dtype=complex)
-    for m in range(M + 1):
-        for n in range(M + 1 - m):
-            Qc = np.zeros((Nc, Nc), dtype=complex)
-            Qv = np.zeros((Nv, Nv), dtype=complex)
-            for k in range(m + n + 1):
-                cc = c_coefficient(m, n, k, -spec_c.xi)
-                cv = c_coefficient(m, n, k, -spec_v.xi)
-                if cc != 0.0:
-                    Qc += cc * cav[(m + n - k, k)]
-                if cv != 0.0:
-                    Qv += cv * vib[(m + n - k, k)]
-            rho += spec_c.zeta ** (m + n) * np.kron(Qc, Qv)
-
+    Uc = squeeze_op(spec_c.xi, Nc).entries
+    Uv = squeeze_op(spec_v.xi, Nv).entries
     if alpha != 0 or beta != 0:
+        # D_c (x) D_v conjugates each product Q_c (x) Q_v factor by factor
         u, v = displacement_trajectory(params, alpha, beta, t)
-        D = np.kron(displacement_op(u, Nc).entries, displacement_op(v, Nv).entries)
-        rho = D @ rho @ D.conj().T
-
+        Uc = displacement_op(u, Nc).entries @ Uc
+        Uv = displacement_op(v, Nv).entries @ Uv
+    Qc = np.concatenate([spec_c.zeta**L * _q_level(L, spec_c.n_bar, spec_c.xi, Uc) for L in range(M + 1)])
+    Qv = np.concatenate([_q_level(L, spec_v.n_bar, spec_v.xi, Uv) for L in range(M + 1)])
+    # rho[(i, k), (j, l)] = sum_p Qc[p, i, j] Qv[p, k, l]: one matrix product over p
+    rho = (Qc.reshape(len(Qc), -1).T @ Qv.reshape(len(Qv), -1)).reshape(Nc, Nc, Nv, Nv)
+    rho = rho.transpose(0, 2, 1, 3).reshape(Nc * Nv, Nc * Nv)
     rho = 0.5 * (rho + rho.conj().T)
     deficit = abs(1.0 - float(np.trace(rho).real))
     return FockDensity(entries=rho, dims=(Nc, Nv), trace_deficit=deficit)
@@ -505,18 +455,14 @@ def lossless_ket(
     kmax = min(Nc, Nv)
     nb = spec.n_bar0
     sign = -1.0 if math.sin(2.0 * math.sqrt(params.lambda0_sq) * t) < 0.0 else 1.0
-    psi = np.zeros(Nc * Nv, dtype=complex)
-    for k in range(kmax):
-        if nb == 0.0 and k > 0:
-            break
-        w = math.exp(0.5 * k * math.log(nb) - 0.5 * (k + 1) * math.log(nb + 1.0)) if nb > 0 else 1.0
-        psi[k * Nv + k] = sign**k * w
-    op = np.kron(
-        displacement_op(spec.u0, Nc).entries @ squeeze_op(-spec.xi0, Nc).entries,
-        displacement_op(spec.v0, Nv).entries @ squeeze_op(spec.xi0, Nv).entries,
-    )
-    psi = op @ psi
-    deficit = (nb / (nb + 1.0)) ** kmax if nb > 0 else 0.0
+    k = np.arange(kmax)
+    psi = np.zeros((Nc, Nv), dtype=complex)
+    psi[k, k] = (sign * math.sqrt(nb / (nb + 1.0))) ** k / math.sqrt(nb + 1.0)
+    # (U_c (x) U_v) acts on the (Nc, Nv) amplitude matrix as U_c psi U_v^T
+    Uc = displacement_op(spec.u0, Nc).entries @ squeeze_op(-spec.xi0, Nc).entries
+    Uv = displacement_op(spec.v0, Nv).entries @ squeeze_op(spec.xi0, Nv).entries
+    psi = (Uc @ psi @ Uv.T).ravel()
+    deficit = (nb / (nb + 1.0)) ** kmax
     return FockKet(entries=psi, dims=dims, norm_deficit=deficit)
 
 

@@ -1,14 +1,15 @@
 """Operator families, density assembly and state metrics.
 
 The R-family oracle pair: the Jacobi-polynomial closed form (r_operator)
-against the ladder-superoperator construction (raise_superop) -- two
-independent code paths for the same object.  For the comparison the raised
-input is built with m+n spare levels and cropped, so both sides are exact
-on the compared block.
+against the ladder-superoperator construction (raise_superop, from the
+``superop_oracle`` helper module) -- two independent code paths for the
+same object.  For the comparison the raised input is built with m+n spare
+levels and cropped, so both sides are exact on the compared block.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from ioncavity import (
     quad_stats_single,
     quad_variances,
     r_operator,
-    raise_superop,
     reduced_density,
     revival_schedule,
     state_metrics,
@@ -42,6 +42,7 @@ from ioncavity import (
     squeeze_op,
     thermal_state,
 )
+from superop_oracle import raise_superop
 
 OSC = classify_regime(1.0, 0.6, 0.4)
 OSC3 = classify_regime(1.0, 0.3, 0.4)
@@ -186,6 +187,103 @@ class TestCCoefficient:
             c_coefficient(1, 1, 3, 0.1)
 
 
+def _exact_sum(nums, den):
+    """Float of sum(nums)/den and of sum(|nums|)/den, for integer nums and den."""
+    return float(Fraction(sum(nums), den)), float(Fraction(sum(map(abs, nums)), den))
+
+
+def _jacobi_exact(m, k, l, x):
+    """P_m^{k,l}(x) and its terms' magnitude sum, from integer factorials.
+
+    x = a/d exactly (d a power of two); every term is put over the common
+    denominator (k-l)! k! k! d^k, which each (j-l)! (k-j)! j! d^j divides.
+    """
+    f = math.factorial
+    a, d = x.as_integer_ratio()
+    nums = [
+        (-1) ** (j - l) * f(j + m) * (f(k - l) // f(j - l)) * (f(k) // f(k - j))
+        * (f(k) // f(j)) * a**j * d ** (k - j)
+        for j in range(max(0, l), k + 1)
+    ]
+    return _exact_sum(nums, f(k - l) * f(k) * f(k) * d**k)
+
+
+def _c_exact(m, n, k, xi):
+    """C_k^{m,n}(xi) and its terms' magnitude sum, from integer binomials.
+
+    cosh(xi) = a/c and sinh(xi) = b/s exactly (the floats the program uses);
+    both powers are at most m+n, so c^{m+n} s^{m+n} is a common denominator.
+    The prefactor sqrt((m+n-k)! k!/(m! n!)) is the one rounded step.
+    """
+    (a, c), (b, s) = math.cosh(xi).as_integer_ratio(), math.sinh(xi).as_integer_ratio()
+    L = m + n
+    nums = [
+        math.comb(m, k - l) * math.comb(n, l)
+        * a ** (m - k + 2 * l) * c ** (L - (m - k + 2 * l))
+        * b ** (n + k - 2 * l) * s ** (L - (n + k - 2 * l))
+        for l in range(max(0, k - m), min(n, k) + 1)
+    ]
+    pref = math.sqrt(Fraction(math.factorial(L - k) * math.factorial(k),
+                              math.factorial(m) * math.factorial(n)))
+    value, scale = _exact_sum(nums, c**L * s**L)
+    return pref * value, pref * scale
+
+
+class TestCoefficientsExact:
+    """Array calls of the coefficients against exact integer references."""
+
+    def test_jacobi_against_exact_binomials(self):
+        k = np.arange(30)
+        for x in (0.0, 0.3, 0.8125):
+            for m in range(25):
+                for n in range(25 - m):
+                    got = jacobi_poly(m, k, k - n, x)
+                    for kk in k:
+                        want, scale = _jacobi_exact(m, int(kk), int(kk) - n, x)
+                        assert abs(got[kk] - want) <= 1e-13 * scale, (m, n, kk, x)
+
+    def test_c_coefficient_against_exact_binomials(self):
+        for xi in (-0.6, 0.0, 0.35):
+            for m in range(25):
+                for n in range(25 - m):
+                    got = c_coefficient(m, n, np.arange(m + n + 1), xi)
+                    for k in range(m + n + 1):
+                        want, scale = _c_exact(m, n, k, xi)
+                        assert abs(got[k] - want) <= 1e-13 * scale, (m, n, k, xi)
+
+    def test_array_call_matches_scalar_calls(self):
+        k = np.arange(30).reshape(5, 6)
+        for m, n in ((0, 0), (3, 1), (7, 5), (12, 12)):
+            got = jacobi_poly(m, k, k - n, 0.45)
+            want = [jacobi_poly(m, int(kk), int(kk) - n, 0.45) for kk in k.flat]
+            assert got.shape == k.shape
+            np.testing.assert_array_max_ulp(got.ravel(), np.array(want), maxulp=2)
+            ks = np.arange(m + n + 1)
+            got = c_coefficient(m, n, ks, -0.4)
+            want = [c_coefficient(m, n, int(kk), -0.4) for kk in ks]
+            np.testing.assert_array_max_ulp(got, np.array(want), maxulp=2)
+        # l = k - n broadcast against k, for n = 0, 1, 2
+        k = np.arange(8)
+        got = jacobi_poly(4, k, k - np.arange(3)[:, None], 0.3)
+        want = [[jacobi_poly(4, kk, kk - n, 0.3) for kk in range(8)] for n in range(3)]
+        np.testing.assert_array_max_ulp(got, np.array(want), maxulp=2)
+
+    def test_scalars_are_python_floats(self):
+        assert type(jacobi_poly(2, 3, 1, 0.3)) is float
+        assert type(jacobi_poly(2, np.int64(3), 1, 0.3)) is float
+        assert type(c_coefficient(1, 2, 1, 0.3)) is float
+
+    def test_any_bad_element_raises(self):
+        with pytest.raises(ValueError):
+            jacobi_poly(1, np.array([2, -1]), 0, 0.3)
+        with pytest.raises(ValueError):
+            jacobi_poly(1, np.array([2, 3]), np.array([0, 4]), 0.3)
+        with pytest.raises(ValueError):
+            c_coefficient(1, 1, np.array([0, 1, 3]), 0.1)
+        with pytest.raises(ValueError):
+            c_coefficient(1, 1, np.array([-1, 0]), 0.1)
+
+
 class TestROperator:
     def test_ground_family_is_thermal(self):
         np.testing.assert_allclose(r_operator(0, 0, 0.7, 20).entries,
@@ -301,6 +399,29 @@ class TestAssembly:
                 red = partial_trace(rho, mode)
                 want = reduced_density(OSC3, 1.2, mode, alpha, beta, 14)
                 np.testing.assert_allclose(red.entries, want.entries, atol=1e-8)
+
+    def test_matches_defining_series(self):
+        # (D_c (x) D_v)(sum zeta^{m+n} Q_c^{m,n} (x) Q_v^{m,n})(D_c (x) D_v)^dag, term by
+        # term with kron, at the cutoff the default budget's tail rule picks
+        N, t = 12, 1.2
+        spec_c, spec_v = mode_spec(OSC3, t, "c"), mode_spec(OSC3, t, "v")
+        az = abs(spec_c.zeta)
+        M = next(M for M in range(61) if az ** (M + 1) / (1.0 - az) < 1e-12)
+        series = sum(
+            spec_c.zeta ** (m + n)
+            * np.kron(q_operator(m, n, spec_c.n_bar, spec_c.xi, N).entries,
+                      q_operator(m, n, spec_v.n_bar, spec_v.xi, N).entries)
+            for m in range(M + 1)
+            for n in range(M + 1 - m)
+        )
+        for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
+            u, v = displacement_trajectory(OSC3, alpha, beta, t)
+            D = np.kron(displacement_op(u, N).entries, displacement_op(v, N).entries)
+            want = D @ series @ D.conj().T
+            want = 0.5 * (want + want.conj().T)
+            for budget in (AssemblyBudget(dims=(N, N)), AssemblyBudget(dims=(N, N), mn_cutoff=M)):
+                rho = assemble_joint_density(OSC3, t, alpha, beta, budget)
+                assert np.abs(rho.entries - want).max() <= 1e-13
 
     def test_refuses_unbounded_series(self):
         growing = classify_regime(1.0, 1.3, 0.4)
