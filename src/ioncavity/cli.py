@@ -2,7 +2,7 @@
 
 Four subcommands: ``simulate`` (time-series CSV of variances, mode
 parameters and envelopes), ``revivals`` (revival-time report), ``validate``
-(analytic-vs-integrator cross-check suite) and ``sweep-ratio`` (vibrational
+(analytic-vs-propagator cross-check suite) and ``sweep-ratio`` (vibrational
 X-variance versus omega2/omega1).
 
 Rates from the command line or config file are normalized internally so
@@ -18,7 +18,7 @@ maps both modes' variances to (n_bar, xi) with ``squeezed_thermal``;
 ``sweep-ratio`` makes one call per ratio over all its times; ``revivals``
 one ``envelope`` call per revival list.
 
-Exit codes: 0 success; 1 validation tolerance breach or integrator failure;
+Exit codes: 0 success; 1 validation tolerance breach or propagator failure;
 2 invalid configuration; 3 formula-validity guard tripped; 4 no revivals in
 this regime.
 """
@@ -81,7 +81,14 @@ CSV_HEADER = "t,var_xc,var_pc,var_xv,var_pv,nbar_c,nbar_v,xi_c,xi_v,f,g,h"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration; field names double as config keys and flags."""
+    """Flat run configuration; field names double as config keys and flags.
+
+    ``dt_int`` is accepted and must be > 0, but has no effect: ``validate``
+    propagates with the exact exp(L t), which takes no step size.  It stays
+    only so that existing scripts and config files that set it keep
+    working (the benchmark's ``validate`` workload passes ``--dt_int``), and
+    goes once they drop it.
+    """
 
     omega1: float = 1.0
     omega2: float = 0.6
@@ -230,7 +237,7 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
         raise ConfigError(f"validate needs nc*nv <= {MAX_VALIDATE_DIM}, got {cfg.nc * cfg.nv}")
     params = cfg.params()
     budget = AssemblyBudget(dims=(cfg.nc, cfg.nv), series_tol=cfg.series_tol)
-    config = IntegratorConfig(dt=cfg.dt_int, t_max=max(cfg.t_max, max(times) if times else 0.0))
+    config = IntegratorConfig(t_max=max(cfg.t_max, max(times) if times else 0.0))
     failures: List[str] = []
 
     def report(label: str, value: float, tol: float) -> None:
@@ -319,12 +326,15 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--out_path", type=str, default=None)
             elif f.name in ("nc", "nv"):
                 p.add_argument(f"--{f.name}", type=int, default=None)
+            elif f.name == "dt_int":
+                p.add_argument("--dt_int", type=float, default=None,
+                               help="ignored: the exact propagator takes no step size")
             else:
                 p.add_argument(f"--{f.name}", type=float, default=None)
 
     add_common(sub.add_parser("simulate", help="emit a time-series CSV"))
     add_common(sub.add_parser("revivals", help="print the revival schedule"))
-    p_val = sub.add_parser("validate", help="run the analytic-vs-integrator suite")
+    p_val = sub.add_parser("validate", help="run the analytic-vs-propagator suite")
     add_common(p_val)
     p_val.add_argument("--times", default="0.5,1,2,4", help="comma-separated checkpoints")
     p_val.set_defaults(omega2_default=0.3)

@@ -23,7 +23,7 @@ class TruncationError(IonCavityError):
 
 
 class IntegrationError(IonCavityError):
-    """The brute-force integrator failed a convergence or sanity check."""
+    """The Fock-space propagator refused a run or failed a check on its states."""
 
 
 class ConfigError(IonCavityError):

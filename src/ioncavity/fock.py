@@ -319,11 +319,18 @@ def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
     """Stack of Q^{m,L-m}(n_bar, xi) for m = 0..L, conjugated by U.
 
     Q^{m,L-m} = sum_k C_k^{m,L-m}(-xi) U R^{L-k,k}(n_bar) U^dag, where U is
-    S(xi), or D(w) S(xi) to carry a coherent displacement along.
+    S(xi), or D(w) S(xi) to carry a coherent displacement along.  Only the
+    sandwiches with L-k >= k are formed; by the adjoint rule of
+    ``r_operator`` each of the others is (-1)^L times the conjugate
+    transpose of its mirror k -> L-k.
     """
-    R = np.stack([r_operator(L - k, k, n_bar, U.shape[0]).entries for k in range(L + 1)])
+    half = L // 2
+    R = np.stack([r_operator(L - k, k, n_bar, U.shape[0]).entries for k in range(half + 1)])
+    S = U @ R @ U.conj().T
+    mirror = S[: L - half][::-1].conj().transpose(0, 2, 1)
+    S = np.concatenate([S, -mirror if L % 2 else mirror])
     C = np.array([c_coefficient(m, L - m, np.arange(L + 1), -xi) for m in range(L + 1)])
-    return np.tensordot(C, U @ R @ U.conj().T, axes=1)
+    return np.tensordot(C, S, axes=1)
 
 
 def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> FockOperator:

@@ -5,9 +5,12 @@ CSV values are checked against the covariance oracle of test_observables
 Each reduced state is a squeezed thermal state with no X-P correlation, so
 its (n_bar, xi) follow from the oracle's diagonal:
 n_bar = sqrt(Var X Var P) - 1/2 and xi = (1/4) ln(Var P / Var X).
+``validate`` is checked for its report layout, which scripts parse.
 """
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,3 +87,36 @@ class TestRevivals:
                  if not line.startswith("#")]
         assert "motion" in kinds and "cavity" in kinds
         assert kinds.count("cavity") == 1 + math.floor(20 * math.sqrt(0.63) / math.pi)
+
+
+class TestValidate:
+    # N = 10 lies below default_dim = 16.  At validate's default
+    # omega2/omega1 = 0.3 the basis edge alone puts the t = 1 joint trace
+    # distance at 1.0e-4 (gamma = 0.4) and 1.6e-4 (gamma = 0), over TD_TOL;
+    # at 0.2 it is 1.1e-5 and 1.8e-5.
+    ARGV = ["validate", "--nc", "10", "--nv", "10", "--omega2", "0.2", "--times", "0.5,1"]
+    CHECK_LINE = re.compile(r"t=\S+ .*: \S+ \(tol \S+\) ok")
+
+    @pytest.mark.parametrize("gamma", [0.4, 0.0], ids=["lossy", "lossless"])
+    def test_report_layout(self, capsys, gamma):
+        assert main([*self.ARGV, "--gamma", repr(gamma)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        # per checkpoint: joint trace distance, two fidelity deficits and the
+        # quadrature delta, plus the lossless fidelity deficit at gamma = 0
+        assert len(lines) == 2 * (4 + (gamma == 0)) + 1
+        assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
+        assert lines[-1] == "all validation checks passed"
+
+    def test_config_setting_dt_int_loads(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"omega2": 0.2, "gamma": 0.4, "nc": 10, "nv": 10,
+                                      "dt_int": 5e-3}), encoding="utf-8")
+        assert main(["validate", "--config", str(config), "--times", "0.5"]) == EXIT_OK
+        with_dt = capsys.readouterr().out
+        # dt_int has no effect on the exact propagator
+        argv = ["validate", "--nc", "10", "--nv", "10", "--omega2", "0.2", "--times", "0.5"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == with_dt
+
+    def test_dt_int_must_be_positive(self):
+        assert main([*self.ARGV, "--dt_int", "0"]) == EXIT_CONFIG
