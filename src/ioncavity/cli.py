@@ -26,6 +26,7 @@ this regime.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -49,6 +50,7 @@ from .fock import (
     AssemblyBudget,
     FockDensity,
     assemble_joint_density,
+    default_dim,
     displacement_op,
     lossless_ket,
     partial_trace,
@@ -220,12 +222,6 @@ def cmd_revivals(cfg: RunConfig, stream=None) -> int:
     return EXIT_OK
 
 
-def _vacuum_joint(nc: int, nv: int) -> FockDensity:
-    rho = np.zeros((nc * nv, nc * nv), dtype=complex)
-    rho[0, 0] = 1.0
-    return FockDensity(entries=rho, dims=(nc, nv))
-
-
 def _coherent_joint(alpha: complex, beta: complex, nc: int, nv: int) -> FockDensity:
     psi = np.kron(displacement_op(alpha, nc).entries[:, 0], displacement_op(beta, nv).entries[:, 0])
     return FockDensity(entries=np.outer(psi, psi.conj()), dims=(nc, nv))
@@ -239,6 +235,9 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
     budget = AssemblyBudget(dims=(cfg.nc, cfg.nv), series_tol=cfg.series_tol)
     config = IntegratorConfig(t_max=max(cfg.t_max, max(times) if times else 0.0))
     failures: List[str] = []
+    with contextlib.suppress(RegimeError):  # default_dim needs omega2 < omega1, couplings unequal
+        if min(cfg.nc, cfg.nv) < (dim := default_dim(params)):
+            print(f"note: dims ({cfg.nc}, {cfg.nv}) are below default_dim = {dim}", file=sys.stderr)
 
     def report(label: str, value: float, tol: float) -> None:
         ok = value <= tol
@@ -247,11 +246,8 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
             failures.append(label)
 
     try:
-        rho0 = (
-            _vacuum_joint(cfg.nc, cfg.nv)
-            if cfg.alpha == 0 and cfg.beta == 0
-            else _coherent_joint(cfg.alpha, cfg.beta, cfg.nc, cfg.nv)
-        )
+        # D(0) = expm(0) is exactly the identity, so a vacuum start is exact too
+        rho0 = _coherent_joint(cfg.alpha, cfg.beta, cfg.nc, cfg.nv)
         oracle_states = evolve_trajectory(params, rho0, list(times), config)
         for t, rho_num in zip(times, oracle_states):
             rho_ana = assemble_joint_density(params, t, cfg.alpha, cfg.beta, budget)

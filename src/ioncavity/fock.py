@@ -125,9 +125,13 @@ class FockDensity:
         tr = self.trace()
         if abs(tr - 1.0) > tol_trace:
             raise ValidityError(f"trace {tr} deviates from 1 by more than {tol_trace}")
-        lo = self.min_eigenvalue()
-        if lo < -TOL_PSD:
-            raise ValidityError(f"density has eigenvalue {lo:.3e} < -{TOL_PSD}")
+        shifted = 0.5 * (self.entries + self.entries.conj().T)
+        shifted.flat[:: shifted.shape[0] + 1] += TOL_PSD  # Cholesky succeeds iff lambda_min > -TOL_PSD
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:  # only then are the eigenvalues needed, to name the lowest
+            if (lo := float(np.linalg.eigvalsh(shifted)[0]) - TOL_PSD) < -TOL_PSD:
+                raise ValidityError(f"density has eigenvalue {lo:.3e} < -{TOL_PSD}") from None
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ ladder shifts on the (Nc, Nv, Nc, Nv) tensor (no dense matrix products), and
 Hermiticity is kept exact by forming K rho + (K rho)^dag with K = -iH real.
 An optional dt/2 twin must agree in trace distance at every checkpoint.
 This is a code path independent of the exact propagator's sparse generator
-and ``expm_multiply``, which it is compared against.
+and Taylor routine, which it is compared against.
 """
 
 from dataclasses import dataclass

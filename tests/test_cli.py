@@ -107,6 +107,14 @@ class TestValidate:
         assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
         assert lines[-1] == "all validation checks passed"
 
+    def test_basis_below_default_dim_noted_on_stderr(self, capsys):
+        # default_dim is 16 at validate's default omega2/omega1 = 0.3
+        main(["validate", "--nc", "10", "--nv", "10", "--times", "0.5"])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "dims (10, 10)" in err and "default_dim = 16" in err
+        main(["validate", "--nc", "16", "--nv", "16", "--times", "0.5"])
+        assert capsys.readouterr().err == ""
+
     def test_config_setting_dt_int_loads(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"omega2": 0.2, "gamma": 0.4, "nc": 10, "nv": 10,

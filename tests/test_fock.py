@@ -18,6 +18,7 @@ from ioncavity import (
     AssemblyBudget,
     FockDensity,
     TruncationError,
+    ValidityError,
     assemble_joint_density,
     c_coefficient,
     classify_regime,
@@ -571,6 +572,33 @@ class TestPartialTraceAndMetrics:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             state_metrics(thermal_state(0.1, 5), thermal_state(0.1, 6))
+
+
+class TestValidatePositivity:
+    """validate() refuses exactly the states with an eigenvalue below -TOL_PSD = -1e-8."""
+
+    @staticmethod
+    def state(lowest, rotate):
+        # spectrum (lowest, ...) with unit trace; rotated by a random unitary
+        w = np.linspace(0.05, 0.3, 12)
+        w[0] = lowest
+        w[1:] *= (1.0 - lowest) / w[1:].sum()
+        U = np.eye(12)
+        if rotate:
+            rng = np.random.default_rng(4)
+            U, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+        return FockDensity(entries=(U * w) @ U.conj().T, dims=(12,))
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_just_above_tolerance_passes(self, rotate):
+        self.state(-0.9e-8, rotate).validate()
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    def test_just_below_tolerance_names_eigenvalue(self, rotate):
+        rho = self.state(-1.1e-8, rotate)
+        assert f"{rho.min_eigenvalue():.3e}" == "-1.100e-08"
+        with pytest.raises(ValidityError, match=r"eigenvalue -1\.100e-08 < -1e-08"):
+            rho.validate()
 
 
 class TestQuadStats:

@@ -1,5 +1,6 @@
-"""Exact propagator: generator correctness, conservation laws, agreement
-with dense expm, with the RK4 oracle and with the closed-form solution.
+"""Exact propagator: generator correctness, its exact 1-norm, the cost of a
+step, conservation laws, agreement with dense expm, with the RK4 oracle and
+with the closed-form solution.
 
 The dense oracles below rebuild the generator from explicit np.kron
 matrices (commutator with the explicit Hamiltonian plus the loss term) and
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import LinearOperator
 
 from ioncavity import (
     AssemblyBudget,
@@ -30,6 +32,7 @@ from ioncavity import (
     evolve_pure,
     evolve_trajectory,
     ladder,
+    lindblad,
     lindblad_rhs,
     liouvillian,
     lossless_ket,
@@ -43,6 +46,9 @@ BEAMSPLIT = classify_regime(1.0, 0.0, 0.4)
 LOSSLESS = classify_regime(1.0, 0.6, 0.0)
 LOSSLESS3 = classify_regime(1.0, 0.3, 0.0)
 POINTS = {"OSC": OSC, "OSC3": OSC3, "BEAMSPLIT": BEAMSPLIT, "LOSSLESS": LOSSLESS}
+
+#: theta_55 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1 (u = 2^-53)
+THETA_55 = 9.9
 
 
 def vacuum_joint(Nc, Nv):
@@ -155,11 +161,11 @@ class TestGenerator:
     @pytest.mark.parametrize("name", POINTS)
     @pytest.mark.parametrize("dims", [(4, 4), (5, 6)])
     def test_matvec_and_rmatvec_match_dense(self, name, dims):
-        # non-Hermitian complex X: the norm estimates of expm_multiply probe
-        # the operator far from the density matrices it propagates
+        # non-Hermitian complex X: the operator must hold on all of C^{D^2},
+        # not only on the density matrices it propagates
         params = POINTS[name]
         D2 = (dims[0] * dims[1]) ** 2
-        L, trace_L = liouvillian(params, dims)
+        L, trace_L, _ = liouvillian(params, dims)
         dense = dense_liouvillian(params, dims)
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -168,6 +174,45 @@ class TestGenerator:
             np.testing.assert_allclose(L.rmatvec(x), dense.conj().T @ x, rtol=0, atol=1e-13)
         assert trace_L == pytest.approx(np.trace(dense).real, abs=1e-12)
         assert abs(np.trace(dense).imag) < 1e-12
+
+
+class TestOneNorm:
+    @pytest.mark.parametrize("name", POINTS)
+    @pytest.mark.parametrize("dims", [(4, 5), (5, 4), (6, 6)])
+    def test_one_norm_matches_dense(self, name, dims):
+        # the structural 1-norm is exact: it differs from the dense column
+        # sums only by the order of the additions
+        params = POINTS[name]
+        _, trace_L, norm1 = liouvillian(params, dims)
+        dense = dense_liouvillian(params, dims)
+        D2 = dense.shape[0]
+        exact = np.abs(dense - (trace_L / D2) * np.eye(D2)).sum(axis=0).max()
+        assert norm1 == pytest.approx(exact, rel=1e-14, abs=0)
+
+    def test_lossy_step_costs_no_norm_estimation(self, monkeypatch):
+        # every application of the generator in one step h = 1 on the validate
+        # basis: the Taylor terms alone, with no products spent on estimating
+        # norms (those would also apply the transpose)
+        N = default_dim(OSC3)
+        op, trace_L, norm1 = liouvillian(OSC3, (N, N))
+        calls = {"matvec": 0, "rmatvec": 0}
+
+        def counted(name):
+            def apply(x):
+                calls[name] += 1
+                return getattr(op, name)(x)
+
+            return apply
+
+        def counting_liouvillian(params, dims):
+            counting = LinearOperator(op.shape, matvec=counted("matvec"),
+                                      rmatvec=counted("rmatvec"), dtype=complex)
+            return counting, trace_L, norm1
+
+        monkeypatch.setattr(lindblad, "liouvillian", counting_liouvillian)
+        evolve_trajectory(OSC3, vacuum_joint(N, N), [1.0], IntegratorConfig())
+        assert calls["rmatvec"] == 0
+        assert 0 < calls["matvec"] <= math.ceil(1.0 * norm1 / THETA_55) * 55
 
 
 class TestEvolve:
