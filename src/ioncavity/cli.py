@@ -131,8 +131,8 @@ class RunConfig:
     def check(self) -> None:
         if self.nc < 2 or self.nv < 2:
             raise ConfigError("nc and nv must be >= 2")
-        if self.t_max < 0 or not self.t_step > 0:
-            raise ConfigError("need t_max >= 0 and t_step > 0")
+        if not (0 <= self.t_max < math.inf and 0 < self.t_step < math.inf):
+            raise ConfigError("need finite t_max >= 0 and t_step > 0")
         if not self.dt_int > 0:
             raise ConfigError("dt_int must be > 0")
         if not self.series_tol > 0:
@@ -303,8 +303,8 @@ def _parse_times(text: str) -> List[float]:
         times = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad times list {text!r}") from exc
-    if not times or any(t < 0 for t in times) or sorted(times) != times:
-        raise ConfigError("times must be a nondecreasing, nonnegative list")
+    if not times or not all(0 <= t < math.inf for t in times) or sorted(times) != times:
+        raise ConfigError("times must be a nondecreasing list of finite, nonnegative numbers")
     return times
 
 

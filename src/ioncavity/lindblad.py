@@ -13,20 +13,28 @@ and n = ad a, all real D x D matrices (D = Nc Nv), the generator is
 
 In row-major vec, vec(A X B) = (A (x) B^T) vec X, so L is the D^2 x D^2 matrix
 K (x) 1 + 1 (x) K + gamma a (x) a - (gamma/2)(n (x) 1 + 1 (x) n).  It is never
-stored: a LinearOperator applies L (and L^T) to any complex X.  K acts as a
-sparse matrix; the loss, diagonal in the Fock levels, acts on the (Nc, Nv, Nc,
-Nv) view of X as one level shift (a X a^T) and one scaling, which costs a third
-of the two sparse products a (a X^T)^T.
+stored.  Since K, n and a are real, with mu = tr L / D^2,
+
+    L(X) - mu X = M X + X M^T + gamma a X a^T,   M = K - (gamma/2) n - (mu/2) I,
+
+and for Hermitian X, X M^T = (M X)^dag: one sparse product, its adjoint and
+the jump as a level shift, with an exactly Hermitian result.  The propagator
+runs this kernel on rho0's Hermitian part, and on its anti-Hermitian part only
+beyond TRACE_DRIFT_TOL, so that such a start is reported at its first
+checkpoint; ``liouvillian`` splits any X = H + iG, H and G Hermitian, into
+L H + i L G (L is real).
 
 exp(h L) v is Algorithm 3.2 of Al-Mohy & Higham, "Computing the action of the
 matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011), at u = 2^-53: s
-substeps e^{h mu/s} T_m(h (L - mu I)/s), mu = tr L / D^2, each Taylor sum cut
-off once two terms in a row fall below u ||F||_inf, with the (m, s) of least
-m s that has h ||L - mu I||_1 <= s theta_m (their Table 3.1).  That 1-norm is
-exact, with no estimation: column (j, l) of L - mu I sums the disjoint parts,
-|K|'s columns j and l, gamma sqrt(p q) from a (x) a and |(gamma/2)(p + q) + mu|
-on the diagonal, p and q the cavity levels of j and l, so it is a maximum over
-the Nc^2 pairs (p, q).  A ket at gamma = 0 takes the same routine on K, mu = 0.
+substeps e^{h mu/s} T_m(h (L - mu I)/s), each Taylor sum cut off once two
+terms in a row fall below u ||F||_inf, with the (m, s) of least m s that has
+h ||L - mu I||_1 <= s theta_m (their Table 3.1).  That 1-norm is exact, with
+no estimation: column (j, l) of L - mu I sums the disjoint parts, |K|'s
+columns j and l, gamma sqrt(p q) from a (x) a and |(gamma/2)(p + q) + mu| on
+the diagonal, p and q the cavity levels of j and l, so it is a maximum over
+the Nc^2 pairs (p, q).  ||F||_inf is taken only once the two terms fall below
+u times the sum of all terms' ||.||_inf, a bound on it, so the cut is the same.
+A ket at gamma = 0 takes the same routine on K, mu = 0.
 scipy.sparse is imported where the generator is built, so importing the package
 does not load it.
 """
@@ -67,8 +75,8 @@ class IntegratorConfig:
     t_max: float = 50.0
 
     def __post_init__(self):
-        if self.t_max < 0:
-            raise ValueError("t_max must be >= 0")
+        if not 0 <= self.t_max < math.inf:
+            raise ValueError("t_max must be finite and >= 0")
 
 
 def _where(params: CouplingParams, dims: Sequence[int], t: float) -> str:
@@ -95,6 +103,35 @@ def effective_hamiltonian(params: CouplingParams, dims: Sequence[int]) -> FockOp
     return FockOperator(entries=1j * K.toarray(), dim=K.shape[0])
 
 
+def _kernel(params: CouplingParams, dims: Sequence[int], down: bool = True):
+    """apply(X) = L(X) - mu X (L^T(X) - mu X if not ``down``) for Hermitian X, mu, ||L - mu I||_1."""
+    import scipy.sparse as sp
+
+    K = _k_matrix(params, dims)
+    Nc, Nv = dims
+    g, lv = params.gamma, np.arange(Nc, dtype=float)
+    mu = -0.5 * g * (Nc - 1)  # tr L / D^2; the column sums of |L - mu I| at cavity levels p, q:
+    kmax = np.asarray(abs(K).sum(axis=0)).reshape(Nc, Nv).max(axis=1)[:, None]
+    cols = kmax + kmax.T + g * np.sqrt(lv[:, None] * lv) + np.abs(0.5 * g * (lv[:, None] + lv) + mu)
+    M = (K - sp.diags(np.repeat(0.5 * (g * lv + mu), Nv))).astype(complex)
+    M = (M if down else M.T).tocsr()
+    # on the (Nc, Nv, Nc, Nv) view, g a X a^T moves X[i+1, j, k+1, l] to
+    # [i, j, k, l] with weight g sqrt((i+1)(k+1)); g a^T X a moves it back
+    jump = g * np.sqrt(lv[1:, None, None, None] * lv[None, None, 1:, None])
+    adj, hop = np.empty(M.shape, dtype=complex), np.empty((Nc - 1, Nv, Nc - 1, Nv), dtype=complex)
+    lo, hi = (slice(None, -1), slice(1, None)) if down else (slice(1, None), slice(None, -1))
+
+    def apply(X: np.ndarray) -> np.ndarray:
+        Y = M @ X
+        Y += np.conjugate(Y.T, out=adj)  # X M^T = (M X)^dag
+        if g:
+            X4, Y4 = X.reshape(Nc, Nv, Nc, Nv), Y.reshape(Nc, Nv, Nc, Nv)
+            Y4[lo, :, lo] += np.multiply(jump, X4[hi, :, hi], out=hop)
+        return Y
+
+    return apply, mu, float(cols.max())
+
+
 def liouvillian(params: CouplingParams, dims: Sequence[int]):
     """L as a LinearOperator on C^{D^2}, tr L, and ||L - (tr L / D^2) I||_1.
 
@@ -104,37 +141,17 @@ def liouvillian(params: CouplingParams, dims: Sequence[int]):
     """
     from scipy.sparse.linalg import LinearOperator
 
-    K = _k_matrix(params, dims)
-    Nc, Nv = dims
-    g, D = params.gamma, Nc * Nv
-    lv = np.arange(Nc, dtype=float)
-    # on the (Nc, Nv, Nc, Nv) view: (gamma/2)(n X + X n) scales X[i, j, k, l]
-    # by (gamma/2)(i + k); gamma a X a^T moves X[i+1, j, k+1, l] to [i, j, k, l]
-    # with weight gamma sqrt((i+1)(k+1)), and gamma a^T X a moves it back
-    loss = (0.5 * g) * (lv[:, None, None, None] + lv[None, None, :, None])
-    jump = g * np.sqrt(lv[1:, None, None, None] * lv[None, None, 1:, None])
+    fwd, mu, norm1 = _kernel(params, dims)
+    bwd, D = _kernel(params, dims, down=False)[0], dims[0] * dims[1]
 
-    def action(A, down: bool):
-        def apply(v: np.ndarray) -> np.ndarray:
-            X = v.reshape(D, D)
-            Y = A @ X + (A @ X.T).T
-            X4, Y4 = X.reshape(Nc, Nv, Nc, Nv), Y.reshape(Nc, Nv, Nc, Nv)
-            Y4 -= loss * X4
-            if g:
-                if down:
-                    Y4[:-1, :, :-1] += jump * X4[1:, :, 1:]
-                else:
-                    Y4[1:, :, 1:] += jump * X4[:-1, :, :-1]
-            return Y.ravel()
+    def split(apply, v: np.ndarray) -> np.ndarray:
+        X = v.reshape(D, D)
+        H, G = 0.5 * (X + X.conj().T), -0.5j * (X - X.conj().T)
+        return (apply(H) + 1j * apply(G) + mu * X).ravel()
 
-        return apply
-
-    op = LinearOperator((D * D, D * D), matvec=action(K, True),
-                        rmatvec=action(K.T.tocsr(), False), dtype=complex)
-    mu = -0.5 * g * (Nc - 1)  # tr L / D^2; the column sums of |L - mu I| at cavity levels p, q:
-    kmax = np.asarray(abs(K).sum(axis=0)).reshape(Nc, Nv).max(axis=1)[:, None]
-    cols = kmax + kmax.T + g * np.sqrt(lv[:, None] * lv) + np.abs(0.5 * g * (lv[:, None] + lv) + mu)
-    return op, D * D * mu, float(cols.max())
+    op = LinearOperator((D * D, D * D), matvec=lambda v: split(fwd, v),
+                        rmatvec=lambda v: split(bwd, v), dtype=complex)
+    return op, D * D * mu, norm1
 
 
 def lindblad_rhs(params: CouplingParams, rho: FockDensity) -> FockDensity:
@@ -150,17 +167,22 @@ def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.
     """exp(h (A + mu I)) v, where apply(x) = A x and norm1 >= ||A||_1 (Al-Mohy & Higham, Alg. 3.2)."""
     m = min(_THETA, key=lambda m: m * math.ceil(h * norm1 / _THETA[m]))
     s = max(1, math.ceil(h * norm1 / _THETA[m]))
-    f, eta = v, math.exp(h * mu / s)
+    eta, mag = math.exp(h * mu / s), np.empty(v.shape)
     for _ in range(s):
-        c = np.abs(v).max()
+        f = v.copy()
+        c = bound = np.abs(v, out=mag).max()
         for j in range(1, m + 1):
-            v = apply(v) * (h / (s * j))
-            f = f + v
-            c, c_prev = np.abs(v).max(), c
-            if c_prev + c <= 2.0 ** -53 * np.abs(f).max():
+            v = apply(v)
+            v *= h / (s * j)
+            f += v
+            c, c_prev = np.abs(v, out=mag).max(), c
+            # stop at c_prev + c <= u ||f||_inf, u = 2^-53; bound >= ||f||_inf is tried first
+            tail, bound = 2.0 ** 53 * (c_prev + c), bound + c
+            if tail <= bound and tail <= np.abs(f, out=mag).max():
                 break
-        v = f = eta * f
-    return f
+        f *= eta
+        v = f
+    return v
 
 
 def _check_state(rho: np.ndarray, params: CouplingParams, dims: Sequence[int], t: float) -> None:
@@ -172,6 +194,13 @@ def _check_state(rho: np.ndarray, params: CouplingParams, dims: Sequence[int], t
     if herm > TRACE_DRIFT_TOL:
         raise IntegrationError(f"propagator Hermiticity error max |rho - rho^dag| = {herm:.3e} > "
                                f"{TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
+
+
+def _check_times(times: Sequence[float], config: IntegratorConfig) -> None:
+    if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be finite, nonnegative and nondecreasing")
+    if times and times[-1] > config.t_max:
+        raise ValueError(f"target {times[-1]} exceeds config.t_max = {config.t_max}")
 
 
 def evolve_trajectory(
@@ -188,21 +217,19 @@ def evolve_trajectory(
     if not rho0.joint:
         raise ValueError("evolve needs a two-mode density")
     times = list(times)
-    if any(t < 0 for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be nonnegative and nondecreasing")
-    if times and times[-1] > config.t_max:
-        raise ValueError(f"target {times[-1]} exceeds config.t_max = {config.t_max}")
-    L, trace_L, norm1 = liouvillian(params, rho0.dims)
-    D = rho0.entries.shape[0]
-    mu = trace_L / D ** 2
-    v = rho0.entries.astype(complex).ravel()
+    _check_times(times, config)
+    apply, mu, norm1 = _kernel(params, rho0.dims)
+    rho = rho0.entries.astype(complex)
+    parts = [0.5 * (rho + rho.conj().T), -0.5j * (rho - rho.conj().T)]
+    if np.abs(parts[1]).max() <= TRACE_DRIFT_TOL:
+        del parts[1]
 
     out: list[FockDensity] = []
     t_prev = 0.0
     for t in times:
         if t > t_prev:
-            v = _taylor_expm(lambda x: L.matvec(x) - mu * x, v, t - t_prev, mu, norm1)
-        rho = v.reshape(D, D)
+            parts = [_taylor_expm(apply, x, t - t_prev, mu, norm1) for x in parts]
+            rho = parts[0] + 1j * parts[1] if len(parts) > 1 else parts[0]
         _check_state(rho, params, rho0.dims, t)
         t_prev = t
         out.append(FockDensity(entries=rho.copy(), dims=rho0.dims))
@@ -233,10 +260,7 @@ def evolve_pure(
     if params.gamma != 0:
         raise IntegrationError(f"evolve_pure requires gamma = 0, got "
                                f"{_where(params, psi0.dims, t_target)}")
-    if t_target < 0:
-        raise ValueError("t_target must be >= 0")
-    if t_target > config.t_max:
-        raise ValueError(f"target {t_target} exceeds config.t_max = {config.t_max}")
+    _check_times([t_target], config)
     K = _k_matrix(params, psi0.dims)
     psi = psi0.entries.astype(complex)
     if t_target > 0:

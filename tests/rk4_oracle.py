@@ -9,8 +9,9 @@ on the cavity mode only.  The right-hand side is evaluated with banded
 ladder shifts on the (Nc, Nv, Nc, Nv) tensor (no dense matrix products), and
 Hermiticity is kept exact by forming K rho + (K rho)^dag with K = -iH real.
 An optional dt/2 twin must agree in trace distance at every checkpoint.
-This is a code path independent of the exact propagator's sparse generator
-and Taylor routine, which it is compared against.
+The exact propagator, which it is compared against, now rests on the same
+identity (there as X M^T = (M X)^dag for Hermitian X), but this oracle
+shares none of its code: no sparse matrix and no Taylor routine.
 """
 
 from dataclasses import dataclass

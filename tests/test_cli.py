@@ -10,11 +10,15 @@ n_bar = sqrt(Var X Var P) - 1/2 and xi = (1/4) ln(Var P / Var X).
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ioncavity
 from ioncavity.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, main
 from ioncavity.params import classify_regime
 from test_observables import covariance_oracle
@@ -128,3 +132,31 @@ class TestValidate:
 
     def test_dt_int_must_be_positive(self):
         assert main([*self.ARGV, "--dt_int", "0"]) == EXIT_CONFIG
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--times", "inf"],
+        ["validate", "--times", "nan"],
+        ["validate", "--times", "0.5,nan"],
+        ["sweep-ratio", "--times", "1,inf"],
+        ["simulate", "--t_max", "inf"],
+        ["simulate", "--t_max", "nan"],
+        ["simulate", "--t_step", "inf"],
+    ])
+    def test_refused_as_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out_path", str(out)]) == EXIT_CONFIG
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the propagator imports scipy.sparse where it builds the generator, so
+    # that the closed-form subcommands do not pay for it at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ioncavity.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ioncavity.cli; print('scipy.sparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "False"

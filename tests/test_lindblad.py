@@ -14,7 +14,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator
 
 from ioncavity import (
     AssemblyBudget,
@@ -99,6 +98,24 @@ def trace_distance(x, y):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 
 
+def count_kernel_calls(monkeypatch):
+    """Count applications of lindblad's generator kernel; the transpose kernel's as rmatvec."""
+    calls = {"matvec": 0, "rmatvec": 0}
+    kernel = lindblad._kernel
+
+    def counting_kernel(params, dims, down=True):
+        apply, mu, norm1 = kernel(params, dims, down)
+
+        def counted(X):
+            calls["matvec" if down else "rmatvec"] += 1
+            return apply(X)
+
+        return counted, mu, norm1
+
+    monkeypatch.setattr(lindblad, "_kernel", counting_kernel)
+    return calls
+
+
 class TestHamiltonian:
     def test_hermitian(self):
         H = effective_hamiltonian(OSC, (6, 7)).entries
@@ -175,6 +192,17 @@ class TestGenerator:
         assert trace_L == pytest.approx(np.trace(dense).real, abs=1e-12)
         assert abs(np.trace(dense).imag) < 1e-12
 
+    @pytest.mark.parametrize("name", ["OSC", "LOSSLESS"])
+    def test_kernel_output_exactly_hermitian(self, name):
+        # the propagator relies on it: X M^T is taken as (M X)^dag
+        params, dims = POINTS[name], (5, 6)
+        apply = lindblad._kernel(params, dims)[0]
+        rho = random_density(np.random.default_rng(13), *dims).entries
+        X = 0.5 * (rho + rho.conj().T)
+        for _ in range(3):
+            X = apply(X)
+            assert np.abs(X - X.conj().T).max() == 0
+
 
 class TestOneNorm:
     @pytest.mark.parametrize("name", POINTS)
@@ -190,29 +218,30 @@ class TestOneNorm:
         assert norm1 == pytest.approx(exact, rel=1e-14, abs=0)
 
     def test_lossy_step_costs_no_norm_estimation(self, monkeypatch):
-        # every application of the generator in one step h = 1 on the validate
-        # basis: the Taylor terms alone, with no products spent on estimating
-        # norms (those would also apply the transpose)
+        # every application of the generator kernel in one step h = 1 on the
+        # validate basis: the Taylor terms alone, with no products spent on
+        # estimating norms (those would also apply the transpose kernel)
         N = default_dim(OSC3)
-        op, trace_L, norm1 = liouvillian(OSC3, (N, N))
-        calls = {"matvec": 0, "rmatvec": 0}
-
-        def counted(name):
-            def apply(x):
-                calls[name] += 1
-                return getattr(op, name)(x)
-
-            return apply
-
-        def counting_liouvillian(params, dims):
-            counting = LinearOperator(op.shape, matvec=counted("matvec"),
-                                      rmatvec=counted("rmatvec"), dtype=complex)
-            return counting, trace_L, norm1
-
-        monkeypatch.setattr(lindblad, "liouvillian", counting_liouvillian)
+        norm1 = liouvillian(OSC3, (N, N))[2]
+        calls = count_kernel_calls(monkeypatch)
         evolve_trajectory(OSC3, vacuum_joint(N, N), [1.0], IntegratorConfig())
         assert calls["rmatvec"] == 0
         assert 0 < calls["matvec"] <= math.ceil(1.0 * norm1 / THETA_55) * 55
+
+    def test_rounding_level_asymmetry_costs_nothing(self, monkeypatch):
+        # np.outer of a coherent ket is Hermitian only to rounding (here made
+        # sure of by one ulp more); its anti-Hermitian part is not propagated,
+        # so it costs what the symmetrized copy costs
+        rho0 = coherent_joint(0.4 + 0.2j, 0.3j, 8, 8)
+        rho0.entries[0, 1] *= 1 + 2.0 ** -52
+        asym = np.abs(rho0.entries - rho0.entries.conj().T).max()
+        assert 0 < asym < 1e-15
+        sym = FockDensity(entries=0.5 * (rho0.entries + rho0.entries.conj().T), dims=(8, 8))
+        calls = count_kernel_calls(monkeypatch)
+        evolve_trajectory(OSC3, rho0, [0.5, 1.0], IntegratorConfig())
+        once = calls["matvec"]
+        evolve_trajectory(OSC3, sym, [0.5, 1.0], IntegratorConfig())
+        assert calls["matvec"] == 2 * once > 0
 
 
 class TestEvolve:
@@ -392,6 +421,17 @@ class TestConfig:
             RK4Config(dt=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(t_max=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError):
+            IntegratorConfig(t_max=bad)
+        with pytest.raises(ValueError):
+            evolve_trajectory(OSC, vacuum_joint(4, 4), [0.5, bad], IntegratorConfig())
+        psi0 = np.zeros(16, dtype=complex)
+        psi0[0] = 1.0
+        with pytest.raises(ValueError):
+            evolve_pure(LOSSLESS, FockKet(entries=psi0, dims=(4, 4)), bad, IntegratorConfig())
 
     def test_rejects_target_beyond_horizon(self):
         with pytest.raises(ValueError):
