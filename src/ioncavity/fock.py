@@ -457,7 +457,7 @@ def lossless_ket(
     The pair-creation direction alternates every half cycle of 2 L0 t, so
     the Schmidt weights carry sign(sin(2 L0 t))^k; with positive weights
     throughout, the state would be wrong wherever sin(2 L0 t) < 0 (verified
-    against the Schroedinger integrator).
+    against the propagator).
     """
     from .observables import lossless_spec
 

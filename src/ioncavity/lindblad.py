@@ -21,8 +21,7 @@ and for Hermitian X, X M^T = (M X)^dag: one sparse product, its adjoint and
 the jump as a level shift, with an exactly Hermitian result.  The propagator
 runs this kernel on rho0's Hermitian part, and on its anti-Hermitian part only
 beyond TRACE_DRIFT_TOL, so that such a start is reported at its first
-checkpoint; ``liouvillian`` splits any X = H + iG, H and G Hermitian, into
-L H + i L G (L is real).
+checkpoint.
 
 exp(h L) v is Algorithm 3.2 of Al-Mohy & Higham, "Computing the action of the
 matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011), at u = 2^-53: s
@@ -34,7 +33,6 @@ columns j and l, gamma sqrt(p q) from a (x) a and |(gamma/2)(p + q) + mu| on
 the diagonal, p and q the cavity levels of j and l, so it is a maximum over
 the Nc^2 pairs (p, q).  ||F||_inf is taken only once the two terms fall below
 u times the sum of all terms' ||.||_inf, a bound on it, so the cut is the same.
-A ket at gamma = 0 takes the same routine on K, mu = 0.
 scipy.sparse is imported where the generator is built, so importing the package
 does not load it.
 """
@@ -42,41 +40,21 @@ does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import IntegrationError
-from .fock import FockDensity, FockKet, FockOperator
+from .fock import FockDensity, FockOperator
 from .params import CouplingParams
 
-__all__ = [
-    "IntegratorConfig",
-    "effective_hamiltonian",
-    "liouvillian",
-    "lindblad_rhs",
-    "evolve",
-    "evolve_trajectory",
-    "evolve_pure",
-]
+__all__ = ["effective_hamiltonian", "lindblad_rhs", "evolve_trajectory"]
 
 #: |tr rho - 1| or max |rho - rho^dag| beyond this at a checkpoint aborts a trajectory
 TRACE_DRIFT_TOL = 1e-8
 
 #: theta_m of Al-Mohy & Higham's Table 3.1 at u = 2^-53, for m = 5, 10, ..., 55
 _THETA = dict(zip(range(5, 60, 5), (2.4e-3, 0.14, 0.64, 1.4, 2.4, 3.5, 4.7, 6.0, 7.2, 8.5, 9.9)))
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Propagation horizon: checkpoints beyond ``t_max`` are refused."""
-
-    t_max: float = 50.0
-
-    def __post_init__(self):
-        if not 0 <= self.t_max < math.inf:
-            raise ValueError("t_max must be finite and >= 0")
 
 
 def _where(params: CouplingParams, dims: Sequence[int], t: float) -> str:
@@ -103,8 +81,8 @@ def effective_hamiltonian(params: CouplingParams, dims: Sequence[int]) -> FockOp
     return FockOperator(entries=1j * K.toarray(), dim=K.shape[0])
 
 
-def _kernel(params: CouplingParams, dims: Sequence[int], down: bool = True):
-    """apply(X) = L(X) - mu X (L^T(X) - mu X if not ``down``) for Hermitian X, mu, ||L - mu I||_1."""
+def _kernel(params: CouplingParams, dims: Sequence[int]):
+    """apply(X) = L(X) - mu X for Hermitian X, mu = tr L / D^2, and ||L - mu I||_1."""
     import scipy.sparse as sp
 
     K = _k_matrix(params, dims)
@@ -113,54 +91,35 @@ def _kernel(params: CouplingParams, dims: Sequence[int], down: bool = True):
     mu = -0.5 * g * (Nc - 1)  # tr L / D^2; the column sums of |L - mu I| at cavity levels p, q:
     kmax = np.asarray(abs(K).sum(axis=0)).reshape(Nc, Nv).max(axis=1)[:, None]
     cols = kmax + kmax.T + g * np.sqrt(lv[:, None] * lv) + np.abs(0.5 * g * (lv[:, None] + lv) + mu)
-    M = (K - sp.diags(np.repeat(0.5 * (g * lv + mu), Nv))).astype(complex)
-    M = (M if down else M.T).tocsr()
+    M = (K - sp.diags(np.repeat(0.5 * (g * lv + mu), Nv))).astype(complex).tocsr()
     # on the (Nc, Nv, Nc, Nv) view, g a X a^T moves X[i+1, j, k+1, l] to
-    # [i, j, k, l] with weight g sqrt((i+1)(k+1)); g a^T X a moves it back
+    # [i, j, k, l] with weight g sqrt((i+1)(k+1))
     jump = g * np.sqrt(lv[1:, None, None, None] * lv[None, None, 1:, None])
     adj, hop = np.empty(M.shape, dtype=complex), np.empty((Nc - 1, Nv, Nc - 1, Nv), dtype=complex)
-    lo, hi = (slice(None, -1), slice(1, None)) if down else (slice(1, None), slice(None, -1))
 
     def apply(X: np.ndarray) -> np.ndarray:
         Y = M @ X
         Y += np.conjugate(Y.T, out=adj)  # X M^T = (M X)^dag
         if g:
             X4, Y4 = X.reshape(Nc, Nv, Nc, Nv), Y.reshape(Nc, Nv, Nc, Nv)
-            Y4[lo, :, lo] += np.multiply(jump, X4[hi, :, hi], out=hop)
+            Y4[:-1, :, :-1] += np.multiply(jump, X4[1:, :, 1:], out=hop)
         return Y
 
     return apply, mu, float(cols.max())
 
 
-def liouvillian(params: CouplingParams, dims: Sequence[int]):
-    """L as a LinearOperator on C^{D^2}, tr L, and ||L - (tr L / D^2) I||_1.
-
-    ``matvec`` applies L, ``rmatvec`` L^T(X) = K^T X + X K + gamma a^T X a
-    - (gamma/2)(n X + X n) (L is real, so L^T is also its adjoint).
-    tr L = -gamma D tr(n) = -gamma D Nv Nc (Nc - 1)/2.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    fwd, mu, norm1 = _kernel(params, dims)
-    bwd, D = _kernel(params, dims, down=False)[0], dims[0] * dims[1]
-
-    def split(apply, v: np.ndarray) -> np.ndarray:
-        X = v.reshape(D, D)
-        H, G = 0.5 * (X + X.conj().T), -0.5j * (X - X.conj().T)
-        return (apply(H) + 1j * apply(G) + mu * X).ravel()
-
-    op = LinearOperator((D * D, D * D), matvec=lambda v: split(fwd, v),
-                        rmatvec=lambda v: split(bwd, v), dtype=complex)
-    return op, D * D * mu, norm1
-
-
 def lindblad_rhs(params: CouplingParams, rho: FockDensity) -> FockDensity:
-    """d rho/dt = L(rho): the generator the propagator exponentiates, at unit step."""
+    """d rho/dt = L(rho): the generator the propagator exponentiates, at unit step.
+
+    Holds on any complex X = H + iG, H and G Hermitian: L is real, so
+    L(X) = L H + i L G.
+    """
     if not rho.joint:
         raise ValueError("lindblad_rhs needs a two-mode density")
-    L = liouvillian(params, rho.dims)[0]
-    D = rho.entries.shape[0]
-    return FockDensity(entries=L.matvec(rho.entries.ravel()).reshape(D, D), dims=rho.dims)
+    apply, mu, _ = _kernel(params, rho.dims)
+    X = rho.entries
+    H, G = 0.5 * (X + X.conj().T), -0.5j * (X - X.conj().T)
+    return FockDensity(entries=apply(H) + 1j * apply(G) + mu * X, dims=rho.dims)
 
 
 def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.ndarray:
@@ -196,28 +155,21 @@ def _check_state(rho: np.ndarray, params: CouplingParams, dims: Sequence[int], t
                                f"{TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
 
 
-def _check_times(times: Sequence[float], config: IntegratorConfig) -> None:
-    if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("times must be finite, nonnegative and nondecreasing")
-    if times and times[-1] > config.t_max:
-        raise ValueError(f"target {times[-1]} exceeds config.t_max = {config.t_max}")
-
-
 def evolve_trajectory(
     params: CouplingParams,
     rho0: FockDensity,
     times: Sequence[float],
-    config: IntegratorConfig,
 ) -> list[FockDensity]:
-    """Evolve rho0 through an increasing list of checkpoint times.
+    """Evolve rho0 through a nondecreasing list of checkpoint times.
 
     rho(t_k) = exp(L (t_k - t_{k-1})) rho(t_{k-1}); the trace drift and the
     Hermiticity error are checked at every checkpoint.
     """
     if not rho0.joint:
-        raise ValueError("evolve needs a two-mode density")
+        raise ValueError("evolve_trajectory needs a two-mode density")
     times = list(times)
-    _check_times(times, config)
+    if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
+        raise ValueError("times must be finite, nonnegative and nondecreasing")
     apply, mu, norm1 = _kernel(params, rho0.dims)
     rho = rho0.entries.astype(complex)
     parts = [0.5 * (rho + rho.conj().T), -0.5j * (rho - rho.conj().T)]
@@ -234,36 +186,3 @@ def evolve_trajectory(
         t_prev = t
         out.append(FockDensity(entries=rho.copy(), dims=rho0.dims))
     return out
-
-
-def evolve(
-    params: CouplingParams,
-    rho0: FockDensity,
-    t_target: float,
-    config: IntegratorConfig,
-) -> FockDensity:
-    """Evolve rho0 to a single target time (see :func:`evolve_trajectory`)."""
-    return evolve_trajectory(params, rho0, [t_target], config)[-1]
-
-
-def evolve_pure(
-    params: CouplingParams,
-    psi0: FockKet,
-    t_target: float,
-    config: IntegratorConfig,
-) -> FockKet:
-    """exp(K t) psi0 for gamma = 0, by the Taylor propagator on the sparse K = -iH.
-
-    The norm drift |  ||psi|| - ||psi0|| | is reported on the returned ket
-    (the state itself is not renormalized).
-    """
-    if params.gamma != 0:
-        raise IntegrationError(f"evolve_pure requires gamma = 0, got "
-                               f"{_where(params, psi0.dims, t_target)}")
-    _check_times([t_target], config)
-    K = _k_matrix(params, psi0.dims)
-    psi = psi0.entries.astype(complex)
-    if t_target > 0:
-        psi = _taylor_expm(K.dot, psi, t_target, 0.0, float(abs(K).sum(axis=0).max()))
-    drift = abs(float(np.linalg.norm(psi)) - float(np.linalg.norm(psi0.entries)))
-    return FockKet(entries=psi, dims=psi0.dims, norm_deficit=drift)

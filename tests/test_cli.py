@@ -17,10 +17,13 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import ioncavity
+from ioncavity import cli, lossless_ket
 from ioncavity.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, main
 from ioncavity.params import classify_regime
+from rk4_oracle import dense_hamiltonian
 from test_observables import covariance_oracle
 
 TOL = 1e-9
@@ -133,8 +136,36 @@ class TestValidate:
     def test_dt_int_must_be_positive(self):
         assert main([*self.ARGV, "--dt_int", "0"]) == EXIT_CONFIG
 
+    def test_lossless_lines_match_ket_overlap(self, capsys, monkeypatch):
+        # at gamma = 0 the lossless line is read off the propagated density;
+        # it must be the ket overlap 1 - |<psi_ana|psi>|^2 / (||psi_ana|| ||psi||)^2
+        # with psi = exp(-iHt) psi0, and no line may print a negative value
+        deficit, seen = cli._pure_state_deficit, []
+
+        def recording(psi, rho):
+            seen.append((psi, deficit(psi, rho)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(cli, "_pure_state_deficit", recording)
+        assert main([*self.ARGV, "--gamma", "0"]) == EXIT_OK
+        values = [float(line.split(": ")[1].split()[0])
+                  for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert len(values) == 10 and min(values) >= 0.0
+
+        params, dims = classify_regime(1.0, 0.2, 0.0), (10, 10)
+        H = dense_hamiltonian(params, dims)
+        psi0 = lossless_ket(params, 0.0, 0.0, 0.0, dims).entries
+        assert len(seen) == 2
+        for t, (psi_ana, got) in zip((0.5, 1.0), seen):
+            psi = scipy.linalg.expm(-1j * t * H) @ psi0
+            overlap = abs(np.vdot(psi_ana, psi)) ** 2
+            overlap /= (np.linalg.norm(psi_ana) * np.linalg.norm(psi)) ** 2
+            assert abs(got - (1.0 - overlap)) <= 1e-15
+
 
 class TestNonFiniteTimes:
+    """Non-finite times and config values are refused as invalid configuration."""
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--times", "inf"],
         ["validate", "--times", "nan"],
@@ -143,12 +174,23 @@ class TestNonFiniteTimes:
         ["simulate", "--t_max", "inf"],
         ["simulate", "--t_max", "nan"],
         ["simulate", "--t_step", "inf"],
+        ["validate", "--gamma", "nan", "--times", "0.5"],
+        ["simulate", "--beta_im", "inf"],
+        ["revivals", "--omega2", "nan"],
+        ["sweep-ratio", "--series_tol", "inf"],
     ])
     def test_refused_as_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
         assert main([*argv, "--out_path", str(out)]) == EXIT_CONFIG
         assert "invalid configuration" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_refused_from_config_file(self, tmp_path, capsys):
+        # json reads NaN and Infinity as floats
+        config = tmp_path / "run.json"
+        config.write_text('{"alpha_re": NaN, "nc": 6, "nv": 6}', encoding="utf-8")
+        assert main(["validate", "--config", str(config), "--times", "0.5"]) == EXIT_CONFIG
+        assert "non-finite values: alpha_re" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

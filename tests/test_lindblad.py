@@ -18,22 +18,17 @@ import scipy.linalg
 from ioncavity import (
     AssemblyBudget,
     FockDensity,
-    FockKet,
     IntegrationError,
-    IntegratorConfig,
     assemble_joint_density,
     classify_regime,
     default_dim,
     displacement_op,
     displacement_trajectory,
     effective_hamiltonian,
-    evolve,
-    evolve_pure,
     evolve_trajectory,
     ladder,
     lindblad,
     lindblad_rhs,
-    liouvillian,
     lossless_ket,
     state_metrics,
 )
@@ -98,16 +93,21 @@ def trace_distance(x, y):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 
 
+def pure_joint(psi, dims):
+    """psi psi^dag as a two-mode density (not renormalized)."""
+    return FockDensity(entries=np.outer(psi, psi.conj()), dims=dims)
+
+
 def count_kernel_calls(monkeypatch):
-    """Count applications of lindblad's generator kernel; the transpose kernel's as rmatvec."""
-    calls = {"matvec": 0, "rmatvec": 0}
+    """Count applications of lindblad's generator kernel."""
+    calls = {"apply": 0}
     kernel = lindblad._kernel
 
-    def counting_kernel(params, dims, down=True):
-        apply, mu, norm1 = kernel(params, dims, down)
+    def counting_kernel(params, dims):
+        apply, mu, norm1 = kernel(params, dims)
 
         def counted(X):
-            calls["matvec" if down else "rmatvec"] += 1
+            calls["apply"] += 1
             return apply(X)
 
         return counted, mu, norm1
@@ -178,18 +178,19 @@ class TestGenerator:
     @pytest.mark.parametrize("name", POINTS)
     @pytest.mark.parametrize("dims", [(4, 4), (5, 6)])
     def test_matvec_and_rmatvec_match_dense(self, name, dims):
-        # non-Hermitian complex X: the operator must hold on all of C^{D^2},
-        # not only on the density matrices it propagates
+        # lindblad_rhs on non-Hermitian complex X: the generator must hold on
+        # all of C^{D^2}, not only on the density matrices it propagates; and
+        # the kernel's shift mu is tr L / D^2
         params = POINTS[name]
-        D2 = (dims[0] * dims[1]) ** 2
-        L, trace_L, _ = liouvillian(params, dims)
+        D = dims[0] * dims[1]
+        mu = lindblad._kernel(params, dims)[1]
         dense = dense_liouvillian(params, dims)
         rng = np.random.default_rng(5)
         for _ in range(3):
-            x = rng.normal(size=D2) + 1j * rng.normal(size=D2)
-            np.testing.assert_allclose(L.matvec(x), dense @ x, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(L.rmatvec(x), dense.conj().T @ x, rtol=0, atol=1e-13)
-        assert trace_L == pytest.approx(np.trace(dense).real, abs=1e-12)
+            X = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+            got = lindblad_rhs(params, FockDensity(entries=X, dims=dims)).entries
+            np.testing.assert_allclose(got.ravel(), dense @ X.ravel(), rtol=0, atol=1e-13)
+        assert D * D * mu == pytest.approx(np.trace(dense).real, abs=1e-12)
         assert abs(np.trace(dense).imag) < 1e-12
 
     @pytest.mark.parametrize("name", ["OSC", "LOSSLESS"])
@@ -211,22 +212,21 @@ class TestOneNorm:
         # the structural 1-norm is exact: it differs from the dense column
         # sums only by the order of the additions
         params = POINTS[name]
-        _, trace_L, norm1 = liouvillian(params, dims)
+        _, mu, norm1 = lindblad._kernel(params, dims)
         dense = dense_liouvillian(params, dims)
         D2 = dense.shape[0]
-        exact = np.abs(dense - (trace_L / D2) * np.eye(D2)).sum(axis=0).max()
+        exact = np.abs(dense - mu * np.eye(D2)).sum(axis=0).max()
         assert norm1 == pytest.approx(exact, rel=1e-14, abs=0)
 
     def test_lossy_step_costs_no_norm_estimation(self, monkeypatch):
         # every application of the generator kernel in one step h = 1 on the
         # validate basis: the Taylor terms alone, with no products spent on
-        # estimating norms (those would also apply the transpose kernel)
+        # estimating norms
         N = default_dim(OSC3)
-        norm1 = liouvillian(OSC3, (N, N))[2]
+        norm1 = lindblad._kernel(OSC3, (N, N))[2]
         calls = count_kernel_calls(monkeypatch)
-        evolve_trajectory(OSC3, vacuum_joint(N, N), [1.0], IntegratorConfig())
-        assert calls["rmatvec"] == 0
-        assert 0 < calls["matvec"] <= math.ceil(1.0 * norm1 / THETA_55) * 55
+        evolve_trajectory(OSC3, vacuum_joint(N, N), [1.0])
+        assert 0 < calls["apply"] <= math.ceil(1.0 * norm1 / THETA_55) * 55
 
     def test_rounding_level_asymmetry_costs_nothing(self, monkeypatch):
         # np.outer of a coherent ket is Hermitian only to rounding (here made
@@ -238,16 +238,16 @@ class TestOneNorm:
         assert 0 < asym < 1e-15
         sym = FockDensity(entries=0.5 * (rho0.entries + rho0.entries.conj().T), dims=(8, 8))
         calls = count_kernel_calls(monkeypatch)
-        evolve_trajectory(OSC3, rho0, [0.5, 1.0], IntegratorConfig())
-        once = calls["matvec"]
-        evolve_trajectory(OSC3, sym, [0.5, 1.0], IntegratorConfig())
-        assert calls["matvec"] == 2 * once > 0
+        evolve_trajectory(OSC3, rho0, [0.5, 1.0])
+        once = calls["apply"]
+        evolve_trajectory(OSC3, sym, [0.5, 1.0])
+        assert calls["apply"] == 2 * once > 0
 
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
         rho = coherent_joint(0.2, 0.1, 6, 6)
-        out = evolve(OSC, rho, 0.0, IntegratorConfig())
+        out = evolve_trajectory(OSC, rho, [0.0])[-1]
         np.testing.assert_array_equal(out.entries, rho.entries)
 
     @pytest.mark.parametrize("name", POINTS)
@@ -256,7 +256,7 @@ class TestEvolve:
         params = POINTS[name]
         rho0 = random_density(np.random.default_rng(9), *dims)
         times = [0.5, 1.0, 2.0]
-        states = evolve_trajectory(params, rho0, times, IntegratorConfig())
+        states = evolve_trajectory(params, rho0, times)
         # K = -iH is real, so L is too and its expm can run in real arithmetic;
         # every checkpoint is a multiple of 0.5: one expm, applied repeatedly
         dense = dense_liouvillian(params, dims)
@@ -274,20 +274,20 @@ class TestEvolve:
         N = default_dim(OSC3)
         times = [0.5, 1.0, 2.0]
         rho0 = vacuum_joint(N, N)
-        exact = evolve_trajectory(OSC3, rho0, times, IntegratorConfig())
+        exact = evolve_trajectory(OSC3, rho0, times)
         rk4 = rk4_trajectory(OSC3, rho0, times, RK4Config(dt=5e-3, halving_check=False))
         for x, y in zip(exact, rk4):
             assert trace_distance(x.entries, y.entries) <= 1e-6
 
     def test_trace_and_hermiticity_drift(self):
-        rho = evolve(OSC3, vacuum_joint(8, 8), 20.0, IntegratorConfig())
+        rho = evolve_trajectory(OSC3, vacuum_joint(8, 8), [20.0])[-1]
         assert abs(rho.trace() - 1.0) < 1e-8
         assert rho.hermiticity_error() < 1e-8
 
     def test_energy_decays_to_steady_state(self):
         # N = 12: the truncated generator's own steady-state bias sits below
         # 1e-4 from this dimension on (measured 2.4e-5; ~9x drop per +2 levels)
-        rho = evolve(OSC3, vacuum_joint(12, 12), 40.0, IntegratorConfig(t_max=120.0))
+        rho = evolve_trajectory(OSC3, vacuum_joint(12, 12), [40.0])[-1]
         n_c = np.kron(np.diag(np.arange(12)), np.eye(12))
         assert np.trace(rho.entries @ n_c).real < 1e-4
 
@@ -315,8 +315,7 @@ class TestEvolve:
         alpha, beta = 0.4, 0.3j
         Nc = Nv = default_dim(OSC3)
         times = [0.5, 1.0, 2.0]
-        states = evolve_trajectory(OSC3, coherent_joint(alpha, beta, Nc, Nv),
-                                   times, IntegratorConfig())
+        states = evolve_trajectory(OSC3, coherent_joint(alpha, beta, Nc, Nv), times)
         a = np.kron(ladder(Nc).entries, np.eye(Nv))
         b = np.kron(np.eye(Nc), ladder(Nv).entries)
         for t, rho in zip(times, states):
@@ -339,7 +338,7 @@ class TestEvolve:
         t = 1.0
         tds = []
         for N in (10, 13):
-            rho_num = evolve(OSC3, vacuum_joint(N, N), t, IntegratorConfig())
+            rho_num = evolve_trajectory(OSC3, vacuum_joint(N, N), [t])[-1]
             rho_ana = assemble_joint_density(OSC3, t, 0.0, 0.0, AssemblyBudget(dims=(N, N)))
             tds.append(state_metrics(rho_ana, rho_num).trace_distance)
         assert tds[1] <= tds[0] + max(rho_ana.trace_deficit, 1e-10)
@@ -352,7 +351,7 @@ class TestFailures:
         rho0 = vacuum_joint(4, 5)
         rho0.entries[0, 1] = 1e-3
         with pytest.raises(IntegrationError) as exc:
-            evolve_trajectory(OSC, rho0, [0.25, 0.5], IntegratorConfig())
+            evolve_trajectory(OSC, rho0, [0.25, 0.5])
         msg = str(exc.value)
         assert "Hermiticity" in msg
         assert "(omega1, omega2, gamma) = (1, 0.6, 0.4)" in msg
@@ -361,7 +360,7 @@ class TestFailures:
     def test_trace_drift(self):
         rho0 = FockDensity(entries=1.1 * vacuum_joint(4, 4).entries, dims=(4, 4))
         with pytest.raises(IntegrationError) as exc:
-            evolve(BEAMSPLIT, rho0, 1.0, IntegratorConfig())
+            evolve_trajectory(BEAMSPLIT, rho0, [1.0])
         msg = str(exc.value)
         assert "trace drift" in msg
         assert "(omega1, omega2, gamma) = (1, 0, 0.4)" in msg
@@ -369,18 +368,21 @@ class TestFailures:
 
 
 class TestEvolvePure:
+    """Pure states at gamma = 0, propagated as psi psi^dag by the one propagator."""
+
     def test_vacuum_stationary_without_parametric_drive(self):
         p = classify_regime(1.0, 0.0, 0.0)
-        psi0 = np.zeros(16, dtype=complex)
-        psi0[0] = 1.0
-        ket = evolve_pure(p, FockKet(entries=psi0, dims=(4, 4)), 2.0, IntegratorConfig())
-        assert abs(abs(np.vdot(psi0, ket.entries)) - 1.0) < 1e-12
+        rho = evolve_trajectory(p, vacuum_joint(4, 4), [2.0])[-1].entries
+        # |<psi0|psi(t)>| = sqrt(<psi0|rho(t)|psi0>)
+        assert abs(math.sqrt(rho[0, 0].real) - 1.0) < 1e-12
 
     def test_norm_drift_reported_small(self):
+        # unitary dynamics keep the trace and the purity of psi0 psi0^dag
         lam0 = math.sqrt(LOSSLESS.lambda0_sq)
-        psi0 = lossless_ket(LOSSLESS, 0.2, 0.1j, 0.0, (12, 12))
-        ket = evolve_pure(LOSSLESS, psi0, 2 * math.pi / lam0, IntegratorConfig(t_max=10.0))
-        assert ket.norm_deficit < 1e-10
+        rho0 = pure_joint(lossless_ket(LOSSLESS, 0.2, 0.1j, 0.0, (12, 12)).entries, (12, 12))
+        rho = evolve_trajectory(LOSSLESS, rho0, [2 * math.pi / lam0])[-1]
+        assert abs(rho.trace() - rho0.trace()) < 1e-10
+        assert np.trace(rho.entries @ rho.entries).real >= 1 - 1e-10
 
     def test_full_period_return(self):
         # the exact dynamics return after 2 pi/L0 (a'' = -L0^2 a); at
@@ -388,31 +390,25 @@ class TestEvolvePure:
         # at N = 14, so the check runs at 0.3 on its default_dim basis
         lam0 = math.sqrt(LOSSLESS3.lambda0_sq)
         N = default_dim(LOSSLESS3)
-        psi0 = lossless_ket(LOSSLESS3, 0.2, 0.1j, 0.0, (N, N))
-        ket = evolve_pure(LOSSLESS3, psi0, 2 * math.pi / lam0, IntegratorConfig(t_max=10.0))
-        overlap = abs(np.vdot(psi0.entries, ket.entries))
+        psi0 = lossless_ket(LOSSLESS3, 0.2, 0.1j, 0.0, (N, N)).entries
+        rho = evolve_trajectory(LOSSLESS3, pure_joint(psi0, (N, N)), [2 * math.pi / lam0])[-1]
+        overlap = math.sqrt(np.vdot(psi0, rho.entries @ psi0).real)
         assert overlap > 1 - 1e-6
 
     def test_matches_rk4_ket(self):
         # the lossless validate workload: checkpoint to checkpoint on N = 16
         N = default_dim(LOSSLESS3)
-        psi = psi_rk4 = lossless_ket(LOSSLESS3, 0.0, 0.0, 0.0, (N, N)).entries
+        psi_rk4 = lossless_ket(LOSSLESS3, 0.0, 0.0, 0.0, (N, N)).entries
+        times = (0.5, 1.0, 2.0)
+        states = evolve_trajectory(LOSSLESS3, pure_joint(psi_rk4, (N, N)), times)
         t_prev = 0.0
-        for t in (0.5, 1.0, 2.0):
-            psi = evolve_pure(LOSSLESS3, FockKet(entries=psi, dims=(N, N)), t - t_prev,
-                              IntegratorConfig()).entries
+        for t, rho in zip(times, states):
             psi_rk4 = rk4_ket(LOSSLESS3, psi_rk4, (N, N), t - t_prev, 5e-3)
             t_prev = t
-            # trace distance between the two pure states
-            overlap = abs(np.vdot(psi, psi_rk4)) ** 2
-            overlap /= (np.linalg.norm(psi) * np.linalg.norm(psi_rk4)) ** 2
-            assert math.sqrt(max(0.0, 1.0 - overlap)) <= 1e-6
-
-    def test_rejects_lossy_params(self):
-        psi0 = np.zeros(16, dtype=complex)
-        psi0[0] = 1.0
-        with pytest.raises(IntegrationError):
-            evolve_pure(OSC, FockKet(entries=psi0, dims=(4, 4)), 1.0, IntegratorConfig())
+            # trace distance between the two pure states, sqrt(1 - F)
+            fid = np.vdot(psi_rk4, rho.entries @ psi_rk4).real
+            fid /= np.linalg.norm(psi_rk4) ** 2 * rho.trace()
+            assert math.sqrt(max(0.0, 1.0 - fid)) <= 1e-6
 
 
 class TestConfig:
@@ -420,19 +416,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RK4Config(dt=0.0)
         with pytest.raises(ValueError):
-            IntegratorConfig(t_max=-1.0)
+            evolve_trajectory(OSC, vacuum_joint(4, 4), [-1.0])
+        with pytest.raises(ValueError):
+            evolve_trajectory(OSC, vacuum_joint(4, 4), [1.0, 0.5])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_times(self, bad):
         with pytest.raises(ValueError):
-            IntegratorConfig(t_max=bad)
-        with pytest.raises(ValueError):
-            evolve_trajectory(OSC, vacuum_joint(4, 4), [0.5, bad], IntegratorConfig())
-        psi0 = np.zeros(16, dtype=complex)
-        psi0[0] = 1.0
-        with pytest.raises(ValueError):
-            evolve_pure(LOSSLESS, FockKet(entries=psi0, dims=(4, 4)), bad, IntegratorConfig())
-
-    def test_rejects_target_beyond_horizon(self):
-        with pytest.raises(ValueError):
-            evolve(OSC, vacuum_joint(4, 4), 60.0, IntegratorConfig(t_max=50.0))
+            evolve_trajectory(OSC, vacuum_joint(4, 4), [0.5, bad])
