@@ -169,6 +169,10 @@ def _write_csv(path: str, header: str, table: np.ndarray) -> None:
     _write_atomic(path, buf.getvalue())
 
 
+#: the JSON values a config file may give each RunConfig field type (never a bool)
+_FILE_TYPES = {"int": int, "float": (int, float), "Optional[str]": (str, type(None))}
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
@@ -179,10 +183,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a flat JSON object")
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(raw) - known
+        kinds = {f.name: _FILE_TYPES[f.type] for f in fields(RunConfig)}
+        unknown = set(raw) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        mistyped = [k for k, v in raw.items() if isinstance(v, bool) or not isinstance(v, kinds[k])]
+        if mistyped:
+            raise ConfigError(f"config values of the wrong type: {', '.join(sorted(mistyped))}")
         values.update(raw)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)

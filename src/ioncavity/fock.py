@@ -22,12 +22,14 @@ with the superoperator route (verified against it in the test suite).  The
 per-mode sign (-1)^n cancels in the joint products, so the assembled
 density operator is independent of this bookkeeping.
 
-Q^{m,n} is built in one place, ``_q_level`` (every Q^{m,L-m} of one level
-L at once), which ``q_operator`` and ``assemble_joint_density`` share.
-``jacobi_poly`` and ``c_coefficient`` take an int or an int array for ``k``
-(and ``l``): scalars give a Python float, and any bad element raises the
-scalar ValueError.  Log-factorials come from one ``math.lgamma`` table and
-each series is summed in index order, so array and scalar calls agree.
+Each family has one builder per level L = m+n: ``_q_level`` (every Q^{m,L-m},
+shared by ``q_operator`` and ``assemble_joint_density``) and ``_r_level``
+(every R^{L-s,s} with 2s <= L; ``r_operator`` is one element).  A level costs
+one ``jacobi_poly`` and one ``c_coefficient`` call, as both take ints or int
+arrays for every index, broadcast together: scalars give a Python float, and
+any bad element raises the scalar ValueError.  Log-factorials come from one
+``math.lgamma`` table and each series is summed in index order, so array and
+scalar calls agree.
 """
 
 from __future__ import annotations
@@ -119,13 +121,13 @@ class FockDensity:
 
     def validate(self, tol_trace: float = 1e-6) -> None:
         """Assert the Hermiticity / positivity / trace invariants."""
-        herm = self.hermiticity_error()
-        if herm > 1e-10:
+        shifted = self.entries - self.entries.conj().T  # one D x D difference serves both checks
+        if (herm := float(np.abs(shifted).max())) > 1e-10:
             raise ValidityError(f"density not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        tr = self.trace()
-        if abs(tr - 1.0) > tol_trace:
+        if abs((tr := self.trace()) - 1.0) > tol_trace:
             raise ValidityError(f"trace {tr} deviates from 1 by more than {tol_trace}")
-        shifted = 0.5 * (self.entries + self.entries.conj().T)
+        shifted *= -0.5
+        shifted += self.entries  # the Hermitian part rho - (rho - rho^dag)/2, in place
         shifted.flat[:: shifted.shape[0] + 1] += TOL_PSD  # Cholesky succeeds iff lambda_min > -TOL_PSD
         try:
             np.linalg.cholesky(shifted)
@@ -242,15 +244,15 @@ def _term_sum(terms: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def jacobi_poly(m: int, k, l, x: float):
+def jacobi_poly(m, k, l, x: float):
     """P_m^{k,l}(x) = sum_{j=max(0,l)}^k (-1)^{j-l} (j+m)!/((j-l)!(k-j)!) x^j/j!.
 
-    ``k`` and ``l`` are ints or int arrays (broadcast together).  Factorial
-    ratios go through the log-factorial table with explicit sign tracking;
-    x^j is formed directly (0 <= x < 1 cannot overflow).
+    ``m``, ``k`` and ``l`` are ints or int arrays (broadcast together).
+    Factorial ratios go through the log-factorial table with explicit sign
+    tracking; x^j is formed directly (0 <= x < 1 cannot overflow).
     """
-    k, l = np.broadcast_arrays(np.asarray(k), np.asarray(l))
-    if m < 0 or (k < 0).any():
+    m, k, l = np.broadcast_arrays(np.asarray(m), np.asarray(k), np.asarray(l))
+    if (m < 0).any() or (k < 0).any():
         raise ValueError("need m, k >= 0")
     if (l > k).any():
         raise ValueError("need l <= k")
@@ -259,34 +261,50 @@ def jacobi_poly(m: int, k, l, x: float):
     j = np.arange(k.max(initial=0) + 1).reshape((-1,) + (1,) * k.ndim)
     live = (j >= l) & (j <= k)
     jl = np.where(live, j - l, 0)
-    lf = _log_factorials(int(max(m + j.size, jl.max(initial=0))).bit_length())
+    lf = _log_factorials(int(max(m.max(initial=0) + j.size, jl.max(initial=0))).bit_length())
     mag = lf[j + m] - lf[jl] - lf[np.where(live, k - j, 0)] - lf[j]
     sign = np.where((j - l) % 2, -1.0, 1.0)
     return _term_sum(np.where(live, sign * np.exp(mag) * x**j, 0.0))
 
 
-def c_coefficient(m: int, n: int, k, xi: float):
+def c_coefficient(m, n, k, xi: float):
     """Coefficient C_k^{m,n}(xi) of the squeezed operator-family expansion.
 
     sqrt((m+n-k)! k!/(m! n!)) sum_l binom-weights cosh^{m-k+2l} sinh^{n+k-2l},
     log-factorial magnitudes times the integer powers, whose sign is that of
-    sinh(xi)^{n+k-2l}; ``k`` is an int or an int array.
+    sinh(xi)^{n+k-2l}; ``m``, ``n`` and ``k`` broadcast together.
     """
-    if m < 0 or n < 0:
+    m, n, k = np.broadcast_arrays(np.asarray(m), np.asarray(n), np.asarray(k))
+    if (m < 0).any() or (n < 0).any():
         raise ValueError("need m, n >= 0")
-    k = np.asarray(k)
     bad = (k < 0) | (k > m + n)
     if bad.any():
-        raise ValueError(f"need 0 <= k <= m+n, got k={k[bad][0]}, m+n={m + n}")
+        raise ValueError(f"need 0 <= k <= m+n, got k={k[bad][0]}, m+n={(m + n)[bad][0]}")
     ch, sh = math.cosh(xi), math.sinh(xi)
-    l = np.arange(n + 1).reshape((-1,) + (1,) * k.ndim)
-    live = (l >= k - m) & (l <= k)
-    lf = _log_factorials((m + n).bit_length())
+    l = np.arange(n.max(initial=0) + 1).reshape((-1,) + (1,) * k.ndim)
+    live = (l >= k - m) & (l <= k) & (l <= n)
+    lf = _log_factorials(int((m + n).max(initial=0)).bit_length())
     pref = 0.5 * (lf[m + n - k] + lf[k] - lf[m] - lf[n])
     mag = (pref + lf[m] - lf[np.where(live, k - l, 0)] - lf[np.where(live, m - k + l, 0)]
-           + lf[n] - lf[l] - lf[n - l])
+           + lf[n] - lf[l] - lf[np.where(live, n - l, 0)])
     p_ch, p_sh = np.where(live, m - k + 2 * l, 0), np.where(live, n + k - 2 * l, 0)
     return _term_sum(np.where(live, np.exp(mag) * ch**p_ch * sh**p_sh, 0.0))
+
+
+def _r_level(L: int, n_bar: float, N: int) -> np.ndarray:
+    """Stack of R^{L-s,s}(n_bar) on N levels, s = 0..L//2, each on its diagonal
+    |c+L-2s><c| (see ``r_operator``), from one ``jacobi_poly`` call over (s, c)."""
+    if n_bar < 0:
+        raise ValueError("n_bar must be >= 0")
+    s, c = np.arange(L // 2 + 1)[:, None], np.arange(N)
+    m, row = L - s, c + L - 2 * s
+    lf = _log_factorials((N + L).bit_length())
+    mag = 0.5 * (lf[s] + lf[c] - lf[m] - lf[row]) - (m + 1) * math.log(n_bar + 1.0)
+    vals = np.where(s % 2, -1.0, 1.0) * np.exp(mag) * jacobi_poly(m, c, c - s, n_bar / (n_bar + 1.0))
+    out = np.zeros((len(s), N, N), dtype=complex)
+    si, ci = np.nonzero(row < N)
+    out[si, row[si, ci], ci] = vals[si, ci]
+    return out
 
 
 def r_operator(m: int, n: int, n_bar: float, N: int) -> FockOperator:
@@ -297,26 +315,16 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> FockOperator:
         (-1)^n sqrt(n! k!/(m! (k+m-n)!)) (n_bar+1)^{-(m+1)}
                P_m^{k,k-n}(n_bar/(n_bar+1))   at |k+m-n><k| ,
 
-    and for m < n the operator is (-1)^{m+n} times the conjugate transpose
-    of r_operator(n, m).  R^{0,0} is the thermal state; tr R^{m,n} =
-    delta_{m0} delta_{n0}.
+    element n of ``_r_level(m+n, ...)``; for m < n the operator is
+    (-1)^{m+n} times the conjugate transpose of r_operator(n, m).  R^{0,0}
+    is the thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    if n_bar < 0:
-        raise ValueError("n_bar must be >= 0")
     if m < n:
         sign = -1.0 if (m + n) % 2 else 1.0
         return FockOperator(entries=sign * r_operator(n, m, n_bar, N).entries.conj().T, dim=N)
-    out = np.zeros((N, N), dtype=complex)
-    k = np.arange(max(0, N - (m - n)))
-    row = k + m - n
-    lf = _log_factorials((N + m).bit_length())
-    pref = 0.5 * (lf[n] + lf[k] - lf[m] - lf[row])
-    sign = -1.0 if n % 2 else 1.0
-    x = n_bar / (n_bar + 1.0)
-    out[row, k] = sign * np.exp(pref - (m + 1) * math.log(n_bar + 1.0)) * jacobi_poly(m, k, k - n, x)
-    return FockOperator(entries=out, dim=N)
+    return FockOperator(entries=_r_level(m + n, n_bar, N)[n], dim=N)
 
 
 def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
@@ -328,13 +336,11 @@ def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
     ``r_operator`` each of the others is (-1)^L times the conjugate
     transpose of its mirror k -> L-k.
     """
-    half = L // 2
-    R = np.stack([r_operator(L - k, k, n_bar, U.shape[0]).entries for k in range(half + 1)])
-    S = U @ R @ U.conj().T
-    mirror = S[: L - half][::-1].conj().transpose(0, 2, 1)
+    S = U @ _r_level(L, n_bar, U.shape[0]) @ U.conj().T
+    mirror = S[: (L + 1) // 2][::-1].conj().transpose(0, 2, 1)
     S = np.concatenate([S, -mirror if L % 2 else mirror])
-    C = np.array([c_coefficient(m, L - m, np.arange(L + 1), -xi) for m in range(L + 1)])
-    return np.tensordot(C, S, axes=1)
+    m = k = np.arange(L + 1)
+    return np.tensordot(c_coefficient(m[:, None], L - m[:, None], k, -xi), S, axes=1)
 
 
 def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> FockOperator:
@@ -481,17 +487,11 @@ def partial_trace(rho: FockDensity, keep: str) -> FockDensity:
     """Trace out one mode of a joint density ("c" keeps the cavity factor)."""
     if not rho.joint:
         raise ValueError("partial_trace needs a two-mode density")
-    Nc, Nv = rho.dims
-    r4 = rho.entries.reshape(Nc, Nv, Nc, Nv)
-    if keep == "c":
-        out = np.einsum("ijkj->ik", r4)
-        dim = Nc
-    elif keep == "v":
-        out = np.einsum("ijil->jl", r4)
-        dim = Nv
-    else:
+    if keep not in ("c", "v"):
         raise ValueError(f"keep must be 'c' or 'v', got {keep!r}")
-    return FockDensity(entries=out, dims=(dim,))
+    Nc, Nv = rho.dims
+    out = np.einsum("ijkj->ik" if keep == "c" else "ijil->jl", rho.entries.reshape(Nc, Nv, Nc, Nv))
+    return FockDensity(entries=out, dims=(len(out),))
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:

@@ -193,6 +193,30 @@ class TestNonFiniteTimes:
         assert "non-finite values: alpha_re" in capsys.readouterr().err
 
 
+class TestConfigFileTypes:
+    """Each config-file value must have its RunConfig field's type."""
+
+    @pytest.mark.parametrize("command, text, key", [
+        (["validate", "--times", "0.5"], '{"nc": 6.5, "nv": 6}', "nc"),
+        (["revivals"], '{"gamma": "0.4"}', "gamma"),
+        (["revivals"], '{"omega2": true}', "omega2"),
+        (["revivals"], '{"nc": false}', "nc"),
+        (["revivals"], '{"out_path": 3}', "out_path"),
+        (["revivals"], '{"t_max": [25]}', "t_max"),
+    ])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, command, text, key):
+        config = tmp_path / "run.json"
+        config.write_text(text, encoding="utf-8")
+        assert main([*command, "--config", str(config)]) == EXIT_CONFIG
+        assert f"config values of the wrong type: {key}" in capsys.readouterr().err
+
+    def test_ints_serve_float_fields(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"omega1": 2, "omega2": 1, "t_max": 25, "out_path": null}',
+                          encoding="utf-8")
+        assert main(["revivals", "--config", str(config)]) == EXIT_OK
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # the propagator imports scipy.sparse where it builds the generator, so
     # that the closed-form subcommands do not pay for it at start-up

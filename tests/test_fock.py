@@ -43,6 +43,7 @@ from ioncavity import (
     squeeze_op,
     thermal_state,
 )
+from ioncavity import fock
 from superop_oracle import raise_superop
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -268,6 +269,16 @@ class TestCoefficientsExact:
         got = jacobi_poly(4, k, k - np.arange(3)[:, None], 0.3)
         want = [[jacobi_poly(4, kk, kk - n, 0.3) for kk in range(8)] for n in range(3)]
         np.testing.assert_array_max_ulp(got, np.array(want), maxulp=2)
+        # array m with n = L - m, as one series level takes them
+        for L in (0, 1, 6, 13):
+            m, k = np.arange(L + 1)[:, None], np.arange(L + 1)
+            got = c_coefficient(m, L - m, k, 0.55)
+            want = [[c_coefficient(mm, L - mm, kk, 0.55) for kk in range(L + 1)] for mm in range(L + 1)]
+            np.testing.assert_array_max_ulp(got, np.array(want), maxulp=2)
+            s, c = np.arange(L // 2 + 1)[:, None], np.arange(9)
+            got = jacobi_poly(L - s, c, c - s, 0.45)
+            want = [[jacobi_poly(L - ss, cc, cc - ss, 0.45) for cc in range(9)] for ss in range(L // 2 + 1)]
+            np.testing.assert_array_max_ulp(got, np.array(want), maxulp=2)
 
     def test_scalars_are_python_floats(self):
         assert type(jacobi_poly(2, 3, 1, 0.3)) is float
@@ -283,6 +294,13 @@ class TestCoefficientsExact:
             c_coefficient(1, 1, np.array([0, 1, 3]), 0.1)
         with pytest.raises(ValueError):
             c_coefficient(1, 1, np.array([-1, 0]), 0.1)
+        # array m and n: the scalar message, not numpy's ambiguous-truth-value one
+        with pytest.raises(ValueError, match="need m, k >= 0"):
+            jacobi_poly(np.array([2, -1]), 3, 1, 0.3)
+        with pytest.raises(ValueError, match="need m, n >= 0"):
+            c_coefficient(np.array([1, -1]), np.array([2, 3]), 1, 0.1)
+        with pytest.raises(ValueError, match="got k=3, m[+]n=2"):
+            c_coefficient(np.array([2, 1]), 1, 3, 0.1)
 
 
 class TestROperator:
@@ -423,6 +441,20 @@ class TestAssembly:
             for budget in (AssemblyBudget(dims=(N, N)), AssemblyBudget(dims=(N, N), mn_cutoff=M)):
                 rho = assemble_joint_density(OSC3, t, alpha, beta, budget)
                 assert np.abs(rho.entries - want).max() <= 1e-13
+
+    def test_one_coefficient_call_per_level_and_mode(self, monkeypatch):
+        # a per-m or per-k loop over scalar coefficient calls would multiply these
+        calls = {"c_coefficient": 0, "jacobi_poly": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(fock, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(fock, name, counted)
+        spec = mode_spec(OSC3, 1.2, "c")
+        M = fock._resolve_cutoff(spec.zeta, AssemblyBudget(dims=(12, 12)))
+        assemble_joint_density(OSC3, 1.2, 0.0, 0.0, AssemblyBudget(dims=(12, 12)))
+        assert M > 5
+        assert calls == {"c_coefficient": 2 * (M + 1), "jacobi_poly": 2 * (M + 1)}
 
     def test_refuses_unbounded_series(self):
         growing = classify_regime(1.0, 1.3, 0.4)
