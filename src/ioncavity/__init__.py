@@ -45,7 +45,6 @@ from .observables import (
     ModeSpec,
     QuadTuple,
     RevivalSchedule,
-    assembly_weights,
     displacement_trajectory,
     lossless_spec,
     mode_spec,
@@ -63,7 +62,6 @@ from .params import (
     classify_regime,
     envelope,
     from_lab_params,
-    sin_ratio,
 )
 
 __version__ = "0.1.0"
@@ -89,7 +87,6 @@ __all__ = [
     "TruncationError",
     "ValidityError",
     "assemble_joint_density",
-    "assembly_weights",
     "c_coefficient",
     "classify_regime",
     "default_dim",
@@ -114,7 +111,6 @@ __all__ = [
     "r_operator",
     "reduced_density",
     "revival_schedule",
-    "sin_ratio",
     "squeeze_op",
     "squeezed_thermal",
     "state_metrics",

@@ -254,7 +254,7 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
     params = cfg.params()
     budget = AssemblyBudget(dims=(cfg.nc, cfg.nv), series_tol=cfg.series_tol)
     failures: List[str] = []
-    with contextlib.suppress(RegimeError):  # default_dim needs omega2 < omega1, couplings unequal
+    with contextlib.suppress(RegimeError):  # default_dim needs omega2 < omega1
         if min(cfg.nc, cfg.nv) < (dim := default_dim(params)):
             print(f"note: dims ({cfg.nc}, {cfg.nv}) are below default_dim = {dim}", file=sys.stderr)
 

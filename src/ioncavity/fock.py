@@ -43,9 +43,16 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import RegimeError, TruncationError, ValidityError
-from .observables import displacement_trajectory, mode_spec
-from .params import CouplingParams, Regime
+from .errors import TruncationError, ValidityError
+from .observables import (
+    QuadTuple,
+    displacement_trajectory,
+    lossless_spec,
+    mode_spec,
+    nbar_max,
+    steady_squeeze,
+)
+from .params import CouplingParams
 
 __all__ = [
     "FockOperator",
@@ -356,8 +363,6 @@ def default_dim(params: CouplingParams) -> int:
     Sized so squeezed-thermal tails of the vacuum-start solution fall below
     1e-10; only defined for omega1 > omega2.
     """
-    from .observables import nbar_max, steady_squeeze
-
     nb = nbar_max(params)
     xb = abs(steady_squeeze(params))
     return max(16, math.ceil(8.0 * (nb + 1.0) * math.exp(2.0 * xb)))
@@ -401,15 +406,13 @@ def assemble_joint_density(
 
     Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over m+n <= cutoff, each factor
     conjugated by its mode's D(w) for a coherent start (w = u(t), v(t)).
-    The returned ``trace_deficit`` is |1 - tr rho|, the loss of the series
+    Serves every regime: at omega2 = 0, f g = 0 leaves the single product
+    term, and at equal coupling the mode-v parameters stay finite.  The
+    returned ``trace_deficit`` is |1 - tr rho|, the loss of the series
     cutoff only: the squeeze and displacement are exponentiated on the
     truncated basis, which keeps the trace at 1, so it cannot see basis
     truncation.
     """
-    if params.regime is Regime.EQUAL_COUPLING:
-        raise RegimeError("joint assembly is singular at equal coupling (mode-v form)")
-    if params.omega2 == 0:
-        raise RegimeError("joint assembly needs omega2 > 0")
     spec_c = mode_spec(params, t, "c")
     spec_v = mode_spec(params, t, "v")
     M = _resolve_cutoff(spec_c.zeta, budget)
@@ -465,8 +468,6 @@ def lossless_ket(
     throughout, the state would be wrong wherever sin(2 L0 t) < 0 (verified
     against the propagator).
     """
-    from .observables import lossless_spec
-
     spec = lossless_spec(params, alpha, beta, t)
     Nc, Nv = dims
     kmax = min(Nc, Nv)
@@ -543,8 +544,6 @@ def quad_stats(rho: FockDensity):
     traces); for a single mode returns the (mean_x, mean_p, var_x, var_p)
     tuple.
     """
-    from .observables import QuadTuple
-
     if not rho.joint:
         return quad_stats_single(rho)
     mxc, mpc, vxc, vpc = quad_stats_single(partial_trace(rho, "c"))

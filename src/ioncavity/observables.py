@@ -6,22 +6,21 @@ Each reduced state of the damped two-mode solution is a squeezed thermal
 state.  Its assembly weights are
 
     zeta = f g,   mu_c = q g^2,   nu_c = g^2,
-    nu_v = (1 - f^2)/(q^2 - 1),   mu_v = -q nu_v,
+    nu_v = (1 - f^2)/(q^2 - 1) = omega2^2 w,   mu_v = -q nu_v,
 
-and its quadratures are linear in them: Var X = nu + 1/2 + mu and
-Var P = nu + 1/2 - mu.  One map, :func:`squeezed_thermal`, takes a pair of
-variances to
+with w = (1 - f^2)/L0^2 from ``params._damped_parts``, smooth through equal
+coupling, so one set of forms serves every regime.  The quadratures are
+linear in the weights: Var X = nu + 1/2 + mu and Var P = nu + 1/2 - mu.  One
+map, :func:`squeezed_thermal`, takes a pair of variances to
 
      n_bar = sqrt(Var X Var P) - 1/2  and  xi = (1/4) ln(Var P / Var X),
 
-which places the sign convention (xi_c <= 0, xi_v >= 0) automatically and
-also serves equal coupling, where the mode-v weights are singular.
+which places the sign convention (xi_c <= 0, xi_v >= 0) automatically.
 
-Array contract: :func:`assembly_weights`, :func:`squeezed_thermal`,
-:func:`mode_spec`, :func:`quad_variances` and
-:func:`displacement_trajectory` take a scalar t or an ndarray of times
-through one body.  A scalar gives Python floats (complex for the
-displacements); an array gives arrays of its shape.  The envelope parts
+Array contract: :func:`squeezed_thermal`, :func:`mode_spec`,
+:func:`quad_variances` and :func:`displacement_trajectory` take a scalar t
+or an ndarray of times through one body.  A scalar gives Python floats
+(complex for the displacements); an array gives arrays of its shape.  The envelope parts
 come from ``params._damped_parts``, the one place that branches on L^2.
 """
 
@@ -41,7 +40,6 @@ __all__ = [
     "RevivalSchedule",
     "QuadTuple",
     "LosslessSpec",
-    "assembly_weights",
     "mode_spec",
     "squeezed_thermal",
     "steady_squeeze",
@@ -124,35 +122,19 @@ class LosslessSpec:
 def _weights(params: CouplingParams, t: ArrayLike, mode: str):
     """(zeta, mu, nu) of one mode at time(s) t, as arrays of the shape of t.
 
-    mu_c = q g^2 is written as omega1 omega2 s^2 (s = g/omega2), which stays
-    finite as omega2 -> 0; nu_v = (1 - f^2)/(q^2 - 1) uses
-    1/(q^2 - 1) = omega2^2 / L0^2, whose factored L0^2 does not cancel near
-    q = 1.  Mode v needs omega1 != omega2.
+    mu_c = q g^2 is written as omega1 omega2 s^2 (s = g/omega2), and the
+    mode-v pair as mu_v = -omega1 omega2 w, nu_v = omega2^2 w
+    (w = (1 - f^2)/L0^2); all stay finite as omega2 -> 0 and at equal
+    coupling.
     """
-    f, s, _, one_minus_f2 = _damped_parts(params, t)
+    f, s, _, w = _damped_parts(params, t)
     o1, o2 = params.omega1, params.omega2
     g = o2 * s
     if mode == "c":
         mu, nu = o1 * s * g, g * g
     else:
-        w = one_minus_f2 * o2 / params.lambda0_sq
-        mu, nu = -o1 * w, o2 * w
+        mu, nu = -o1 * o2 * w, o2 * o2 * w
     return f * g, mu, nu
-
-
-def assembly_weights(params: CouplingParams, t: ArrayLike):
-    """Return (zeta, (mu_c, nu_c), (mu_v, nu_v)) at time(s) t.
-
-    Requires omega2 > 0 and omega1 != omega2 (the mode-v weights are
-    singular at equal coupling).
-    """
-    if params.omega2 == 0:
-        raise RegimeError("assembly weights need omega2 > 0")
-    if params.regime is Regime.EQUAL_COUPLING:
-        raise RegimeError("mode-v assembly weights are singular at equal coupling")
-    zeta, mu_c, nu_c = (_shaped(x, t) for x in _weights(params, t, "c"))
-    _, mu_v, nu_v = (_shaped(x, t) for x in _weights(params, t, "v"))
-    return zeta, (mu_c, nu_c), (mu_v, nu_v)
 
 
 def squeezed_thermal(var_x: ArrayLike, var_p: ArrayLike, params: CouplingParams,
@@ -161,11 +143,10 @@ def squeezed_thermal(var_x: ArrayLike, var_p: ArrayLike, params: CouplingParams,
 
     Inverts Var X = (n_bar + 1/2) e^{-2 xi}, Var P = (n_bar + 1/2) e^{2 xi}
     elementwise: n_bar = sqrt(Var X Var P) - 1/2 and
-    xi = (1/4) ln(Var P / Var X).  Serves every regime, equal coupling
-    included.  ``params``, ``t`` and ``mode`` name the point in errors: a
-    non-finite or non-positive variance, or a product below 1/4 (up to
-    numerical slack), raises ValidityError naming the parameter point and
-    the first offending time rather than clamping.
+    xi = (1/4) ln(Var P / Var X).  ``params``, ``t`` and ``mode`` name the
+    point in errors: a non-finite or non-positive variance, or a product
+    below 1/4 (up to numerical slack), raises ValidityError naming the
+    parameter point and the first offending time rather than clamping.
     """
     var_x, var_p, t_b = np.broadcast_arrays(np.asarray(var_x, float), np.asarray(var_p, float),
                                             np.asarray(t, float))
@@ -188,18 +169,11 @@ def mode_spec(params: CouplingParams, t: ArrayLike, mode: str) -> ModeSpec:
     """Squeezed-thermal parameters (n_bar, xi) of one mode at time(s) t.
 
     (n_bar, xi) follow from the weights through Var X = nu + 1/2 + mu and
-    Var P = nu + 1/2 - mu (see :func:`squeezed_thermal`).  For
-    omega2 == 0 the state stays vacuum and all fields are zero.  Mode "v"
-    is rejected at equal coupling, where its weights are singular; apply
-    :func:`squeezed_thermal` to :func:`quad_variances` there instead.
+    Var P = nu + 1/2 - mu (see :func:`squeezed_thermal`).  Serves every
+    regime; for omega2 = 0 the state stays vacuum and all fields are zero.
     """
     if mode not in ("c", "v"):
         raise ValueError(f"mode must be 'c' or 'v', got {mode!r}")
-    if mode == "v" and params.regime is Regime.EQUAL_COUPLING:
-        raise RegimeError(
-            "mode-v squeezed-thermal weights are singular at equal coupling; "
-            "use squeezed_thermal on the equal-coupling quad_variances"
-        )
     zeta, mu, nu = _weights(params, t, mode)
     n_bar, xi = squeezed_thermal(nu + 0.5 + mu, nu + 0.5 - mu, params, t, mode)
     return ModeSpec(mode=mode, n_bar=n_bar, xi=xi, zeta=_shaped(zeta, t), mu=_shaped(mu, t),
@@ -270,18 +244,6 @@ def revival_schedule(params: CouplingParams, horizon: float) -> RevivalSchedule:
     )
 
 
-def _equal_coupling_growth(omega: float, gamma: float, t: np.ndarray) -> np.ndarray:
-    """The growth term (16 omega^2/gamma^2)(gamma t/2 + e^{-gamma t/2} - 1).
-
-    Evaluated with expm1 for small gamma t; the gamma -> 0 limit is
-    2 omega^2 t^2.
-    """
-    if gamma == 0:
-        return 2.0 * omega * omega * t * t
-    x = gamma * t / 2.0
-    return (16.0 * omega * omega / (gamma * gamma)) * (np.expm1(-x) + x)
-
-
 def quad_variances(
     params: CouplingParams, t: ArrayLike, alpha: complex = 0j, beta: complex = 0j
 ) -> QuadTuple:
@@ -290,32 +252,23 @@ def quad_variances(
     Variances do not depend on the coherent displacements (alpha, beta);
     the means are sqrt(2) Re/Im of the displacement trajectory (u, v).
 
-    Generic branch (omega1 != omega2), with g = omega2 s:
+    With g = omega2 s and w = (1 - f^2)/L0^2, in every regime:
 
-        Var X_c = 1/2 + ((o1+o2)/o2) g^2     Var P_c = 1/2 - ((o1-o2)/o2) g^2
-        Var X_v = 1/2 - (o2/(o1+o2))(1-f^2)  Var P_v = 1/2 + (o2/(o1-o2))(1-f^2)
+        Var X_c = 1/2 + (o1+o2) o2 s^2    Var P_c = 1/2 - (o1-o2) o2 s^2
+        Var X_v = 1/2 - (o1-o2) o2 w      Var P_v = 1/2 + (o1+o2) o2 w
 
-    (the g^2/o2 terms are evaluated as o2 s^2, so omega2 = 0 gives the
-    vacuum values 1/2).  At equal coupling Var P_c = Var X_v = 1/2 exactly,
-    Var X_c = 1/2 + 2 g^2 and
-    Var P_v = 1/2 + (16 O^2/gamma^2)(gamma t/2 + e^{-gamma t/2} - 1).
-    The latter is the master-equation result; it is the equal-coupling
-    limit of the generic Var P_v and is reproduced by the numerical
-    integrator.
+    omega2 = 0 gives the vacuum values 1/2, and at equal coupling
+    Var P_c = Var X_v = 1/2 exactly.
     """
     u, v = displacement_trajectory(params, alpha, beta, t)
     o1, o2 = params.omega1, params.omega2
-    _, s, _, one_minus_f2 = _damped_parts(params, t)
-    if params.regime is Regime.EQUAL_COUPLING:
-        variances = (0.5 + 2.0 * (o2 * s) * (o2 * s), 0.5, 0.5,
-                     0.5 + _equal_coupling_growth(o1, params.gamma, np.asarray(t, float)))
-    else:
-        variances = (
-            0.5 + (o1 + o2) * o2 * s * s,
-            0.5 - (o1 - o2) * o2 * s * s,
-            0.5 - o2 / (o1 + o2) * one_minus_f2,
-            0.5 + o2 / (o1 - o2) * one_minus_f2,
-        )
+    _, s, _, w = _damped_parts(params, t)
+    variances = (
+        0.5 + (o1 + o2) * o2 * s * s,
+        0.5 - (o1 - o2) * o2 * s * s,
+        0.5 - (o1 - o2) * o2 * w,
+        0.5 + (o1 + o2) * o2 * w,
+    )
     means = (math.sqrt(2.0) * x for x in (np.real(u), np.imag(u), np.real(v), np.imag(v)))
     return QuadTuple(*(_shaped(x, t) for x in (*variances, *means)))
 

@@ -26,6 +26,12 @@ Once exp(-gamma t/4) underflows, the exact steady-state values (0, 0, 0)
 are returned.  The helper takes a scalar or an array of times; public
 functions return Python floats for a scalar and arrays of the same shape
 otherwise.
+
+Besides f, h and the damped sine ratio s = g/omega2, ``_damped_parts``
+returns the motion weight w = (1 - f^2)/L0^2 with L0^2 = omega1^2 - omega2^2.
+It is smooth through equal coupling: f' = -L0^2 s, so
+(1 - f)/L0^2 = int_0^t s, and w = (1 - f)/L0^2 (2 - (1 - f)).  No branch
+divides by an L0^2 that can be zero.
 """
 
 from __future__ import annotations
@@ -45,11 +51,11 @@ __all__ = [
     "classify_regime",
     "from_lab_params",
     "envelope",
-    "sin_ratio",
 ]
 
 #: relative threshold on |omega1 - omega2| below which the couplings are
-#: treated as exactly equal (separate closed forms apply there)
+#: tagged as equal (the steady squeeze diverges there; the closed forms are
+#: the same as elsewhere)
 EQUAL_COUPLING_RTOL = 1e-9
 
 #: |L^2| <= DEGENERATE_ATOL * omega1^2 selects the L -> 0 limit branch;
@@ -106,9 +112,8 @@ class LabParams:
 class CouplingParams:
     """The three rates of the effective model plus derived quantities.
 
-    ``q = omega1/omega2`` is stored as ``inf`` when omega2 == 0; operations
-    that need a finite q must either reject that case or use the explicit
-    omega2 -> 0 limit.
+    ``q = omega1/omega2`` is stored as ``inf`` when omega2 = 0; the closed
+    forms are written in omega1 and omega2 and never need a finite q.
     """
 
     omega1: float
@@ -183,21 +188,30 @@ def _shaped(x, t):
     return x if np.shape(x) == shape else np.full(shape, x)
 
 
+def _exprel(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1)/x elementwise, with its limit 1 at x = 0."""
+    zero = x == 0.0
+    x = np.where(zero, 1.0, x)
+    return np.where(zero, 1.0, np.expm1(x) / x)
+
+
 def _damped_parts(params: CouplingParams, t: ArrayLike):
-    """Return (f, s, h, 1 - f^2) as arrays of the shape of ``t >= 0``.
+    """Return (f, s, h, w) as arrays of the shape of ``t >= 0``.
 
-    s = sin(L t) e^{-gamma t/4} / L is the damped sine ratio (g = omega2 s).
-    This is the one place that branches on L^2 (see the module docstring).
-    Overdamped, the rate |L| - gamma/4 = -L0^2 / (|L| + gamma/4) and the
-    weight 1 - r = 1 - gamma/(4|L|) = -4 L0^2 / (|L| (4|L| + gamma)) are
-    formed from L0^2, so they do not cancel near equal coupling; f and h
-    are e- plus a multiple of (e+ - e-), which keeps (1, 1) exact at t = 0.
+    s = sin(L t) e^{-gamma t/4} / L is the damped sine ratio (g = omega2 s)
+    and w = (1 - f^2)/L0^2 the motion weight (see the module docstring).
+    This is the one place that branches on L^2.  Overdamped, the rate
+    |L| - gamma/4 = -L0^2 / (|L| + gamma/4) and the weight
+    1 - r = 1 - gamma/(4|L|) = -4 L0^2 / (|L| (4|L| + gamma)) are formed
+    from L0^2, so they do not cancel near equal coupling; f and h are e-
+    plus a multiple of (e+ - e-), which keeps (1, 1) exact at t = 0.
 
-    1 - f is formed directly, since 1 - f*f cancels wherever f ~ 1:
-    -(1/2)(1 + r) expm1(-kappa t) - (1/2)(1 - r) expm1(-(|L| + gamma/4) t)
-    with kappa = L0^2/(|L| + gamma/4) when overdamped, and
-    -expm1(-gamma t/4) + e^{-gamma t/4} (2 sin^2(L t/2) - (gamma/4) sin(L t)/L)
-    otherwise; then 1 - f^2 = (1 - f)(2 - (1 - f)).
+    int_s = (1 - f)/L0^2 is formed without dividing by an L0^2 that can be
+    zero.  Overdamped, with fast = |L| + gamma/4 and slow = L0^2/fast,
+    int_s = (1/2)(1 + r)(t/fast) exprel(-slow t) + 2 expm1(-fast t)/(|L| (4|L| + gamma)).
+    Otherwise 1 - f = -expm1(-gamma t/4) + e^{-gamma t/4} (2 sin^2(L t/2) -
+    (gamma/4) sin(L t)/L) is divided by the branch's own L0^2 = L^2 + gamma^2/16,
+    which is gamma^2/16 when degenerate; its limit at gamma = 0 is t^2/2.
 
     Scalars run as one-element arrays, so they take the same numpy kernels
     as arrays.
@@ -221,24 +235,29 @@ def _damped_parts(params: CouplingParams, t: ArrayLike):
         f = em + 0.5 * one_plus_r * d
         s = d / (2.0 * lam)
         h = em + 0.5 * one_minus_r * d
-        one_minus_f = -0.5 * one_plus_r * np.expm1(-slow * t) - 0.5 * one_minus_r * np.expm1(-fast * t)
+        int_s = (0.5 * one_plus_r * (t / fast) * _exprel(-slow * t)
+                 + 2.0 * np.expm1(-fast * t) / (lam * (4.0 * lam + g)))
+        one_minus_f = int_s * params.lambda0_sq
     else:
         if lam_sq > DEGENERATE_ATOL * o1 * o1:
             lam = math.sqrt(lam_sq)
             c, s = np.cos(lam * t), np.sin(lam * t) / lam
             vers = 2.0 * np.sin(0.5 * lam * t) ** 2  # 1 - cos(L t) without cancellation
+            lam0_sq = params.lambda0_sq
         else:
             c, s, vers = np.ones_like(t), t, np.zeros_like(t)
+            lam0_sq = g * g / 16.0
         damp = np.exp(-g * t / 4.0)
         f = (c + (g / 4.0) * s) * damp
         h = (c - (g / 4.0) * s) * damp
         one_minus_f = -np.expm1(-g * t / 4.0) + damp * (vers - (g / 4.0) * s)
+        int_s = one_minus_f / lam0_sq if lam0_sq > 0 else 0.5 * t * t
         s = s * damp
         dead = g * t / 4.0 > _UNDERFLOW_EXPONENT
         f, s, h = (np.where(dead, 0.0, x) for x in (f, s, h))
 
-    one_minus_f2 = one_minus_f * (2.0 - one_minus_f)
-    return tuple(x.reshape(shape) for x in (f, s, h, one_minus_f2))
+    w = int_s * (2.0 - one_minus_f)
+    return tuple(x.reshape(shape) for x in (f, s, h, w))
 
 
 def envelope(params: CouplingParams, t: ArrayLike) -> EnvelopeValues:
@@ -251,13 +270,3 @@ def envelope(params: CouplingParams, t: ArrayLike) -> EnvelopeValues:
     f, s, h, _ = _damped_parts(params, t)
     return EnvelopeValues(f=_shaped(f, t), g=_shaped(params.omega2 * s, t), h=_shaped(h, t),
                           t=_shaped(np.asarray(t, dtype=float), t))
-
-
-def sin_ratio(params: CouplingParams, t: ArrayLike) -> ArrayLike:
-    """Damped sine ratio sin(L t) e^{-gamma t/4} / L across all branches.
-
-    Equals g(t)/omega2 for omega2 > 0 and remains finite as omega2 -> 0;
-    displacement trajectories use it to take the (omega1/omega2) g(t) terms
-    to their analytic limit.
-    """
-    return _shaped(_damped_parts(params, t)[1], t)

@@ -114,6 +114,16 @@ class TestValidate:
         assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
         assert lines[-1] == "all validation checks passed"
 
+    @pytest.mark.parametrize("argv", [
+        ["--omega2", "0", "--nc", "8", "--nv", "8", "--times", "0.5,1"],
+        ["--omega2", "1", "--nc", "10", "--nv", "10", "--times", "0.1,0.2"],
+    ], ids=["omega2_zero", "equal_coupling"])
+    def test_runs_its_checks_at_former_refusals(self, capsys, argv):
+        assert main(["validate", *argv]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * 4 + 1
+        assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
+
     def test_basis_below_default_dim_noted_on_stderr(self, capsys):
         # default_dim is 16 at validate's default omega2/omega1 = 0.3
         main(["validate", "--nc", "10", "--nv", "10", "--times", "0.5"])

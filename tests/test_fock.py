@@ -456,6 +456,26 @@ class TestAssembly:
         assert M > 5
         assert calls == {"c_coefficient": 2 * (M + 1), "jacobi_poly": 2 * (M + 1)}
 
+    def test_no_parametric_drive_is_coherent_product(self):
+        # omega2 = 0: f g = 0 leaves one product term, the projector on D(u)|0> (x) D(v)|0>
+        p, N, alpha, beta = classify_regime(1.0, 0.0, 0.4), 12, 0.4 + 0.3j, 0.2 - 0.1j
+        for t in (0.5, 1.3, 4.0):
+            rho = assemble_joint_density(p, t, alpha, beta, AssemblyBudget(dims=(N, N)))
+            u, v = displacement_trajectory(p, alpha, beta, t)
+            psi = np.kron(displacement_op(u, N).entries[:, 0], displacement_op(v, N).entries[:, 0])
+            assert np.abs(rho.entries - np.outer(psi, psi.conj())).max() < 1e-14
+
+    def test_equal_coupling_is_continuous(self):
+        # a 1e-7 step in omega2 moves the state by 9.5e-9 (max entry) at t = 0.1, and
+        # equal coupling sits on the midpoint of the two sides to 7e-16
+        budget = AssemblyBudget(dims=(10, 10))
+        for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
+            below, equal, above = (
+                assemble_joint_density(classify_regime(1.0, w2, 0.4), 0.1, alpha, beta, budget).entries
+                for w2 in (1.0 - 1e-7, 1.0, 1.0 + 1e-7))
+            assert np.abs(equal - below).max() < 2e-8
+            assert np.abs(equal - 0.5 * (below + above)).max() < 1e-14
+
     def test_refuses_unbounded_series(self):
         growing = classify_regime(1.0, 1.3, 0.4)
         with pytest.raises(TruncationError):

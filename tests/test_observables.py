@@ -22,10 +22,8 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ioncavity import (
-    Regime,
     RegimeError,
     ValidityError,
-    assembly_weights,
     classify_regime,
     displacement_trajectory,
     envelope,
@@ -34,7 +32,6 @@ from ioncavity import (
     nbar_max,
     quad_variances,
     revival_schedule,
-    sin_ratio,
     steady_squeeze,
 )
 from ioncavity.observables import squeezed_thermal
@@ -123,9 +120,13 @@ class TestModeSpec:
                 assert s.zeta == pytest.approx(
                     envelope(OSC, t).f * envelope(OSC, t).g, abs=1e-14)
 
-    def test_equal_coupling_mode_v_rejected(self):
-        with pytest.raises(RegimeError):
-            mode_spec(EQUAL, 1.0, "v")
+    def test_equal_coupling_mode_v_matches_oracle(self):
+        ts = np.array([0.3, 1.0, 2.5, 5.0])
+        spec = mode_spec(EQUAL, ts, "v")
+        for t, nb, xi, V in zip(ts, spec.n_bar, spec.xi, covariance_oracle(EQUAL, ts)):
+            want_nb, want_xi = squeezed_thermal(V[2, 2], V[3, 3], EQUAL, t, "v")
+            assert nb == pytest.approx(want_nb, abs=1e-8, rel=1e-8)
+            assert xi == pytest.approx(want_xi, abs=1e-8, rel=1e-8)
 
     def test_equal_coupling_mode_c_allowed(self):
         spec = mode_spec(EQUAL, 1.0, "c")
@@ -314,17 +315,29 @@ class TestQuadVariances:
 
 
 class TestNearEqualCouplingPrecision:
-    """nu_v and Var P_v at omega2 = 1 - 1e-7 against a 50-digit reference.
+    """nu_v and Var P_v near omega2 = 1 against a 50-digit reference.
 
-    There f stays within ~1e-7 of 1, so 1 - f^2 must be formed without the
-    cancellation of 1 - f*f.  The reference takes the double inputs exactly
-    and continues cos/sin to cosh/sinh through a complex L.
+    At omega2 = 1 - 1e-7 f stays within ~1e-7 of 1, so 1 - f^2 must be formed
+    without the cancellation of 1 - f*f.  At omega2 = 1 -+ 5e-10 the point
+    is tagged equal coupling, where the weight (1 - f^2)/L0^2 must not be
+    formed by dividing by L0^2.  The reference takes the double inputs
+    exactly and continues cos/sin to cosh/sinh through a complex L.
     """
 
-    @pytest.mark.parametrize("gamma,t", [(0.4, 3.0), (0.4, 0.3), (2.0, 1e-3), (0.0, 3.0)])
+    POINTS = [(0.4, 3.0), (0.4, 0.3), (2.0, 1e-3), (0.0, 3.0)]
+
+    @pytest.mark.parametrize("gamma,t", POINTS)
     def test_matches_high_precision_reference(self, gamma, t):
+        self._check(1.0 - 1e-7, gamma, t)
+
+    @pytest.mark.parametrize("omega2", [1.0 - 5e-10, 1.0 + 5e-10], ids=["below", "above"])
+    @pytest.mark.parametrize("gamma,t", POINTS)
+    def test_equal_coupling_band_matches_reference(self, omega2, gamma, t):
+        self._check(omega2, gamma, t)
+
+    @staticmethod
+    def _check(omega2, gamma, t):
         mp = pytest.importorskip("mpmath")
-        omega2 = 1.0 - 1e-7
         with mp.workdps(50):
             w2, gm, s = mp.mpf(omega2), mp.mpf(gamma), mp.mpf(t)
             l0_sq = (1 - w2) * (1 + w2)
@@ -333,7 +346,7 @@ class TestNearEqualCouplingPrecision:
             nu_v = (1 - f * f) * w2 * w2 / l0_sq
             var_pv = mp.mpf(0.5) + w2 / (1 - w2) * (1 - f * f)
             p = classify_regime(1.0, omega2, gamma)
-            _, _, (_, got_nu_v) = assembly_weights(p, t)
+            got_nu_v = mode_spec(p, t, "v").nu
             got_var_pv = quad_variances(p, t).var_pv
             assert abs((got_nu_v - nu_v) / nu_v) < 1e-12
             assert abs((got_var_pv - var_pv) / var_pv) < 1e-12
@@ -357,6 +370,18 @@ class TestDisplacementTrajectory:
                 u, v = displacement_trajectory(params, 0.5, 0.3j, float(t))
                 assert abs(u - u_ref) < 1e-8
                 assert abs(v - v_ref) < 1e-8
+
+    def test_no_parametric_drive_closed_form(self):
+        # omega2 = 0: g = 0, and the q g terms are omega1 s with s = sin(L t) e^{-gamma t/4}/L
+        p = classify_regime(1.0, 0.0, 0.4)
+        alpha, beta, t = 0.4 + 0.3j, 0.2 - 0.1j, 1.3
+        lam = math.sqrt(p.lambda_sq)
+        damp = math.exp(-p.gamma * t / 4.0)
+        c, s = math.cos(lam * t) * damp, math.sin(lam * t) / lam * damp
+        f, h = c + (p.gamma / 4.0) * s, c - (p.gamma / 4.0) * s
+        u, v = displacement_trajectory(p, alpha, beta, t)
+        assert u == pytest.approx(alpha * h + beta * p.omega1 * s, rel=1e-13)
+        assert v == pytest.approx(-alpha * p.omega1 * s + beta * f, rel=1e-13)
 
     def test_no_parametric_drive_limit(self):
         p = classify_regime(1.0, 0.0, 0.4)
@@ -447,7 +472,6 @@ class TestArrayContract:
         env = envelope(p, ts)
         for field in ("f", "g", "h"):
             self._agree(getattr(env, field), [getattr(envelope(p, t), field) for t in ts])
-        self._agree(sin_ratio(p, ts), [sin_ratio(p, t) for t in ts])
         quads = quad_variances(p, ts, self.ALPHA, self.BETA)
         scalar_quads = [quad_variances(p, t, self.ALPHA, self.BETA) for t in ts]
         for field in quads.__dataclass_fields__:
@@ -456,7 +480,7 @@ class TestArrayContract:
         scalar_uv = [displacement_trajectory(p, self.ALPHA, self.BETA, t) for t in ts]
         self._agree(u, [x[0] for x in scalar_uv], complex)
         self._agree(v, [x[1] for x in scalar_uv], complex)
-        for mode in ("c",) if p.regime is Regime.EQUAL_COUPLING else ("c", "v"):
+        for mode in ("c", "v"):
             spec = mode_spec(p, ts, mode)
             scalar_specs = [mode_spec(p, t, mode) for t in ts]
             for field in ("n_bar", "xi", "zeta", "mu", "nu"):

@@ -19,7 +19,6 @@ from ioncavity import (
     classify_regime,
     envelope,
     from_lab_params,
-    sin_ratio,
 )
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -191,19 +190,6 @@ class TestEnvelope:
         for i, t in enumerate(ts):
             one = envelope(OSC, float(t))
             assert env.f[i] == one.f and env.g[i] == one.g and env.h[i] == one.h
-
-    def test_sin_ratio_is_g_over_omega2(self):
-        for params in (OSC, OVER, EQUAL, degenerate_params()):
-            for t in (0.3, 1.7, 5.0):
-                assert params.omega2 * sin_ratio(params, t) == pytest.approx(
-                    envelope(params, t).g, rel=1e-13, abs=1e-15)
-
-    def test_sin_ratio_finite_without_parametric_drive(self):
-        p = classify_regime(1.0, 0.0, 0.4)
-        lam = math.sqrt(p.lambda_sq)
-        t = 1.3
-        want = math.sin(lam * t) / lam * math.exp(-p.gamma * t / 4.0)
-        assert sin_ratio(p, t) == pytest.approx(want, rel=1e-13)
 
 
 class TestOverdampedPrecision:
