@@ -12,11 +12,15 @@ flags override file values.  CSV output is UTF-8 with LF line endings and
 15 significant digits, written to a temporary file and renamed on success
 so no partial files are left behind.
 
-The subcommands hold no physics and no per-time loops: ``simulate`` makes
-one ``quad_variances`` and one ``envelope`` call over its whole time grid and
-maps both modes' variances to (n_bar, xi) with ``squeezed_thermal``;
-``sweep-ratio`` makes one call per ratio over all its times; ``revivals``
-one ``envelope`` call per revival list.
+The subcommands hold no physics.  ``simulate`` makes one ``quad_variances``
+and one ``envelope`` call over its whole time grid and maps both modes'
+variances to (n_bar, xi) with ``squeezed_thermal``; ``sweep-ratio`` makes one
+call per ratio over all its times; ``revivals`` one ``envelope`` call per
+revival list.  Only ``validate`` loops over its checkpoints: one propagator
+run serves them all, and at each one it prints a line per check.  A formula
+validity guard tripped inside a check (a non-PSD assembled density, say) is
+that check's ``FAIL`` line, naming the guard's value, and the other checks
+still run (exit 1).
 
 Exit codes: 0 success; 1 validation tolerance breach or propagator failure;
 2 invalid configuration; 3 formula-validity guard tripped; 4 no revivals in
@@ -34,7 +38,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +63,7 @@ from .fock import (
     state_metrics,
 )
 from .lindblad import evolve_trajectory
-from .observables import quad_variances, revival_schedule, squeezed_thermal
+from .observables import QuadTuple, quad_variances, revival_schedule, squeezed_thermal
 from .params import CouplingParams, classify_regime, envelope
 
 __all__ = ["RunConfig", "main"]
@@ -72,6 +76,9 @@ EXIT_NO_REVIVALS = 4
 
 #: validate refuses joint dimensions beyond desk scale
 MAX_VALIDATE_DIM = 1024
+
+#: validate's default drive omega2/omega1, under any config file and flags
+VALIDATE_OMEGA2 = 0.3
 
 #: cross-check tolerances of cmd_validate
 TD_TOL = 1e-4
@@ -174,7 +181,8 @@ _FILE_TYPES = {"int": int, "float": (int, float), "Optional[str]": (str, type(No
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
+    # each layer over the last: field defaults, validate's drive, the config file, the flags
+    values = {"omega2": VALIDATE_OMEGA2} if getattr(args, "command", None) == "validate" else {}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -236,7 +244,7 @@ def cmd_revivals(cfg: RunConfig, stream=None) -> int:
 
 
 def _coherent_joint(alpha: complex, beta: complex, nc: int, nv: int) -> FockDensity:
-    psi = np.kron(displacement_op(alpha, nc).entries[:, 0], displacement_op(beta, nv).entries[:, 0])
+    psi = np.kron(displacement_op(alpha, nc)[:, 0], displacement_op(beta, nv)[:, 0])
     return FockDensity(entries=np.outer(psi, psi.conj()), dims=(nc, nv))
 
 
@@ -245,6 +253,12 @@ def _pure_state_deficit(psi: np.ndarray, rho: np.ndarray) -> float:
     pure state, clipped at 1 as ``state_metrics`` clips."""
     fid = np.vdot(psi, rho @ psi).real / (np.vdot(psi, psi).real * np.trace(rho).real)
     return 1.0 - min(float(fid), 1.0)
+
+
+def _variance_delta(q: QuadTuple, r: QuadTuple) -> float:
+    """Largest difference between the four variances of two QuadTuples."""
+    return max(abs(q.var_xc - r.var_xc), abs(q.var_pc - r.var_pc),
+               abs(q.var_xv - r.var_xv), abs(q.var_pv - r.var_pv))
 
 
 def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
@@ -258,39 +272,36 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
         if min(cfg.nc, cfg.nv) < (dim := default_dim(params)):
             print(f"note: dims ({cfg.nc}, {cfg.nv}) are below default_dim = {dim}", file=sys.stderr)
 
-    def report(label: str, value: float, tol: float) -> None:
+    def report(label: str, tol: float, check: Callable[[], float]) -> None:
+        try:
+            value = check()
+        except ValidityError as exc:  # a guard trip fails this check only
+            print(f"{label}: {exc} FAIL", file=stream)
+            failures.append(label)
+            return
         ok = value <= tol
         print(f"{label}: {value:.3e} (tol {tol:.1e}) {'ok' if ok else 'FAIL'}", file=stream)
         if not ok:
             failures.append(label)
 
+    a, b = cfg.alpha, cfg.beta
     try:
         # D(0) = expm(0) is exactly the identity, so a vacuum start is exact too
-        rho0 = _coherent_joint(cfg.alpha, cfg.beta, cfg.nc, cfg.nv)
-        oracle_states = evolve_trajectory(params, rho0, times)
-        for t, rho_num in zip(times, oracle_states):
-            rho_ana = assemble_joint_density(params, t, cfg.alpha, cfg.beta, budget)
-            metrics = state_metrics(rho_ana, rho_num)
-            report(f"t={t:g} joint trace distance", metrics.trace_distance, TD_TOL)
-            for mode in ("c", "v"):
-                N = cfg.nc if mode == "c" else cfg.nv
-                red_ana = reduced_density(params, t, mode, cfg.alpha, cfg.beta, N)
-                red_num = partial_trace(rho_num, mode)
-                fid = state_metrics(red_ana, red_num).fidelity
-                report(f"t={t:g} mode-{mode} fidelity deficit", 1.0 - fid, FID_DEFICIT_TOL)
-            qn = quad_stats(rho_num)
-            qa = quad_variances(params, t, cfg.alpha, cfg.beta)
-            delta = max(
-                abs(qn.var_xc - qa.var_xc), abs(qn.var_pc - qa.var_pc),
-                abs(qn.var_xv - qa.var_xv), abs(qn.var_pv - qa.var_pv),
-            )
-            report(f"t={t:g} quadrature delta", delta, QUAD_TOL)
+        oracle_states = evolve_trajectory(params, _coherent_joint(a, b, cfg.nc, cfg.nv), times)
+        for t, rho in zip(times, oracle_states):
+            report(f"t={t:g} joint trace distance", TD_TOL, lambda: state_metrics(
+                assemble_joint_density(params, t, a, b, budget), rho).trace_distance)
+            for mode, N in (("c", cfg.nc), ("v", cfg.nv)):
+                report(f"t={t:g} mode-{mode} fidelity deficit", FID_DEFICIT_TOL,
+                       lambda: 1.0 - state_metrics(reduced_density(params, t, mode, a, b, N),
+                                                   partial_trace(rho, mode)).fidelity)
+            report(f"t={t:g} quadrature delta", QUAD_TOL,
+                   lambda: _variance_delta(quad_stats(rho), quad_variances(params, t, a, b)))
 
         if params.gamma == 0:
-            for t, rho_num in zip(times, oracle_states):
-                psi = lossless_ket(params, cfg.alpha, cfg.beta, t, (cfg.nc, cfg.nv)).entries
-                deficit = _pure_state_deficit(psi, rho_num.entries)
-                report(f"t={t:g} lossless fidelity deficit", deficit, FID_DEFICIT_TOL)
+            for t, rho in zip(times, oracle_states):
+                report(f"t={t:g} lossless fidelity deficit", FID_DEFICIT_TOL, lambda: _pure_state_deficit(
+                    lossless_ket(params, a, b, t, (cfg.nc, cfg.nv)), rho.entries))
     except (IntegrationError, TruncationError) as exc:
         print(f"validation aborted: {exc}", file=stream)
         return EXIT_VALIDATION
@@ -347,7 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the analytic-vs-propagator suite")
     add_common(p_val)
     p_val.add_argument("--times", default="0.5,1,2,4", help="comma-separated checkpoints")
-    p_val.set_defaults(omega2_default=0.3)
     p_sweep = sub.add_parser("sweep-ratio", help="CSV of Var X_v over omega2/omega1")
     add_common(p_sweep)
     p_sweep.add_argument("--times", default="1,5,10", help="comma-separated output times")
@@ -357,9 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # validate's documented default drive is omega2/omega1 = 0.3
-        if args.command == "validate" and args.omega2 is None and not getattr(args, "config", None):
-            args.omega2 = args.omega2_default
         cfg = _load_config(args).normalized()
         if args.command == "simulate":
             return cmd_simulate(cfg)

@@ -1,5 +1,13 @@
 """Exception hierarchy for the ioncavity package."""
 
+__all__ = [
+    "IonCavityError",
+    "ValidityError",
+    "RegimeError",
+    "TruncationError",
+    "IntegrationError",
+    "ConfigError",
+]
 
 class IonCavityError(Exception):
     """Base class for all errors raised by this package."""

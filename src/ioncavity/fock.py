@@ -5,6 +5,11 @@ families that expand the exact joint density operator; assembly of that
 density operator with its geometric series budget; partial traces, state
 metrics and quadrature statistics measured from matrices.
 
+Single-mode operators are plain complex (N, N) arrays, entry [row, col] =
+<row| O |col>, and the lossless ket is a flat complex array.  Densities are
+``FockDensity``, which also carries the mode dimensions and a truncation
+loss, and checks its own invariants.
+
 Conventions.  R^{m,n}(n_bar) is anchored to its superoperator construction
 
     R^{m,n} = (N+^n/sqrt(n!)) (M+^m/sqrt(m!)) R^{0,0},
@@ -55,9 +60,7 @@ from .observables import (
 from .params import CouplingParams
 
 __all__ = [
-    "FockOperator",
     "FockDensity",
-    "FockKet",
     "AssemblyBudget",
     "StateMetrics",
     "ladder",
@@ -75,7 +78,6 @@ __all__ = [
     "partial_trace",
     "state_metrics",
     "quad_stats",
-    "quad_stats_single",
 ]
 
 #: eigenvalues of a density matrix may dip this far below zero from truncation
@@ -84,20 +86,6 @@ TOL_PSD = 1e-8
 #: direct summation of the operator-family series is capped here; the
 #: assembler's geometric tail bound must already have truncated by then
 MAX_MN_CUTOFF = 60
-
-
-@dataclass(frozen=True)
-class FockOperator:
-    """Dense complex operator on a truncated single-mode Fock basis.
-
-    ``entries[row, col]`` is <row| O |col>; dim >= 2.
-    """
-
-    entries: np.ndarray
-    dim: int
-
-    def dag(self) -> "FockOperator":
-        return FockOperator(entries=self.entries.conj().T.copy(), dim=self.dim)
 
 
 @dataclass(frozen=True)
@@ -144,18 +132,6 @@ class FockDensity:
 
 
 @dataclass(frozen=True)
-class FockKet:
-    """State vector on the (possibly joint) truncated basis."""
-
-    entries: np.ndarray
-    dims: Tuple[int, ...]
-    norm_deficit: Optional[float] = None
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-
-@dataclass(frozen=True)
 class AssemblyBudget:
     """Truncation budget for assembling the joint density operator.
 
@@ -184,38 +160,38 @@ class StateMetrics:
     purity: float
 
 
-def ladder(N: int) -> FockOperator:
+def ladder(N: int) -> np.ndarray:
     """Annihilation operator: <n-1| a |n> = sqrt(n)."""
     if N < 2:
         raise ValueError(f"need N >= 2, got {N}")
-    return FockOperator(entries=np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex), dim=N)
+    return np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
 
 
-def displacement_op(alpha: complex, N: int) -> FockOperator:
+def displacement_op(alpha: complex, N: int) -> np.ndarray:
     """D(alpha) = exp(alpha ad - alpha* a) via scaling-and-squaring expm.
 
     Warns when the coverage heuristic |alpha|^2 + 4|alpha| < N fails;
     unitarity should then only be trusted in the occupied block.
     """
-    a = ladder(N).entries
+    a = ladder(N)
     mag = abs(alpha)
     if mag * mag + 4.0 * mag >= N:
         warnings.warn(
             f"displacement amplitude |alpha|={mag:.3g} poorly covered by N={N}",
             stacklevel=2,
         )
-    return FockOperator(entries=expm(alpha * a.conj().T - np.conj(alpha) * a), dim=N)
+    return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
-def squeeze_op(xi: float, N: int) -> FockOperator:
+def squeeze_op(xi: float, N: int) -> np.ndarray:
     """S(xi) = exp((xi/2)(a^2 - ad^2)); real matrix for real xi."""
     if 4.0 * math.exp(2.0 * abs(xi)) > N:
         warnings.warn(
             f"squeeze parameter |xi|={abs(xi):.3g} poorly covered by N={N}", stacklevel=2
         )
-    a = ladder(N).entries
+    a = ladder(N)
     a2 = a @ a
-    return FockOperator(entries=expm(0.5 * xi * (a2 - a2.conj().T)), dim=N)
+    return expm(0.5 * xi * (a2 - a2.conj().T))
 
 
 def thermal_state(n_bar: float, N: int) -> FockDensity:
@@ -314,7 +290,7 @@ def _r_level(L: int, n_bar: float, N: int) -> np.ndarray:
     return out
 
 
-def r_operator(m: int, n: int, n_bar: float, N: int) -> FockOperator:
+def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
     """R^{m,n}(n_bar) on N levels, in the superoperator-anchored convention.
 
     For m >= n the Fock matrix elements are
@@ -330,8 +306,8 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> FockOperator:
         raise ValueError("need m, n >= 0")
     if m < n:
         sign = -1.0 if (m + n) % 2 else 1.0
-        return FockOperator(entries=sign * r_operator(n, m, n_bar, N).entries.conj().T, dim=N)
-    return FockOperator(entries=_r_level(m + n, n_bar, N)[n], dim=N)
+        return sign * r_operator(n, m, n_bar, N).conj().T
+    return _r_level(m + n, n_bar, N)[n]
 
 
 def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
@@ -350,11 +326,11 @@ def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
     return np.tensordot(c_coefficient(m[:, None], L - m[:, None], k, -xi), S, axes=1)
 
 
-def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> FockOperator:
+def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> np.ndarray:
     """Q^{m,n}(n_bar, xi) = sum_k C_k^{m,n}(-xi) S(xi) R^{m+n-k,k}(n_bar) S(xi)^dag."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    return FockOperator(entries=_q_level(m + n, n_bar, xi, squeeze_op(xi, N).entries)[m], dim=N)
+    return _q_level(m + n, n_bar, xi, squeeze_op(xi, N))[m]
 
 
 def default_dim(params: CouplingParams) -> int:
@@ -418,13 +394,13 @@ def assemble_joint_density(
     M = _resolve_cutoff(spec_c.zeta, budget)
     Nc, Nv = budget.dims
 
-    Uc = squeeze_op(spec_c.xi, Nc).entries
-    Uv = squeeze_op(spec_v.xi, Nv).entries
+    Uc = squeeze_op(spec_c.xi, Nc)
+    Uv = squeeze_op(spec_v.xi, Nv)
     if alpha != 0 or beta != 0:
         # D_c (x) D_v conjugates each product Q_c (x) Q_v factor by factor
         u, v = displacement_trajectory(params, alpha, beta, t)
-        Uc = displacement_op(u, Nc).entries @ Uc
-        Uv = displacement_op(v, Nv).entries @ Uv
+        Uc = displacement_op(u, Nc) @ Uc
+        Uv = displacement_op(v, Nv) @ Uv
     Qc = np.concatenate([spec_c.zeta**L * _q_level(L, spec_c.n_bar, spec_c.xi, Uc) for L in range(M + 1)])
     Qv = np.concatenate([_q_level(L, spec_v.n_bar, spec_v.xi, Uv) for L in range(M + 1)])
     # rho[(i, k), (j, l)] = sum_p Qc[p, i, j] Qv[p, k, l]: one matrix product over p
@@ -445,23 +421,24 @@ def reduced_density(
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
     w = u if mode == "c" else v
-    S = squeeze_op(spec.xi, N).entries
+    S = squeeze_op(spec.xi, N)
     th = thermal_state(spec.n_bar, N)
     rho = S @ th.entries @ S.conj().T
     if w != 0:
-        D = displacement_op(w, N).entries
+        D = displacement_op(w, N)
         rho = D @ rho @ D.conj().T
     return FockDensity(entries=rho, dims=(N,), trace_deficit=th.trace_deficit)
 
 
 def lossless_ket(
     params: CouplingParams, alpha: complex, beta: complex, t: float, dims: Tuple[int, int]
-) -> FockKet:
-    """Pure two-mode state for gamma = 0 on a truncated basis.
+) -> np.ndarray:
+    """Pure two-mode state for gamma = 0 on a truncated basis, as the flat
+    joint ket (cavity index major, like ``FockDensity``).
 
     Applies D_c(u0) S_c(-xi0) (x) D_v(v0) S_v(xi0) to the two-mode-squeezed
-    sum over |k>_c |k>_v with thermal-like weights in n_bar0; the geometric
-    norm deficit (n_bar0/(n_bar0+1))^{min(dims)} is reported.
+    sum over |k>_c |k>_v with thermal-like weights in n_bar0; the truncated
+    sum leaves 1 - ||psi||^2 = (n_bar0/(n_bar0+1))^{min(dims)}.
 
     The pair-creation direction alternates every half cycle of 2 L0 t, so
     the Schmidt weights carry sign(sin(2 L0 t))^k; with positive weights
@@ -477,11 +454,9 @@ def lossless_ket(
     psi = np.zeros((Nc, Nv), dtype=complex)
     psi[k, k] = (sign * math.sqrt(nb / (nb + 1.0))) ** k / math.sqrt(nb + 1.0)
     # (U_c (x) U_v) acts on the (Nc, Nv) amplitude matrix as U_c psi U_v^T
-    Uc = displacement_op(spec.u0, Nc).entries @ squeeze_op(-spec.xi0, Nc).entries
-    Uv = displacement_op(spec.v0, Nv).entries @ squeeze_op(spec.xi0, Nv).entries
-    psi = (Uc @ psi @ Uv.T).ravel()
-    deficit = (nb / (nb + 1.0)) ** kmax
-    return FockKet(entries=psi, dims=dims, norm_deficit=deficit)
+    Uc = displacement_op(spec.u0, Nc) @ squeeze_op(-spec.xi0, Nc)
+    Uv = displacement_op(spec.v0, Nv) @ squeeze_op(spec.xi0, Nv)
+    return (Uc @ psi @ Uv.T).ravel()
 
 
 def partial_trace(rho: FockDensity, keep: str) -> FockDensity:
@@ -521,15 +496,11 @@ def state_metrics(rho: FockDensity, sigma: FockDensity) -> StateMetrics:
     return StateMetrics(fidelity=min(fid, 1.0), trace_distance=td, purity=purity)
 
 
-def quad_stats_single(rho: FockDensity) -> Tuple[float, float, float, float]:
+def _mode_stats(r: np.ndarray) -> Tuple[float, float, float, float]:
     """(mean_x, mean_p, var_x, var_p) of a single-mode density matrix."""
-    if rho.joint:
-        raise ValueError("quad_stats_single needs a single-mode density")
-    N = rho.dims[0]
-    a = ladder(N).entries
+    a = ladder(r.shape[0])
     X = (a + a.conj().T) / math.sqrt(2.0)
     P = (a - a.conj().T) / (1j * math.sqrt(2.0))
-    r = rho.entries
     mx = float(np.trace(r @ X).real)
     mp = float(np.trace(r @ P).real)
     vx = float(np.trace(r @ X @ X).real) - mx * mx
@@ -545,9 +516,9 @@ def quad_stats(rho: FockDensity):
     tuple.
     """
     if not rho.joint:
-        return quad_stats_single(rho)
-    mxc, mpc, vxc, vpc = quad_stats_single(partial_trace(rho, "c"))
-    mxv, mpv, vxv, vpv = quad_stats_single(partial_trace(rho, "v"))
+        return _mode_stats(rho.entries)
+    mxc, mpc, vxc, vpc = _mode_stats(partial_trace(rho, "c").entries)
+    mxv, mpv, vxv, vpv = _mode_stats(partial_trace(rho, "v").entries)
     return QuadTuple(
         var_xc=vxc, var_pc=vpc, var_xv=vxv, var_pv=vpv,
         mean_xc=mxc, mean_pc=mpc, mean_xv=mxv, mean_pv=mpv,

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IntegrationError
-from .fock import FockDensity, FockOperator
+from .fock import FockDensity
 from .params import CouplingParams
 
 __all__ = ["effective_hamiltonian", "lindblad_rhs", "evolve_trajectory"]
@@ -75,10 +75,9 @@ def _k_matrix(params: CouplingParams, dims: Sequence[int]):
     return K.tocsr()
 
 
-def effective_hamiltonian(params: CouplingParams, dims: Sequence[int]) -> FockOperator:
-    """Joint Hamiltonian i omega1 (ad b - a bd) + i omega2 (ad bd - a b) = iK."""
-    K = _k_matrix(params, dims)
-    return FockOperator(entries=1j * K.toarray(), dim=K.shape[0])
+def effective_hamiltonian(params: CouplingParams, dims: Sequence[int]) -> np.ndarray:
+    """Joint Hamiltonian i omega1 (ad b - a bd) + i omega2 (ad bd - a b) = iK, dense."""
+    return 1j * _k_matrix(params, dims).toarray()
 
 
 def _kernel(params: CouplingParams, dims: Sequence[int]):

@@ -160,7 +160,6 @@ class EnvelopeValues:
     f: ArrayLike
     g: ArrayLike
     h: ArrayLike
-    t: ArrayLike
 
 
 def classify_regime(omega1: float, omega2: float, gamma: float) -> CouplingParams:
@@ -268,5 +267,4 @@ def envelope(params: CouplingParams, t: ArrayLike) -> EnvelopeValues:
     always real; the branches are described in the module docstring.
     """
     f, s, h, _ = _damped_parts(params, t)
-    return EnvelopeValues(f=_shaped(f, t), g=_shaped(params.omega2 * s, t), h=_shaped(h, t),
-                          t=_shaped(np.asarray(t, dtype=float), t))
+    return EnvelopeValues(f=_shaped(f, t), g=_shaped(params.omega2 * s, t), h=_shaped(h, t))

@@ -51,8 +51,8 @@ class RK4Config:
 def dense_hamiltonian(params, dims: Sequence[int]) -> np.ndarray:
     """Joint Hamiltonian i omega1 (ad b - a bd) + i omega2 (ad bd - a b) by np.kron."""
     Nc, Nv = dims
-    a = ladder(Nc).entries
-    b = ladder(Nv).entries
+    a = ladder(Nc)
+    b = ladder(Nv)
     ad, bd = a.conj().T, b.conj().T
     return 1j * params.omega1 * (np.kron(ad, b) - np.kron(a, bd)) + 1j * params.omega2 * (
         np.kron(ad, bd) - np.kron(a, b)

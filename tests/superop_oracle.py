@@ -3,32 +3,30 @@
 The test oracle for ``ioncavity.fock``: it builds an operator family member
 by applying ladder commutators to its ground member, a code path
 independent of the Jacobi-polynomial closed form it is compared against.
+Operators go in as complex (N, N) arrays or single-mode ``FockDensity``
+values and come out as arrays.
 """
 
 import math
-from typing import Tuple
 
 import numpy as np
 
-from ioncavity import FockDensity, FockOperator, TruncationError, ladder
+from ioncavity import FockDensity, TruncationError, ladder
 
 #: relative weight allowed in the top (m+n) levels of a raise_superop input
 _HEADROOM_RTOL = 1e-6
 
 
-def _single_mode_entries(op) -> Tuple[np.ndarray, int]:
-    """Entries and dimension of a single-mode FockOperator or FockDensity."""
-    if isinstance(op, FockOperator):
-        return op.entries, op.dim
+def _single_mode_entries(op) -> np.ndarray:
+    """Matrix of a single-mode operator: an array, or a FockDensity's entries."""
     if isinstance(op, FockDensity):
         if op.joint:
             raise ValueError("need a single-mode operator")
-        return op.entries, op.dims[0]
-    arr = np.asarray(op, dtype=complex)
-    return arr, arr.shape[0]
+        return op.entries
+    return np.asarray(op, dtype=complex)
 
 
-def raise_superop(op, m: int, n: int) -> FockOperator:
+def raise_superop(op, m: int, n: int) -> np.ndarray:
     """Apply (N+^n/sqrt(n!)) (M+^m/sqrt(m!)) to a single-mode operator.
 
     M+ X = ad X - X ad and N+ X = a X - X a.  The input is zero-padded by
@@ -40,9 +38,10 @@ def raise_superop(op, m: int, n: int) -> FockOperator:
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    entries, N = _single_mode_entries(op)
+    entries = _single_mode_entries(op)
+    N = entries.shape[0]
     if m + n == 0:
-        return FockOperator(entries=entries.copy(), dim=N)
+        return entries.copy()
     if m + n >= N:
         raise TruncationError(f"raising by m+n={m + n} exceeds dimension N={N}")
     scale = np.abs(entries).max()
@@ -59,11 +58,11 @@ def raise_superop(op, m: int, n: int) -> FockOperator:
     Np = N + m + n
     X = np.zeros((Np, Np), dtype=complex)
     X[:N, :N] = entries
-    a = ladder(Np).entries
+    a = ladder(Np)
     ad = a.conj().T
     for _ in range(m):
         X = ad @ X - X @ ad
     for _ in range(n):
         X = a @ X - X @ a
     X /= math.sqrt(math.exp(math.lgamma(m + 1) + math.lgamma(n + 1)))
-    return FockOperator(entries=X[:N, :N].copy(), dim=N)
+    return X[:N, :N].copy()

@@ -21,7 +21,7 @@ import scipy.linalg
 
 import ioncavity
 from ioncavity import cli, lossless_ket
-from ioncavity.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, main
+from ioncavity.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, EXIT_VALIDATION, main
 from ioncavity.params import classify_regime
 from rk4_oracle import dense_hamiltonian
 from test_observables import covariance_oracle
@@ -124,6 +124,36 @@ class TestValidate:
         assert len(lines) == 2 * 4 + 1
         assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
 
+    def test_guard_trip_is_a_fail_line(self, capsys):
+        # at equal coupling and N = 16 the assembled joint density dips below
+        # -TOL_PSD from t = 0.25 on: that check fails, every other check runs
+        argv = ["validate", "--omega2", "1", "--nc", "16", "--nv", "16"]
+        assert main([*argv, "--times", "0.1,0.25"]) == EXIT_VALIDATION
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * 4 + 1
+        assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:4] + lines[5:8])
+        assert lines[4] == ("t=0.25 joint trace distance: matrix is not PSD within tolerance "
+                            "(min eig -1.247e-08) FAIL")
+        assert lines[-1] == "FAILED: 1 check(s): t=0.25 joint trace distance"
+
+        assert main([*argv, "--times", "0.25,0.3"]) == EXIT_VALIDATION
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            f"t={t} {check}" for t in ("0.25", "0.3") for check in (
+                "joint trace distance", "mode-c fidelity deficit", "mode-v fidelity deficit",
+                "quadrature delta")]
+        assert lines[-1].startswith("FAILED: 2 check(s)")
+
+    def test_default_drive_kept_under_config_file(self, tmp_path, capsys):
+        # validate's omega2/omega1 = 0.3 sits under the config file, not in place of it
+        config = tmp_path / "run.json"
+        config.write_text('{"nc": 8, "nv": 8}', encoding="utf-8")
+        assert main(["validate", "--config", str(config), "--times", "0.5"]) == EXIT_OK
+        from_file = capsys.readouterr()
+        assert main(["validate", "--nc", "8", "--nv", "8", "--times", "0.5"]) == EXIT_OK
+        assert capsys.readouterr() == from_file
+        assert "default_dim = 16" in from_file.err
+
     def test_basis_below_default_dim_noted_on_stderr(self, capsys):
         # default_dim is 16 at validate's default omega2/omega1 = 0.3
         main(["validate", "--nc", "10", "--nv", "10", "--times", "0.5"])
@@ -164,7 +194,7 @@ class TestValidate:
 
         params, dims = classify_regime(1.0, 0.2, 0.0), (10, 10)
         H = dense_hamiltonian(params, dims)
-        psi0 = lossless_ket(params, 0.0, 0.0, 0.0, dims).entries
+        psi0 = lossless_ket(params, 0.0, 0.0, 0.0, dims)
         assert len(seen) == 2
         for t, (psi_ana, got) in zip((0.5, 1.0), seen):
             psi = scipy.linalg.expm(-1j * t * H) @ psi0

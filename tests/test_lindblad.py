@@ -52,8 +52,8 @@ def vacuum_joint(Nc, Nv):
 
 
 def coherent_joint(alpha, beta, Nc, Nv):
-    psi = np.kron(displacement_op(alpha, Nc).entries[:, 0],
-                  displacement_op(beta, Nv).entries[:, 0])
+    psi = np.kron(displacement_op(alpha, Nc)[:, 0],
+                  displacement_op(beta, Nv)[:, 0])
     return FockDensity(entries=np.outer(psi, psi.conj()), dims=(Nc, Nv))
 
 
@@ -67,7 +67,7 @@ def dense_rhs_oracle(params, rho):
     """Independent RHS: explicit matrices and dense products."""
     Nc, Nv = rho.dims
     H = dense_hamiltonian(params, (Nc, Nv))
-    a = np.kron(ladder(Nc).entries, np.eye(Nv))
+    a = np.kron(ladder(Nc), np.eye(Nv))
     ad = a.conj().T
     n = ad @ a
     r = rho.entries
@@ -80,7 +80,7 @@ def dense_liouvillian(params, dims):
     """Explicit D^2 x D^2 generator in row-major vec: vec(A X B) = (A kron B^T) vec X."""
     Nc, Nv = dims
     H = dense_hamiltonian(params, dims)
-    a = np.kron(ladder(Nc).entries, np.eye(Nv))
+    a = np.kron(ladder(Nc), np.eye(Nv))
     n = a.conj().T @ a
     eye = np.eye(Nc * Nv)
     g = params.gamma
@@ -118,21 +118,21 @@ def count_kernel_calls(monkeypatch):
 
 class TestHamiltonian:
     def test_hermitian(self):
-        H = effective_hamiltonian(OSC, (6, 7)).entries
+        H = effective_hamiltonian(OSC, (6, 7))
         assert np.abs(H - H.conj().T).max() < 1e-14
 
     def test_beam_splitter_element(self):
         # <1_c 0_v| H |0_c 1_v> = i omega1
-        H = effective_hamiltonian(OSC, (4, 4)).entries
+        H = effective_hamiltonian(OSC, (4, 4))
         assert H[1 * 4 + 0, 0 * 4 + 1] == pytest.approx(1j * OSC.omega1, abs=1e-15)
 
     def test_parametric_element(self):
         # <1_c 1_v| H |0_c 0_v> = i omega2
-        H = effective_hamiltonian(OSC, (4, 4)).entries
+        H = effective_hamiltonian(OSC, (4, 4))
         assert H[1 * 4 + 1, 0] == pytest.approx(1j * OSC.omega2, abs=1e-15)
 
     def test_matches_kron_build(self):
-        H = effective_hamiltonian(OSC, (5, 6)).entries
+        H = effective_hamiltonian(OSC, (5, 6))
         np.testing.assert_allclose(H, dense_hamiltonian(OSC, (5, 6)), atol=1e-15)
 
 
@@ -316,8 +316,8 @@ class TestEvolve:
         Nc = Nv = default_dim(OSC3)
         times = [0.5, 1.0, 2.0]
         states = evolve_trajectory(OSC3, coherent_joint(alpha, beta, Nc, Nv), times)
-        a = np.kron(ladder(Nc).entries, np.eye(Nv))
-        b = np.kron(np.eye(Nc), ladder(Nv).entries)
+        a = np.kron(ladder(Nc), np.eye(Nv))
+        b = np.kron(np.eye(Nc), ladder(Nv))
         for t, rho in zip(times, states):
             pops = rho.entries.diagonal().real.reshape(Nc, Nv)
             assert pops[-1, :].sum() < 1e-8
@@ -379,7 +379,7 @@ class TestEvolvePure:
     def test_norm_drift_reported_small(self):
         # unitary dynamics keep the trace and the purity of psi0 psi0^dag
         lam0 = math.sqrt(LOSSLESS.lambda0_sq)
-        rho0 = pure_joint(lossless_ket(LOSSLESS, 0.2, 0.1j, 0.0, (12, 12)).entries, (12, 12))
+        rho0 = pure_joint(lossless_ket(LOSSLESS, 0.2, 0.1j, 0.0, (12, 12)), (12, 12))
         rho = evolve_trajectory(LOSSLESS, rho0, [2 * math.pi / lam0])[-1]
         assert abs(rho.trace() - rho0.trace()) < 1e-10
         assert np.trace(rho.entries @ rho.entries).real >= 1 - 1e-10
@@ -390,7 +390,7 @@ class TestEvolvePure:
         # at N = 14, so the check runs at 0.3 on its default_dim basis
         lam0 = math.sqrt(LOSSLESS3.lambda0_sq)
         N = default_dim(LOSSLESS3)
-        psi0 = lossless_ket(LOSSLESS3, 0.2, 0.1j, 0.0, (N, N)).entries
+        psi0 = lossless_ket(LOSSLESS3, 0.2, 0.1j, 0.0, (N, N))
         rho = evolve_trajectory(LOSSLESS3, pure_joint(psi0, (N, N)), [2 * math.pi / lam0])[-1]
         overlap = math.sqrt(np.vdot(psi0, rho.entries @ psi0).real)
         assert overlap > 1 - 1e-6
@@ -398,7 +398,7 @@ class TestEvolvePure:
     def test_matches_rk4_ket(self):
         # the lossless validate workload: checkpoint to checkpoint on N = 16
         N = default_dim(LOSSLESS3)
-        psi_rk4 = lossless_ket(LOSSLESS3, 0.0, 0.0, 0.0, (N, N)).entries
+        psi_rk4 = lossless_ket(LOSSLESS3, 0.0, 0.0, 0.0, (N, N))
         times = (0.5, 1.0, 2.0)
         states = evolve_trajectory(LOSSLESS3, pure_joint(psi_rk4, (N, N)), times)
         t_prev = 0.0
