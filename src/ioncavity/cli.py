@@ -18,9 +18,9 @@ variances to (n_bar, xi) with ``squeezed_thermal``; ``sweep-ratio`` makes one
 call per ratio over all its times; ``revivals`` one ``envelope`` call per
 revival list.  Only ``validate`` loops over its checkpoints: one propagator
 run serves them all, and at each one it prints a line per check.  A formula
-validity guard tripped inside a check (a non-PSD assembled density, say) is
-that check's ``FAIL`` line, naming the guard's value, and the other checks
-still run (exit 1).
+validity guard tripped inside a check (a non-PSD assembled density, say), or
+a series the assembly refuses to sum, is that check's ``FAIL`` line, naming
+the guard's value or the refusal, and the other checks still run (exit 1).
 
 Exit codes: 0 success; 1 validation tolerance breach or propagator failure;
 2 invalid configuration; 3 formula-validity guard tripped; 4 no revivals in
@@ -275,7 +275,7 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
     def report(label: str, tol: float, check: Callable[[], float]) -> None:
         try:
             value = check()
-        except ValidityError as exc:  # a guard trip fails this check only
+        except (ValidityError, TruncationError) as exc:  # fails this check only
             print(f"{label}: {exc} FAIL", file=stream)
             failures.append(label)
             return
@@ -302,7 +302,7 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
             for t, rho in zip(times, oracle_states):
                 report(f"t={t:g} lossless fidelity deficit", FID_DEFICIT_TOL, lambda: _pure_state_deficit(
                     lossless_ket(params, a, b, t, (cfg.nc, cfg.nv)), rho.entries))
-    except (IntegrationError, TruncationError) as exc:
+    except IntegrationError as exc:
         print(f"validation aborted: {exc}", file=stream)
         return EXIT_VALIDATION
 

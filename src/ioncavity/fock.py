@@ -7,8 +7,8 @@ metrics and quadrature statistics measured from matrices.
 
 Single-mode operators are plain complex (N, N) arrays, entry [row, col] =
 <row| O |col>, and the lossless ket is a flat complex array.  Densities are
-``FockDensity``, which also carries the mode dimensions and a truncation
-loss, and checks its own invariants.
+``FockDensity``, which also carries the mode dimensions, measures its own
+trace deficit and checks its own invariants.
 
 Conventions.  R^{m,n}(n_bar) is anchored to its superoperator construction
 
@@ -28,8 +28,11 @@ per-mode sign (-1)^n cancels in the joint products, so the assembled
 density operator is independent of this bookkeeping.
 
 Each family has one builder per level L = m+n: ``_q_level`` (every Q^{m,L-m},
-shared by ``q_operator`` and ``assemble_joint_density``) and ``_r_level``
-(every R^{L-s,s} with 2s <= L; ``r_operator`` is one element).  A level costs
+shared by ``q_operator``, ``assemble_joint_density`` and ``reduced_density``)
+and ``_r_level`` (every R^{L-s,s} with 2s <= L; ``r_operator`` is one
+element).  R^{0,0} is the thermal state, so a reduced state D(w) S(xi)
+R^{0,0} S(xi)^dag D(w)^dag is the L = 0 term of the joint series, and one
+builder, ``_frame``, gives the D(w) S(xi) of every conjugation.  A level costs
 one ``jacobi_poly`` and one ``c_coefficient`` call, as both take ints or int
 arrays for every index, broadcast together: scalars give a Python float, and
 any bad element raises the scalar ValueError.  Log-factorials come from one
@@ -66,7 +69,6 @@ __all__ = [
     "ladder",
     "displacement_op",
     "squeeze_op",
-    "thermal_state",
     "jacobi_poly",
     "c_coefficient",
     "r_operator",
@@ -93,17 +95,22 @@ class FockDensity:
     """Dense operator over a truncated single- or two-mode Fock basis.
 
     For two modes ``dims = (N_c, N_v)`` with the cavity index major, i.e.
-    joint index i = i_c * N_v + i_v.  ``trace_deficit`` is reported by
-    constructors that know their truncation loss.
+    joint index i = i_c * N_v + i_v.
     """
 
     entries: np.ndarray
     dims: Tuple[int, ...]
-    trace_deficit: Optional[float] = None
 
     @property
     def joint(self) -> bool:
         return len(self.dims) == 2
+
+    @property
+    def trace_deficit(self) -> float:
+        """|1 - tr rho|, measured.  It sees the loss of a series cutoff or of a
+        weight cut off at N levels, but not basis truncation: a squeeze or
+        displacement exponentiated on the truncated basis keeps the trace."""
+        return abs(1.0 - self.trace())
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
@@ -194,21 +201,6 @@ def squeeze_op(xi: float, N: int) -> np.ndarray:
     return expm(0.5 * xi * (a2 - a2.conj().T))
 
 
-def thermal_state(n_bar: float, N: int) -> FockDensity:
-    """Thermal state diag(n_bar^k/(n_bar+1)^{k+1}); deficit (n_bar/(n_bar+1))^N."""
-    if n_bar < 0:
-        raise ValueError("n_bar must be >= 0")
-    if n_bar == 0:
-        p = np.zeros(N)
-        p[0] = 1.0
-        deficit = 0.0
-    else:
-        k = np.arange(N)
-        p = np.exp(k * math.log(n_bar) - (k + 1) * math.log(n_bar + 1.0))
-        deficit = (n_bar / (n_bar + 1.0)) ** N
-    return FockDensity(entries=np.diag(p).astype(complex), dims=(N,), trace_deficit=deficit)
-
-
 @functools.lru_cache(maxsize=None)
 def _log_factorials(bits: int) -> np.ndarray:
     """Read-only table of log(k!) for k < 2**bits, from math.lgamma."""
@@ -272,6 +264,12 @@ def c_coefficient(m, n, k, xi: float):
            + lf[n] - lf[l] - lf[np.where(live, n - l, 0)])
     p_ch, p_sh = np.where(live, m - k + 2 * l, 0), np.where(live, n + k - 2 * l, 0)
     return _term_sum(np.where(live, np.exp(mag) * ch**p_ch * sh**p_sh, 0.0))
+
+
+def _frame(w: complex, xi: float, N: int) -> np.ndarray:
+    """D(w) S(xi) on N levels; S(xi) alone when w = 0."""
+    S = squeeze_op(xi, N)
+    return S if w == 0 else displacement_op(w, N) @ S
 
 
 def _r_level(L: int, n_bar: float, N: int) -> np.ndarray:
@@ -381,53 +379,39 @@ def assemble_joint_density(
     """Assemble the exact joint density operator at time t on a truncated basis.
 
     Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over m+n <= cutoff, each factor
-    conjugated by its mode's D(w) for a coherent start (w = u(t), v(t)).
-    Serves every regime: at omega2 = 0, f g = 0 leaves the single product
-    term, and at equal coupling the mode-v parameters stay finite.  The
-    returned ``trace_deficit`` is |1 - tr rho|, the loss of the series
-    cutoff only: the squeeze and displacement are exponentiated on the
-    truncated basis, which keeps the trace at 1, so it cannot see basis
-    truncation.
+    conjugated by its mode's D(w) S(xi) (w = u(t), v(t)).  Serves every
+    regime: at omega2 = 0, f g = 0 leaves the single product term, and at
+    equal coupling the mode-v parameters stay finite.  Its ``trace_deficit``
+    is the loss of the series cutoff only.
     """
     spec_c = mode_spec(params, t, "c")
     spec_v = mode_spec(params, t, "v")
     M = _resolve_cutoff(spec_c.zeta, budget)
     Nc, Nv = budget.dims
-
-    Uc = squeeze_op(spec_c.xi, Nc)
-    Uv = squeeze_op(spec_v.xi, Nv)
-    if alpha != 0 or beta != 0:
-        # D_c (x) D_v conjugates each product Q_c (x) Q_v factor by factor
-        u, v = displacement_trajectory(params, alpha, beta, t)
-        Uc = displacement_op(u, Nc) @ Uc
-        Uv = displacement_op(v, Nv) @ Uv
+    # D_c S_c (x) D_v S_v conjugates each product Q_c (x) Q_v factor by factor
+    u, v = displacement_trajectory(params, alpha, beta, t)
+    Uc, Uv = _frame(u, spec_c.xi, Nc), _frame(v, spec_v.xi, Nv)
     Qc = np.concatenate([spec_c.zeta**L * _q_level(L, spec_c.n_bar, spec_c.xi, Uc) for L in range(M + 1)])
     Qv = np.concatenate([_q_level(L, spec_v.n_bar, spec_v.xi, Uv) for L in range(M + 1)])
     # rho[(i, k), (j, l)] = sum_p Qc[p, i, j] Qv[p, k, l]: one matrix product over p
     rho = (Qc.reshape(len(Qc), -1).T @ Qv.reshape(len(Qv), -1)).reshape(Nc, Nc, Nv, Nv)
     rho = rho.transpose(0, 2, 1, 3).reshape(Nc * Nv, Nc * Nv)
-    rho = 0.5 * (rho + rho.conj().T)
-    deficit = abs(1.0 - float(np.trace(rho).real))
-    return FockDensity(entries=rho, dims=(Nc, Nv), trace_deficit=deficit)
+    return FockDensity(entries=0.5 * (rho + rho.conj().T), dims=(Nc, Nv))
 
 
 def reduced_density(
     params: CouplingParams, t: float, mode: str, alpha: complex, beta: complex, N: int
 ) -> FockDensity:
-    """Reduced state of one mode: D(w) S(xi) thermal(n_bar) S(xi)^dag D(w)^dag.
+    """Reduced state of one mode, D(w) S(xi) R^{0,0}(n_bar) S(xi)^dag D(w)^dag:
+    the L = 0 term of the joint series.
 
-    w is u(t) for the cavity and v(t) for the motion.
+    w is u(t) for the cavity and v(t) for the motion.  The thermal weights
+    cut off at N levels leave a trace deficit of (n_bar/(n_bar+1))^N.
     """
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
-    w = u if mode == "c" else v
-    S = squeeze_op(spec.xi, N)
-    th = thermal_state(spec.n_bar, N)
-    rho = S @ th.entries @ S.conj().T
-    if w != 0:
-        D = displacement_op(w, N)
-        rho = D @ rho @ D.conj().T
-    return FockDensity(entries=rho, dims=(N,), trace_deficit=th.trace_deficit)
+    U = _frame(u if mode == "c" else v, spec.xi, N)
+    return FockDensity(entries=_q_level(0, spec.n_bar, spec.xi, U)[0], dims=(N,))
 
 
 def lossless_ket(
@@ -454,8 +438,7 @@ def lossless_ket(
     psi = np.zeros((Nc, Nv), dtype=complex)
     psi[k, k] = (sign * math.sqrt(nb / (nb + 1.0))) ** k / math.sqrt(nb + 1.0)
     # (U_c (x) U_v) acts on the (Nc, Nv) amplitude matrix as U_c psi U_v^T
-    Uc = displacement_op(spec.u0, Nc) @ squeeze_op(-spec.xi0, Nc)
-    Uv = displacement_op(spec.v0, Nv) @ squeeze_op(spec.xi0, Nv)
+    Uc, Uv = _frame(spec.u0, -spec.xi0, Nc), _frame(spec.v0, spec.xi0, Nv)
     return (Uc @ psi @ Uv.T).ravel()
 
 

@@ -3,19 +3,21 @@ variances, revival schedules, displacement trajectories and the lossless
 pure-state solution.
 
 Each reduced state of the damped two-mode solution is a squeezed thermal
-state.  Its assembly weights are
+state, fixed by its quadrature variances.  With s = g/omega2 and
+w = (1 - f^2)/L0^2 from ``params._damped_parts``, in every regime
 
-    zeta = f g,   mu_c = q g^2,   nu_c = g^2,
-    nu_v = (1 - f^2)/(q^2 - 1) = omega2^2 w,   mu_v = -q nu_v,
+    Var X_c = 1/2 + (o1+o2) o2 s^2    Var P_c = 1/2 - (o1-o2) o2 s^2
+    Var X_v = 1/2 - (o1-o2) o2 w      Var P_v = 1/2 + (o1+o2) o2 w
 
-with w = (1 - f^2)/L0^2 from ``params._damped_parts``, smooth through equal
-coupling, so one set of forms serves every regime.  The quadratures are
-linear in the weights: Var X = nu + 1/2 + mu and Var P = nu + 1/2 - mu.  One
-map, :func:`squeezed_thermal`, takes a pair of variances to
+(:func:`quad_variances`); w is smooth through equal coupling, so one set of
+forms serves every regime.  One map, :func:`squeezed_thermal`, takes a pair
+of variances to
 
      n_bar = sqrt(Var X Var P) - 1/2  and  xi = (1/4) ln(Var P / Var X),
 
-which places the sign convention (xi_c <= 0, xi_v >= 0) automatically.
+which places the sign convention (xi_c <= 0, xi_v >= 0) automatically;
+:func:`mode_spec` is that map of :func:`quad_variances`, with the entangling
+weight zeta = f g of the joint expansion.
 
 Array contract: :func:`squeezed_thermal`, :func:`mode_spec`,
 :func:`quad_variances` and :func:`displacement_trajectory` take a scalar t
@@ -60,17 +62,12 @@ class ModeSpec:
     """Squeezed-thermal description of one mode at one time (or elementwise
     over an array of times).
 
-    ``zeta = f g`` is the entangling weight of the joint expansion; ``mu``
-    and ``nu`` are the per-mode assembly weights the (n_bar, xi) pair is
-    derived from.
+    ``zeta = f g`` is the entangling weight of the joint expansion.
     """
 
-    mode: str  # "c" or "v"
     n_bar: ArrayLike
     xi: ArrayLike
     zeta: ArrayLike
-    mu: ArrayLike
-    nu: ArrayLike
 
 
 @dataclass(frozen=True)
@@ -119,24 +116,6 @@ class LosslessSpec:
     product_state: Optional[int] = None
 
 
-def _weights(params: CouplingParams, t: ArrayLike, mode: str):
-    """(zeta, mu, nu) of one mode at time(s) t, as arrays of the shape of t.
-
-    mu_c = q g^2 is written as omega1 omega2 s^2 (s = g/omega2), and the
-    mode-v pair as mu_v = -omega1 omega2 w, nu_v = omega2^2 w
-    (w = (1 - f^2)/L0^2); all stay finite as omega2 -> 0 and at equal
-    coupling.
-    """
-    f, s, _, w = _damped_parts(params, t)
-    o1, o2 = params.omega1, params.omega2
-    g = o2 * s
-    if mode == "c":
-        mu, nu = o1 * s * g, g * g
-    else:
-        mu, nu = -o1 * o2 * w, o2 * o2 * w
-    return f * g, mu, nu
-
-
 def squeezed_thermal(var_x: ArrayLike, var_p: ArrayLike, params: CouplingParams,
                      t: ArrayLike, mode: str):
     """(n_bar, xi) of a squeezed thermal state from its quadrature variances.
@@ -168,16 +147,17 @@ def squeezed_thermal(var_x: ArrayLike, var_p: ArrayLike, params: CouplingParams,
 def mode_spec(params: CouplingParams, t: ArrayLike, mode: str) -> ModeSpec:
     """Squeezed-thermal parameters (n_bar, xi) of one mode at time(s) t.
 
-    (n_bar, xi) follow from the weights through Var X = nu + 1/2 + mu and
-    Var P = nu + 1/2 - mu (see :func:`squeezed_thermal`).  Serves every
-    regime; for omega2 = 0 the state stays vacuum and all fields are zero.
+    (n_bar, xi) are :func:`squeezed_thermal` of the mode's variances from
+    :func:`quad_variances`.  Serves every regime; for omega2 = 0 the state
+    stays vacuum and all fields are zero.
     """
     if mode not in ("c", "v"):
         raise ValueError(f"mode must be 'c' or 'v', got {mode!r}")
-    zeta, mu, nu = _weights(params, t, mode)
-    n_bar, xi = squeezed_thermal(nu + 0.5 + mu, nu + 0.5 - mu, params, t, mode)
-    return ModeSpec(mode=mode, n_bar=n_bar, xi=xi, zeta=_shaped(zeta, t), mu=_shaped(mu, t),
-                    nu=_shaped(nu, t))
+    q = quad_variances(params, t)
+    var_x, var_p = (q.var_xc, q.var_pc) if mode == "c" else (q.var_xv, q.var_pv)
+    n_bar, xi = squeezed_thermal(var_x, var_p, params, t, mode)
+    f, s, _, _ = _damped_parts(params, t)
+    return ModeSpec(n_bar=n_bar, xi=xi, zeta=_shaped(f * (params.omega2 * s), t))
 
 
 def steady_squeeze(params: CouplingParams) -> float:
@@ -250,15 +230,10 @@ def quad_variances(
     """Quadrature variances and means of both modes at time(s) t.
 
     Variances do not depend on the coherent displacements (alpha, beta);
-    the means are sqrt(2) Re/Im of the displacement trajectory (u, v).
-
-    With g = omega2 s and w = (1 - f^2)/L0^2, in every regime:
-
-        Var X_c = 1/2 + (o1+o2) o2 s^2    Var P_c = 1/2 - (o1-o2) o2 s^2
-        Var X_v = 1/2 - (o1-o2) o2 w      Var P_v = 1/2 + (o1+o2) o2 w
-
-    omega2 = 0 gives the vacuum values 1/2, and at equal coupling
-    Var P_c = Var X_v = 1/2 exactly.
+    the means are sqrt(2) Re/Im of the displacement trajectory (u, v).  The
+    variances are the module's closed forms in s and w; omega2 = 0 gives
+    the vacuum values 1/2, and at equal coupling Var P_c = Var X_v = 1/2
+    exactly.
     """
     u, v = displacement_trajectory(params, alpha, beta, t)
     o1, o2 = params.omega1, params.omega2

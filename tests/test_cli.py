@@ -144,6 +144,23 @@ class TestValidate:
                 "quadrature delta")]
         assert lines[-1].startswith("FAILED: 2 check(s)")
 
+    def test_series_refusal_is_a_fail_line(self, capsys):
+        # at equal coupling the series needs more than 60 terms at t = 1 and
+        # has |f g| >= 1 from t = 2 on: each refusal fails its joint check
+        # only, and every checkpoint still runs
+        assert main(["validate", "--omega2", "1"]) == EXIT_VALIDATION
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            f"t={t} {check}" for t in ("0.5", "1", "2", "4") for check in (
+                "joint trace distance", "mode-c fidelity deficit", "mode-v fidelity deficit",
+                "quadrature delta")]
+        assert lines[4] == ("t=1 joint trace distance: assembly needs m+n > 60 terms "
+                            "(|f g| = 0.9063); refusing direct summation at this parameter point FAIL")
+        for line in (lines[8], lines[12]):
+            assert re.fullmatch(r"t=[24] joint trace distance: assembly refused: \|f g\| = \S+ >= 1, "
+                                r"the operator series has no geometric tail bound at this time FAIL", line)
+        assert lines[-1].startswith("FAILED: ")
+
     def test_default_drive_kept_under_config_file(self, tmp_path, capsys):
         # validate's omega2/omega1 = 0.3 sits under the config file, not in place of it
         config = tmp_path / "run.json"

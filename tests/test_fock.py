@@ -25,6 +25,7 @@ from ioncavity import (
     default_dim,
     displacement_op,
     displacement_trajectory,
+    evolve_trajectory,
     jacobi_poly,
     ladder,
     lossless_ket,
@@ -40,7 +41,6 @@ from ioncavity import (
     state_metrics,
     steady_squeeze,
     squeeze_op,
-    thermal_state,
 )
 from ioncavity import fock
 from superop_oracle import raise_superop
@@ -50,6 +50,11 @@ OSC3 = classify_regime(1.0, 0.3, 0.4)
 
 TAU_0 = 2.1369155784089675
 TAU_PRIME_1 = 3.958034705745753
+
+
+def thermal(n_bar, N):
+    """The thermal state on N levels: R^{0,0}(n_bar)."""
+    return FockDensity(r_operator(0, 0, n_bar, N), dims=(N,))
 
 
 def vacuum_density(N):
@@ -129,19 +134,39 @@ class TestSqueeze:
 
 class TestThermal:
     def test_vacuum(self):
-        rho = thermal_state(0.0, 6)
+        rho = thermal(0.0, 6)
         assert rho.entries[0, 0] == 1.0 and abs(np.trace(rho.entries) - 1) < 1e-15
 
     def test_geometric_weights(self):
-        rho = thermal_state(1.0, 12)
+        rho = thermal(1.0, 12)
         np.testing.assert_allclose(np.diag(rho.entries).real,
                                    [0.5 ** (k + 1) for k in range(12)], rtol=1e-13)
 
     def test_trace_deficit_reported(self):
         nb, N = 0.8, 10
-        rho = thermal_state(nb, N)
+        rho = thermal(nb, N)
         assert rho.trace_deficit == pytest.approx((nb / (nb + 1)) ** N, rel=1e-12)
         assert 1.0 - rho.trace() == pytest.approx(rho.trace_deficit, rel=1e-10)
+
+
+class TestTraceDeficit:
+    """``trace_deficit`` is |1 - tr rho|, measured on every density."""
+
+    def test_propagated_and_partial_trace(self):
+        rho0 = FockDensity(np.kron(vacuum_density(6).entries, vacuum_density(5).entries), dims=(6, 5))
+        rho = evolve_trajectory(OSC3, rho0, [1.0])[-1]
+        for state in (rho, partial_trace(rho, "c"), partial_trace(rho, "v")):
+            assert type(state.trace_deficit) is float
+            assert state.trace_deficit == abs(1.0 - state.trace())
+
+    def test_reduced_density_is_the_thermal_tail(self):
+        # the squeeze and displacement keep the trace, so only the thermal
+        # weights cut off at N levels are missing
+        growing, N = classify_regime(1.0, 1.3, 0.4), 12
+        for mode in "cv":
+            nb = mode_spec(growing, 1.0, mode).n_bar
+            rho = reduced_density(growing, 1.0, mode, 0.3, 0.2j, N)
+            assert rho.trace_deficit == pytest.approx((nb / (nb + 1.0)) ** N, rel=1e-10)
 
 
 class TestJacobiPoly:
@@ -304,8 +329,9 @@ class TestCoefficientsExact:
 
 class TestROperator:
     def test_ground_family_is_thermal(self):
-        np.testing.assert_allclose(r_operator(0, 0, 0.7, 20),
-                                   thermal_state(0.7, 20).entries, atol=1e-15)
+        nb, k = 0.7, np.arange(20)
+        np.testing.assert_allclose(r_operator(0, 0, nb, 20),
+                                   np.diag(nb**k / (nb + 1.0) ** (k + 1)), atol=1e-15)
 
     def test_single_raising_on_vacuum(self):
         R = r_operator(1, 0, 0.0, 6)
@@ -335,21 +361,21 @@ class TestROperator:
             for m in range(6):
                 for n in range(6 - m):
                     closed = r_operator(m, n, nb, N)
-                    raised = raise_superop(thermal_state(nb, N + m + n), m, n)
+                    raised = raise_superop(thermal(nb, N + m + n), m, n)
                     np.testing.assert_allclose(raised[:N, :N], closed,
                                                atol=1e-10)
 
 
 class TestRaiseSuperop:
     def test_identity_map(self):
-        rho = thermal_state(0.5, 10)
+        rho = thermal(0.5, 10)
         out = raise_superop(rho, 0, 0)
         np.testing.assert_array_equal(out, rho.entries)
 
     def test_linearity(self):
         N = 24  # headroom guard needs the thermal tails to clear the edge
-        a = thermal_state(0.2, N).entries
-        b = thermal_state(0.9, N).entries
+        a = thermal(0.2, N).entries
+        b = thermal(0.9, N).entries
         mix = FockDensity(entries=0.3 * a + 0.7 * b, dims=(N,))
         lhs = raise_superop(mix, 2, 1)
         rhs = (0.3 * raise_superop(FockDensity(entries=a, dims=(N,)), 2, 1)
@@ -367,7 +393,7 @@ class TestQOperator:
     def test_ground_is_squeezed_thermal(self):
         nb, xi, N = 0.4, -0.3, 40
         S = squeeze_op(xi, N)
-        want = S @ thermal_state(nb, N).entries @ S.conj().T
+        want = S @ thermal(nb, N).entries @ S.conj().T
         np.testing.assert_allclose(q_operator(0, 0, nb, xi, N), want, atol=1e-10)
 
     def test_zero_squeeze_reduces_to_r(self):
@@ -577,8 +603,8 @@ class TestLosslessKet:
 
 class TestPartialTraceAndMetrics:
     def test_product_state_recovers_factor(self):
-        a = thermal_state(0.4, 6).entries
-        b = thermal_state(0.9, 5).entries
+        a = thermal(0.4, 6).entries
+        b = thermal(0.9, 5).entries
         a /= np.trace(a)  # unit-trace factors so the kept side comes back exactly
         b /= np.trace(b)
         joint = FockDensity(entries=np.kron(a, b), dims=(6, 5))
@@ -616,12 +642,12 @@ class TestPartialTraceAndMetrics:
         assert m.trace_distance == pytest.approx(1.0, abs=1e-12)
 
     def test_thermal_purity(self):
-        m = state_metrics(thermal_state(1.0, 40), thermal_state(1.0, 40))
+        m = state_metrics(thermal(1.0, 40), thermal(1.0, 40))
         assert m.purity == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            state_metrics(thermal_state(0.1, 5), thermal_state(0.1, 6))
+            state_metrics(thermal(0.1, 5), thermal(0.1, 6))
 
 
 class TestValidatePositivity:
@@ -660,7 +686,7 @@ class TestQuadStats:
     def test_squeezed_thermal(self):
         nb, xi, N = 0.4, 0.35, 40
         S = squeeze_op(xi, N)
-        rho = FockDensity(entries=S @ thermal_state(nb, N).entries @ S.conj().T, dims=(N,))
+        rho = FockDensity(entries=S @ thermal(nb, N).entries @ S.conj().T, dims=(N,))
         _, _, vx, vp = quad_stats(rho)
         assert vx == pytest.approx((nb + 0.5) * math.exp(-2 * xi), abs=1e-8)
         assert vp == pytest.approx((nb + 0.5) * math.exp(2 * xi), abs=1e-8)

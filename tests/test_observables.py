@@ -35,6 +35,7 @@ from ioncavity import (
     steady_squeeze,
 )
 from ioncavity.observables import squeezed_thermal
+from ioncavity.params import _damped_parts
 
 OSC = classify_regime(1.0, 0.6, 0.4)
 OSC3 = classify_regime(1.0, 0.3, 0.4)
@@ -42,6 +43,17 @@ OVER = classify_regime(1.0, 0.95, 1.5)
 EQUAL = classify_regime(1.0, 1.0, 0.4)
 GROWING = classify_regime(1.0, 1.3, 0.4)
 LOSSLESS = classify_regime(1.0, 0.6, 0.0)
+
+# one point per regime and limit
+REGIME_POINTS = [
+    pytest.param((1.0, 0.6, 0.4), id="oscillatory"),
+    pytest.param((1.0, 0.6, 4.0), id="overdamped"),
+    pytest.param((1.0, 0.6, 4.0 * math.sqrt(1.0 - 0.36)), id="degenerate"),
+    pytest.param((1.0, 1.0, 0.4), id="equal_coupling"),
+    pytest.param((1.0, 1.3, 0.4), id="growing"),
+    pytest.param((1.0, 0.6, 0.0), id="lossless"),
+    pytest.param((1.0, 0.0, 0.4), id="omega2_zero"),
+]
 
 # frozen from the bisection oracle below (brentq on the envelope functions)
 TAU_0 = 2.1369155784089675
@@ -111,22 +123,23 @@ class TestModeSpec:
             assert mode_spec(OSC, t, "c").xi <= 0.0
             assert mode_spec(OSC, t, "v").xi >= 0.0
 
-    def test_nbar_weight_consistency(self):
+    def test_zeta_is_f_g(self):
         for t in (0.4, 1.1, 2.7):
             for mode in "cv":
-                s = mode_spec(OSC, t, mode)
-                want = -0.5 + math.sqrt((s.nu + 0.5) ** 2 - s.mu * s.mu)
-                assert s.n_bar == pytest.approx(want, abs=1e-14)
-                assert s.zeta == pytest.approx(
+                assert mode_spec(OSC, t, mode).zeta == pytest.approx(
                     envelope(OSC, t).f * envelope(OSC, t).g, abs=1e-14)
 
-    def test_equal_coupling_mode_v_matches_oracle(self):
+    @pytest.mark.parametrize("point", REGIME_POINTS)
+    def test_matches_covariance_oracle(self, point):
+        p = classify_regime(*point)
         ts = np.array([0.3, 1.0, 2.5, 5.0])
-        spec = mode_spec(EQUAL, ts, "v")
-        for t, nb, xi, V in zip(ts, spec.n_bar, spec.xi, covariance_oracle(EQUAL, ts)):
-            want_nb, want_xi = squeezed_thermal(V[2, 2], V[3, 3], EQUAL, t, "v")
-            assert nb == pytest.approx(want_nb, abs=1e-8, rel=1e-8)
-            assert xi == pytest.approx(want_xi, abs=1e-8, rel=1e-8)
+        Vs = covariance_oracle(p, ts)
+        for mode, i in (("c", 0), ("v", 2)):
+            spec = mode_spec(p, ts, mode)
+            for t, nb, xi, V in zip(ts, spec.n_bar, spec.xi, Vs):
+                want_nb, want_xi = squeezed_thermal(V[i, i], V[i + 1, i + 1], p, t, mode)
+                assert nb == pytest.approx(want_nb, abs=1e-8, rel=1e-8)
+                assert xi == pytest.approx(want_xi, abs=1e-8, rel=1e-8)
 
     def test_equal_coupling_mode_c_allowed(self):
         spec = mode_spec(EQUAL, 1.0, "c")
@@ -346,7 +359,7 @@ class TestNearEqualCouplingPrecision:
             nu_v = (1 - f * f) * w2 * w2 / l0_sq
             var_pv = mp.mpf(0.5) + w2 / (1 - w2) * (1 - f * f)
             p = classify_regime(1.0, omega2, gamma)
-            got_nu_v = mode_spec(p, t, "v").nu
+            got_nu_v = omega2 * omega2 * _damped_parts(p, t)[3]
             got_var_pv = quad_variances(p, t).var_pv
             assert abs((got_nu_v - nu_v) / nu_v) < 1e-12
             assert abs((got_var_pv - var_pv) / var_pv) < 1e-12
@@ -461,11 +474,7 @@ class TestArrayContract:
         for part in (np.real, np.imag) if kind is complex else (np.real,):
             np.testing.assert_array_max_ulp(part(array_value), part(want), maxulp=2)
 
-    @pytest.mark.parametrize("point", [
-        (1.0, 0.6, 0.4), (1.0, 0.6, 4.0), (1.0, 0.6, 4.0 * math.sqrt(1.0 - 0.36)),
-        (1.0, 1.0, 0.4), (1.0, 1.3, 0.4), (1.0, 0.6, 0.0), (1.0, 0.0, 0.4),
-    ], ids=["oscillatory", "overdamped", "degenerate", "equal_coupling", "growing",
-            "lossless", "omega2_zero"])
+    @pytest.mark.parametrize("point", REGIME_POINTS)
     def test_array_matches_scalar(self, point):
         p = classify_regime(*point)
         ts = self.TS
@@ -483,5 +492,5 @@ class TestArrayContract:
         for mode in ("c", "v"):
             spec = mode_spec(p, ts, mode)
             scalar_specs = [mode_spec(p, t, mode) for t in ts]
-            for field in ("n_bar", "xi", "zeta", "mu", "nu"):
+            for field in ("n_bar", "xi", "zeta"):
                 self._agree(getattr(spec, field), [getattr(s, field) for s in scalar_specs])

@@ -21,7 +21,7 @@ def test_package_lists_exactly_the_module_names():
     assert sorted(ioncavity.__all__) == sorted(names)
 
 
-@pytest.mark.parametrize("name", ["FockOperator", "FockKet", "quad_stats_single"])
+@pytest.mark.parametrize("name", ["FockOperator", "FockKet", "quad_stats_single", "thermal_state"])
 def test_removed_names_are_gone(name):
     assert not hasattr(ioncavity, name)
     assert not hasattr(fock, name)
