@@ -2,13 +2,15 @@
 
 Ladder, displacement and squeeze operators; the R^{m,n} and Q^{m,n} operator
 families that expand the exact joint density operator; assembly of that
-density operator with its geometric series budget; partial traces, state
-metrics and quadrature statistics measured from matrices.
+density operator, with a series cutoff read from its level norms; partial
+traces, state metrics and quadrature statistics measured from matrices.
 
-Single-mode operators are plain complex (N, N) arrays, entry [row, col] =
-<row| O |col>, and the lossless ket is a flat complex array.  Densities are
-``FockDensity``, which also carries the mode dimensions, measures its own
-trace deficit and checks its own invariants.
+Single-mode operators are plain (N, N) arrays, entry [row, col] =
+<row| O |col>: real where every factor is (R^{m,n}, an undisplaced frame, and
+the states built from them with no displacement), complex otherwise.  The
+lossless ket is a flat complex array.  Densities are ``FockDensity``, which
+also carries the mode dimensions, measures its own trace deficit and checks
+its own invariants.
 
 Conventions.  R^{m,n}(n_bar) is anchored to its superoperator construction
 
@@ -27,32 +29,44 @@ with the superoperator route (verified against it in the test suite).  The
 per-mode sign (-1)^n cancels in the joint products, so the assembled
 density operator is independent of this bookkeeping.
 
-Each family has one builder per level L = m+n: ``_q_level`` (every Q^{m,L-m},
-shared by ``q_operator``, ``assemble_joint_density`` and ``reduced_density``)
-and ``_r_level`` (every R^{L-s,s} with 2s <= L; ``r_operator`` is one
-element).  R^{0,0} is the thermal state, so a reduced state D(w) S(xi)
-R^{0,0} S(xi)^dag D(w)^dag is the L = 0 term of the joint series, and one
-builder, ``_frame``, gives the D(w) S(xi) of every conjugation.  A level costs
-one ``jacobi_poly`` and one ``c_coefficient`` call, as both take ints or int
+Each family has one builder per level L = m+n.  ``_r_diagonals`` holds every
+R^{L-k,k} by its one diagonal, from one ``jacobi_poly`` call; ``_dense``
+spreads them into matrices, and ``r_operator`` is one of them.
+``_q_level`` (every Q^{m,L-m}, shared by ``q_operator`` and
+``reduced_density``) adds one ``c_coefficient`` call.  Both take ints or int
 arrays for every index, broadcast together: scalars give a Python float, and
 any bad element raises the scalar ValueError.  Log-factorials come from one
 ``math.lgamma`` table and each series is summed in index order, so array and
-scalar calls agree.
+scalar calls agree.  R^{0,0} is the thermal state, so a reduced state
+D(w) S(xi) R^{0,0} S(xi)^dag D(w)^dag is the L = 0 term of the joint series,
+and one builder, ``_frame``, gives the D(w) S(xi) of every conjugation.
+
+The joint density needs no C coefficient.  With U = D(w) S(xi) per mode,
+
+    rho = (U_c (x) U_v) X (U_c (x) U_v)^dag,
+    X = sum_L zeta^L sum_{k,k'} T_L[k, k'] R_c^{L-k,k} (x) R_v^{L-k',k'},
+
+where T_L = C_c^T C_v (the C tables of level L at -xi_c and -xi_v) has a
+closed form in xi_c + xi_v (``_level_tables``).  ``_joint_core`` sums X from
+the diagonal tables and stops at its measured level norms;
+``_conjugate`` applies the frame by one-mode products on each axis.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import TruncationError, ValidityError
 from .observables import (
+    ModeSpec,
     QuadTuple,
     displacement_trajectory,
     lossless_spec,
@@ -86,7 +100,7 @@ __all__ = [
 TOL_PSD = 1e-8
 
 #: direct summation of the operator-family series is capped here; the
-#: assembler's geometric tail bound must already have truncated by then
+#: assembler's level-norm rule must stop by then
 MAX_MN_CUTOFF = 60
 
 
@@ -122,8 +136,14 @@ class FockDensity:
         return float(np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))[0])
 
     def validate(self, tol_trace: float = 1e-6) -> None:
-        """Assert the Hermiticity / positivity / trace invariants."""
-        shifted = self.entries - self.entries.conj().T  # one D x D difference serves both checks
+        """Assert the Hermiticity / positivity / trace invariants.
+
+        Positivity is one in-place LAPACK Cholesky factorization (potrf) of
+        the Hermitian part shifted by ``TOL_PSD``; only when it fails are the
+        eigenvalues computed, to name the lowest.
+        """
+        shifted = np.conjugate(self.entries.T)  # one D x D buffer serves both checks
+        np.subtract(self.entries, shifted, out=shifted)
         if (herm := float(np.abs(shifted).max())) > 1e-10:
             raise ValidityError(f"density not Hermitian: max |rho - rho^dag| = {herm:.3e}")
         if abs((tr := self.trace()) - 1.0) > tol_trace:
@@ -131,20 +151,25 @@ class FockDensity:
         shifted *= -0.5
         shifted += self.entries  # the Hermitian part rho - (rho - rho^dag)/2, in place
         shifted.flat[:: shifted.shape[0] + 1] += TOL_PSD  # Cholesky succeeds iff lambda_min > -TOL_PSD
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:  # only then are the eigenvalues needed, to name the lowest
-            if (lo := float(np.linalg.eigvalsh(shifted)[0]) - TOL_PSD) < -TOL_PSD:
-                raise ValidityError(f"density has eigenvalue {lo:.3e} < -{TOL_PSD}") from None
+        # factorized in place; the F-ordered view is its conjugate, positive definite with it
+        potrf, = get_lapack_funcs(("potrf",), (shifted,))
+        _, info = potrf(shifted.T, overwrite_a=True, clean=False)
+        if info < 0:
+            raise ValueError(f"potrf: illegal argument {-info}")
+        if info > 0:  # only then are the eigenvalues needed, to name the lowest
+            if (lo := self.min_eigenvalue()) < -TOL_PSD:
+                raise ValidityError(f"density has eigenvalue {lo:.3e} < -{TOL_PSD}")
 
 
 @dataclass(frozen=True)
 class AssemblyBudget:
     """Truncation budget for assembling the joint density operator.
 
-    ``mn_cutoff`` limits m+n in the double sum; None selects the smallest
-    cutoff whose geometric tail |f g|^{M+1}/(1 - |f g|) falls below
-    ``series_tol``.
+    ``mn_cutoff`` limits the level L = m+n of the double sum, and is refused
+    when |f g|^{M+1} exceeds ``series_tol``.  None stops at the first level
+    whose exact Frobenius norm, extrapolated geometrically at its ratio to
+    the level below, bounds the tail below ``series_tol``; a series that
+    needs more than ``MAX_MN_CUTOFF`` levels is refused.
     """
 
     dims: Tuple[int, int]
@@ -267,14 +292,20 @@ def c_coefficient(m, n, k, xi: float):
 
 
 def _frame(w: complex, xi: float, N: int) -> np.ndarray:
-    """D(w) S(xi) on N levels; S(xi) alone when w = 0."""
+    """D(w) S(xi) on N levels; S(xi) alone, as a real matrix, when w = 0."""
     S = squeeze_op(xi, N)
-    return S if w == 0 else displacement_op(w, N) @ S
+    return np.ascontiguousarray(S.real) if w == 0 else displacement_op(w, N) @ S
 
 
-def _r_level(L: int, n_bar: float, N: int) -> np.ndarray:
-    """Stack of R^{L-s,s}(n_bar) on N levels, s = 0..L//2, each on its diagonal
-    |c+L-2s><c| (see ``r_operator``), from one ``jacobi_poly`` call over (s, c)."""
+def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
+    """(L+1, N) table of R^{L-k,k}(n_bar) on N levels, k = 0..L, by diagonals.
+
+    R^{L-k,k} lies on the diagonal row - col = L - 2k; row k of the table
+    holds its entries at min(row, col) = c, zero where max(row, col) >= N.
+    Rows k <= L/2 come from one ``jacobi_poly`` call over (k, c) (see
+    ``r_operator``); the others are (-1)^L times their mirror L - k, by the
+    adjoint rule.
+    """
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
     s, c = np.arange(L // 2 + 1)[:, None], np.arange(N)
@@ -282,9 +313,18 @@ def _r_level(L: int, n_bar: float, N: int) -> np.ndarray:
     lf = _log_factorials((N + L).bit_length())
     mag = 0.5 * (lf[s] + lf[c] - lf[m] - lf[row]) - (m + 1) * math.log(n_bar + 1.0)
     vals = np.where(s % 2, -1.0, 1.0) * np.exp(mag) * jacobi_poly(m, c, c - s, n_bar / (n_bar + 1.0))
-    out = np.zeros((len(s), N, N), dtype=complex)
-    si, ci = np.nonzero(row < N)
-    out[si, row[si, ci], ci] = vals[si, ci]
+    half = np.where(row < N, vals, 0.0)
+    mirror = half[: (L + 1) // 2][::-1]
+    return np.concatenate([half, -mirror if L % 2 else mirror])
+
+
+def _dense(r: np.ndarray) -> np.ndarray:
+    """(L+1, N, N) operators from the (L+1, N) diagonal table of ``_r_diagonals``."""
+    L, N = r.shape[0] - 1, r.shape[1]
+    k, c = np.nonzero(r)
+    d = L - 2 * k
+    out = np.zeros((L + 1, N, N))
+    out[k, c + np.maximum(d, 0), c - np.minimum(d, 0)] = r[k, c]
     return out
 
 
@@ -296,30 +336,22 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
         (-1)^n sqrt(n! k!/(m! (k+m-n)!)) (n_bar+1)^{-(m+1)}
                P_m^{k,k-n}(n_bar/(n_bar+1))   at |k+m-n><k| ,
 
-    element n of ``_r_level(m+n, ...)``; for m < n the operator is
-    (-1)^{m+n} times the conjugate transpose of r_operator(n, m).  R^{0,0}
-    is the thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.
+    row n of ``_r_diagonals(m+n, ...)``; for m < n the operator is
+    (-1)^{m+n} times the transpose of r_operator(n, m).  R^{0,0} is the
+    thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.  A real matrix.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    if m < n:
-        sign = -1.0 if (m + n) % 2 else 1.0
-        return sign * r_operator(n, m, n_bar, N).conj().T
-    return _r_level(m + n, n_bar, N)[n]
+    return _dense(_r_diagonals(m + n, n_bar, N))[n]
 
 
 def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
     """Stack of Q^{m,L-m}(n_bar, xi) for m = 0..L, conjugated by U.
 
     Q^{m,L-m} = sum_k C_k^{m,L-m}(-xi) U R^{L-k,k}(n_bar) U^dag, where U is
-    S(xi), or D(w) S(xi) to carry a coherent displacement along.  Only the
-    sandwiches with L-k >= k are formed; by the adjoint rule of
-    ``r_operator`` each of the others is (-1)^L times the conjugate
-    transpose of its mirror k -> L-k.
+    S(xi), or D(w) S(xi) to carry a coherent displacement along.
     """
-    S = U @ _r_level(L, n_bar, U.shape[0]) @ U.conj().T
-    mirror = S[: (L + 1) // 2][::-1].conj().transpose(0, 2, 1)
-    S = np.concatenate([S, -mirror if L % 2 else mirror])
+    S = U @ _dense(_r_diagonals(L, n_bar, U.shape[0])) @ U.conj().T
     m = k = np.arange(L + 1)
     return np.tensordot(c_coefficient(m[:, None], L - m[:, None], k, -xi), S, axes=1)
 
@@ -342,31 +374,110 @@ def default_dim(params: CouplingParams) -> int:
     return max(16, math.ceil(8.0 * (nb + 1.0) * math.exp(2.0 * xb)))
 
 
-def _resolve_cutoff(zeta: float, budget: AssemblyBudget) -> int:
+def _level_tables(sigma: float):
+    """Yield T_L for L = 0, 1, ...: the (L+1, L+1) table
+    T_L[k, k'] = sum_m C_k^{m,L-m}(-xi_c) C_k'^{m,L-m}(-xi_v), sigma = xi_c + xi_v.
+
+    In closed form T_L[k, k'] = sqrt(k! (L-k)! k'! (L-k')!)/L! times the
+    x^k y^k' coefficient of (cosh sigma (1 + x y) - sinh sigma (x + y))^L,
+    one O(L^2) step per level.  Every term of each step has the sign
+    (-sign sigma)^{k+k'}, so nothing cancels; the product of C tables does.
+    """
+    ch, sh = math.cosh(sigma), -math.sinh(sigma)
+    c = np.ones((1, 1))
+    for L in itertools.count():
+        lf = _log_factorials((L + 1).bit_length())
+        k = np.arange(L + 1)
+        w = np.exp(0.5 * (lf[k] + lf[L - k] - lf[L]))
+        yield c * w[:, None] * w
+        nxt = np.zeros((L + 2, L + 2))
+        nxt[:-1, :-1] = ch * c
+        nxt[1:, 1:] += ch * c
+        nxt[1:, :-1] += sh * c
+        nxt[:-1, 1:] += sh * c
+        c = nxt
+
+
+def _level_norm(zT: np.ndarray, rc: np.ndarray, rv: np.ndarray) -> float:
+    """Frobenius norm of sum_{k,k'} zT[k, k'] R_c^{L-k,k} (x) R_v^{L-k',k'} from the
+    diagonal tables: each (k, k') sits on its own pair of diagonals, so the
+    terms are orthogonal."""
+    return math.sqrt((rc * rc).sum(1) @ (zT * zT) @ (rv * rv).sum(1))
+
+
+def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
+                dtype: np.dtype) -> np.ndarray:
+    """The series in the unconjugated Fock basis, as an (Nc, Nv, Nc, Nv) tensor
+    of ``dtype`` (it is real, but becomes a buffer of the conjugation),
+
+        X = sum_L zeta^L sum_{k,k'} T_L[k, k'] R_c^{L-k,k} (x) R_v^{L-k',k'}.
+
+    With no ``mn_cutoff`` it stops at the first level L >= 1 whose norm
+    n_L, extrapolated geometrically at the ratio q = n_L/n_{L-1} < 1, bounds
+    the tail n_L q/(1 - q) below ``series_tol``.  n_L is exact
+    (``_level_norm``), and it is the norm of the conjugated level too, as
+    the frame is unitary on the truncated basis.
+    """
+    zeta, (Nc, Nv) = spec_c.zeta, budget.dims
     az = abs(zeta)
     if az >= 1.0:
         raise TruncationError(
             f"assembly refused: |f g| = {az:.6g} >= 1, the operator series has "
             "no geometric tail bound at this time"
         )
-    if budget.mn_cutoff is not None:
-        if az ** (budget.mn_cutoff + 1) > budget.series_tol:
-            raise TruncationError(
-                f"assembly budget exhausted: |f g|^{budget.mn_cutoff + 1} = "
-                f"{az ** (budget.mn_cutoff + 1):.3e} > series_tol = {budget.series_tol:.3e}"
-            )
-        return budget.mn_cutoff
-    if az == 0.0:
-        return 0
-    M = 0
-    while az ** (M + 1) / (1.0 - az) >= budget.series_tol:
-        M += 1
-        if M > MAX_MN_CUTOFF:
+    M = budget.mn_cutoff
+    if M is not None and az ** (M + 1) > budget.series_tol:
+        raise TruncationError(
+            f"assembly budget exhausted: |f g|^{M + 1} = "
+            f"{az ** (M + 1):.3e} > series_tol = {budget.series_tol:.3e}"
+        )
+    rc_levels, v_levels, norm = [], [], 0.0
+    for L, T in enumerate(_level_tables(spec_c.xi + spec_v.xi)):
+        rc, rv = _r_diagonals(L, spec_c.n_bar, Nc), _r_diagonals(L, spec_v.n_bar, Nv)
+        zT = zeta**L * T
+        rc_levels.append(rc)
+        # mode-v factor of each (L, k): sum_k' zT[k, k'] R_v^{L-k',k'}, dense
+        v_levels.append((zT @ _dense(rv).reshape(L + 1, -1)).reshape(L + 1, Nv, Nv))
+        if M is not None:
+            if L == M:
+                break
+            continue
+        prev, norm = norm, _level_norm(zT, rc, rv)
+        if L > 0 and norm < prev and norm * norm / (prev - norm) < budget.series_tol:
+            break
+        if L == MAX_MN_CUTOFF:
             raise TruncationError(
                 f"assembly needs m+n > {MAX_MN_CUTOFF} terms (|f g| = {az:.4f}); "
                 "refusing direct summation at this parameter point"
             )
-    return M
+    M = len(rc_levels) - 1
+    # the block of X on the diagonal i - i' = d of mode c is one product over the
+    # levels L = |d|, |d| + 2, ... <= M, at k = (L - d)/2
+    X = np.zeros((Nc, Nv, Nc, Nv), dtype=dtype)
+    for d in range(-min(M, Nc - 1), min(M, Nc - 1) + 1):
+        Ls = range(abs(d), M + 1, 2)
+        a = np.array([rc_levels[L][(L - d) // 2, : Nc - abs(d)] for L in Ls])
+        V = np.array([v_levels[L][(L - d) // 2] for L in Ls])
+        c = np.arange(Nc - abs(d))
+        X[c + max(d, 0), :, c - min(d, 0), :] = (a.T @ V.reshape(len(Ls), -1)).reshape(-1, Nv, Nv)
+    return X
+
+
+def _conjugate(X: np.ndarray, Uc: np.ndarray, Uv: np.ndarray) -> np.ndarray:
+    """Hermitian part of (Uc (x) Uv) X (Uc (x) Uv)^dag for an (Nc, Nv, Nc, Nv)
+    tensor X, by one-mode products on each axis in turn, with X as one of the
+    two D x D buffers (it is overwritten)."""
+    Nc, Nv = Uc.shape[0], Uv.shape[0]
+    D = Nc * Nv
+    A, B = X.reshape(D, D), np.empty((D, D), dtype=X.dtype)
+    np.matmul(Uc, A.reshape(Nc, -1), out=B.reshape(Nc, -1))
+    np.matmul(Uv, B.reshape(Nc, Nv, D), out=A.reshape(Nc, Nv, D))
+    np.matmul(Uc.conj(), A.reshape(D, Nc, Nv), out=B.reshape(D, Nc, Nv))
+    np.matmul(B.reshape(D * Nc, Nv), Uv.conj().T, out=A.reshape(D * Nc, Nv))
+    np.conjugate(A.T, out=B)
+    B += A
+    B *= 0.5
+    return B
 
 
 def assemble_joint_density(
@@ -378,25 +489,23 @@ def assemble_joint_density(
 ) -> FockDensity:
     """Assemble the exact joint density operator at time t on a truncated basis.
 
-    Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over m+n <= cutoff, each factor
-    conjugated by its mode's D(w) S(xi) (w = u(t), v(t)).  Serves every
-    regime: at omega2 = 0, f g = 0 leaves the single product term, and at
-    equal coupling the mode-v parameters stay finite.  Its ``trace_deficit``
-    is the loss of the series cutoff only.
+    Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over the levels L = m+n, each
+    factor conjugated by its mode's D(w) S(xi) (w = u(t), v(t)).  The series
+    is summed once in the unconjugated basis (``_joint_core``), which also
+    picks the cutoff from the level norms, and conjugated once by
+    D_c S_c (x) D_v S_v (``_conjugate``).  Serves every regime: at
+    omega2 = 0, f g = 0 leaves the single product term, and at equal
+    coupling the mode-v parameters stay finite.  Its ``trace_deficit`` is
+    the loss of the series cutoff only.
     """
     spec_c = mode_spec(params, t, "c")
     spec_v = mode_spec(params, t, "v")
-    M = _resolve_cutoff(spec_c.zeta, budget)
     Nc, Nv = budget.dims
-    # D_c S_c (x) D_v S_v conjugates each product Q_c (x) Q_v factor by factor
     u, v = displacement_trajectory(params, alpha, beta, t)
-    Uc, Uv = _frame(u, spec_c.xi, Nc), _frame(v, spec_v.xi, Nv)
-    Qc = np.concatenate([spec_c.zeta**L * _q_level(L, spec_c.n_bar, spec_c.xi, Uc) for L in range(M + 1)])
-    Qv = np.concatenate([_q_level(L, spec_v.n_bar, spec_v.xi, Uv) for L in range(M + 1)])
-    # rho[(i, k), (j, l)] = sum_p Qc[p, i, j] Qv[p, k, l]: one matrix product over p
-    rho = (Qc.reshape(len(Qc), -1).T @ Qv.reshape(len(Qv), -1)).reshape(Nc, Nc, Nv, Nv)
-    rho = rho.transpose(0, 2, 1, 3).reshape(Nc * Nv, Nc * Nv)
-    return FockDensity(entries=0.5 * (rho + rho.conj().T), dims=(Nc, Nv))
+    # without displacement both frames are real, and then so is every buffer
+    X = _joint_core(spec_c, spec_v, budget, complex if u or v else float)
+    rho = _conjugate(X, _frame(u, spec_c.xi, Nc), _frame(v, spec_v.xi, Nv))
+    return FockDensity(entries=rho, dims=(Nc, Nv))
 
 
 def reduced_density(

@@ -147,16 +147,17 @@ def squeezed_thermal(var_x: ArrayLike, var_p: ArrayLike, params: CouplingParams,
 def mode_spec(params: CouplingParams, t: ArrayLike, mode: str) -> ModeSpec:
     """Squeezed-thermal parameters (n_bar, xi) of one mode at time(s) t.
 
-    (n_bar, xi) are :func:`squeezed_thermal` of the mode's variances from
-    :func:`quad_variances`.  Serves every regime; for omega2 = 0 the state
-    stays vacuum and all fields are zero.
+    (n_bar, xi) are :func:`squeezed_thermal` of the mode's variances, the
+    forms of :func:`quad_variances`, and zeta = f g; all three come from one
+    ``_damped_parts`` evaluation.  Serves every regime; for omega2 = 0 the
+    state stays vacuum and all fields are zero.
     """
     if mode not in ("c", "v"):
         raise ValueError(f"mode must be 'c' or 'v', got {mode!r}")
-    q = quad_variances(params, t)
-    var_x, var_p = (q.var_xc, q.var_pc) if mode == "c" else (q.var_xv, q.var_pv)
+    f, s, _, w = _damped_parts(params, t)
+    variances = _variances(params, s, w)
+    var_x, var_p = variances[:2] if mode == "c" else variances[2:]
     n_bar, xi = squeezed_thermal(var_x, var_p, params, t, mode)
-    f, s, _, _ = _damped_parts(params, t)
     return ModeSpec(n_bar=n_bar, xi=xi, zeta=_shaped(f * (params.omega2 * s), t))
 
 
@@ -236,16 +237,21 @@ def quad_variances(
     exactly.
     """
     u, v = displacement_trajectory(params, alpha, beta, t)
-    o1, o2 = params.omega1, params.omega2
     _, s, _, w = _damped_parts(params, t)
-    variances = (
+    variances = _variances(params, s, w)
+    means = (math.sqrt(2.0) * x for x in (np.real(u), np.imag(u), np.real(v), np.imag(v)))
+    return QuadTuple(*(_shaped(x, t) for x in (*variances, *means)))
+
+
+def _variances(params: CouplingParams, s, w) -> Tuple:
+    """(Var X_c, Var P_c, Var X_v, Var P_v) from the envelope parts s and w."""
+    o1, o2 = params.omega1, params.omega2
+    return (
         0.5 + (o1 + o2) * o2 * s * s,
         0.5 - (o1 - o2) * o2 * s * s,
         0.5 - (o1 - o2) * o2 * w,
         0.5 + (o1 + o2) * o2 * w,
     )
-    means = (math.sqrt(2.0) * x for x in (np.real(u), np.imag(u), np.real(v), np.imag(v)))
-    return QuadTuple(*(_shaped(x, t) for x in (*variances, *means)))
 
 
 def displacement_trajectory(

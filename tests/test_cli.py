@@ -125,16 +125,20 @@ class TestValidate:
         assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
 
     def test_guard_trip_is_a_fail_line(self, capsys):
-        # at equal coupling and N = 16 the assembled joint density dips below
-        # -TOL_PSD from t = 0.25 on: that check fails, every other check runs
-        argv = ["validate", "--omega2", "1", "--nc", "16", "--nv", "16"]
+        # a series_tol of 1e-6 stops the series early enough that the assembled
+        # joint density dips below -TOL_PSD: each joint check fails, every other
+        # check runs
+        argv = ["validate", "--omega2", "1", "--nc", "16", "--nv", "16", "--series_tol", "1e-6"]
         assert main([*argv, "--times", "0.1,0.25"]) == EXIT_VALIDATION
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 * 4 + 1
-        assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:4] + lines[5:8])
+        assert all(self.CHECK_LINE.fullmatch(line) for line in lines[1:4] + lines[5:8])
+        assert lines[0] == ("t=0.1 joint trace distance: matrix is not PSD within tolerance "
+                            "(min eig -7.803e-08) FAIL")
         assert lines[4] == ("t=0.25 joint trace distance: matrix is not PSD within tolerance "
-                            "(min eig -1.247e-08) FAIL")
-        assert lines[-1] == "FAILED: 1 check(s): t=0.25 joint trace distance"
+                            "(min eig -1.586e-07) FAIL")
+        assert lines[-1] == ("FAILED: 2 check(s): t=0.1 joint trace distance; "
+                             "t=0.25 joint trace distance")
 
         assert main([*argv, "--times", "0.25,0.3"]) == EXIT_VALIDATION
         lines = capsys.readouterr().out.splitlines()
@@ -143,6 +147,12 @@ class TestValidate:
                 "joint trace distance", "mode-c fidelity deficit", "mode-v fidelity deficit",
                 "quadrature delta")]
         assert lines[-1].startswith("FAILED: 2 check(s)")
+
+    def test_default_series_tol_passes_where_the_guard_trips(self, capsys):
+        assert main(["validate", "--omega2", "1", "--nc", "16", "--nv", "16",
+                     "--times", "0.1,0.25"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
 
     def test_series_refusal_is_a_fail_line(self, capsys):
         # at equal coupling the series needs more than 60 terms at t = 1 and
@@ -178,6 +188,12 @@ class TestValidate:
         assert err.count("\n") == 1 and "dims (10, 10)" in err and "default_dim = 16" in err
         main(["validate", "--nc", "16", "--nv", "16", "--times", "0.5"])
         assert capsys.readouterr().err == ""
+
+    def test_unchecked_basis_noted_at_omega2_ge_omega1(self, capsys):
+        # default_dim is undefined there, so the chosen dims are not checked
+        assert main(["validate", "--omega2", "1", "--times", "0.1"]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "note: default_dim is undefined at omega2 >= omega1; dims (15, 15) are unchecked\n")
 
     def test_config_setting_dt_int_loads(self, tmp_path, capsys):
         config = tmp_path / "run.json"

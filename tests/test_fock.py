@@ -7,6 +7,7 @@ same object.  For the comparison the raised input is built with m+n spare
 levels and cropped, so both sides are exact on the compared block.
 """
 
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -43,6 +44,7 @@ from ioncavity import (
     squeeze_op,
 )
 from ioncavity import fock
+from ioncavity.fock import _level_norm, _level_tables, _r_diagonals
 from superop_oracle import raise_superop
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -420,6 +422,68 @@ class TestQOperator:
             np.testing.assert_allclose(raised, closed, atol=1e-8)
 
 
+class TestLevelTables:
+    """T_L[k, k'] = sum_m C_k^{m,L-m}(-xi_c) C_k'^{m,L-m}(-xi_v), by its closed form."""
+
+    XI_C, XI_V = -0.3, 0.5
+
+    @staticmethod
+    def c_route(L, xi_c, xi_v):
+        m = np.arange(L + 1)[:, None]
+        cc, cv = (c_coefficient(m, L - m, np.arange(L + 1), -xi) for xi in (xi_c, xi_v))
+        return cc.T @ cv
+
+    def test_matches_c_coefficient_products(self):
+        for L, T in zip(range(13), _level_tables(self.XI_C + self.XI_V)):
+            want = self.c_route(L, self.XI_C, self.XI_V)
+            assert np.abs(T - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_matches_exact_sum_at_high_level(self):
+        # the C route cancels here (4e-4 of max |T| at L = 35, xi = (-0.4, 0.4));
+        # the closed form does not
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        L = 35
+
+        def C(m, n, k, xi):
+            ch, sh = mp.cosh(xi), mp.sinh(xi)
+            tot = mp.fsum(mp.binomial(m, k - l) * mp.binomial(n, l) * ch ** (m - k + 2 * l)
+                          * sh ** (n + k - 2 * l) for l in range(max(0, k - m), min(k, n) + 1))
+            return mp.sqrt(mp.factorial(m + n - k) * mp.factorial(k)
+                           / (mp.factorial(m) * mp.factorial(n))) * tot
+
+        ks = (0, 1, 17, 34, 35)
+        xi_c, xi_v = -mp.mpf(self.XI_C), -mp.mpf(self.XI_V)
+        cc = {k: [C(m, L - m, k, xi_c) for m in range(L + 1)] for k in ks}
+        cv = {k: [C(m, L - m, k, xi_v) for m in range(L + 1)] for k in ks}
+        want = np.array([[float(mp.fsum(a * b for a, b in zip(cc[k], cv[kk]))) for kk in ks]
+                         for k in ks])
+        T = next(itertools.islice(_level_tables(self.XI_C + self.XI_V), L, None))
+        assert np.abs(T[np.ix_(ks, ks)] - want).max() <= 1e-12 * np.abs(T).max()
+
+    def test_level_norm_is_the_kron_norm(self):
+        # the Frobenius norm of zeta^L sum_m Q_c^{m,L-m} (x) Q_v^{m,L-m}, from the tables
+        N, L = 7, 4
+        spec_c, spec_v = mode_spec(OSC3, 1.2, "c"), mode_spec(OSC3, 1.2, "v")
+        level = spec_c.zeta**L * sum(
+            np.kron(q_operator(m, L - m, spec_c.n_bar, spec_c.xi, N),
+                    q_operator(m, L - m, spec_v.n_bar, spec_v.xi, N)) for m in range(L + 1))
+        T = next(itertools.islice(_level_tables(spec_c.xi + spec_v.xi), L, None))
+        got = _level_norm(spec_c.zeta**L * T, _r_diagonals(L, spec_c.n_bar, N),
+                          _r_diagonals(L, spec_v.n_bar, N))
+        assert got == pytest.approx(np.linalg.norm(level), rel=1e-12)
+
+    def test_diagonals_hold_every_r_operator(self):
+        N, L = 7, 5
+        r = _r_diagonals(L, 0.4, N)
+        for k in range(L + 1):
+            d = L - 2 * k
+            np.testing.assert_array_equal(np.diag(r_operator(L - k, k, 0.4, N), -d),
+                                          r[k, : N - abs(d)])
+            assert not r[k, N - abs(d):].any()
+
+
 class TestAssembly:
     def test_vacuum_at_time_zero(self):
         budget = AssemblyBudget(dims=(8, 8))
@@ -445,41 +509,76 @@ class TestAssembly:
                 np.testing.assert_allclose(red.entries, want.entries, atol=1e-8)
 
     def test_matches_defining_series(self):
+        self.check_defining_series((12, 12))
+
+    def test_matches_defining_series_rectangular(self):
+        self.check_defining_series((7, 10))
+
+    @staticmethod
+    def check_defining_series(dims):
         # (D_c (x) D_v)(sum zeta^{m+n} Q_c^{m,n} (x) Q_v^{m,n})(D_c (x) D_v)^dag, term by
-        # term with kron, at the cutoff the default budget's tail rule picks
-        N, t = 12, 1.2
+        # term with kron: an explicit cutoff sums the series to it, and the default
+        # budget agrees with the series summed to M = 40
+        (Nc, Nv), t = dims, 1.2
         spec_c, spec_v = mode_spec(OSC3, t, "c"), mode_spec(OSC3, t, "v")
         az = abs(spec_c.zeta)
         M = next(M for M in range(61) if az ** (M + 1) / (1.0 - az) < 1e-12)
-        series = sum(
-            spec_c.zeta ** (m + n)
-            * np.kron(q_operator(m, n, spec_c.n_bar, spec_c.xi, N),
-                      q_operator(m, n, spec_v.n_bar, spec_v.xi, N))
-            for m in range(M + 1)
-            for n in range(M + 1 - m)
-        )
+        Sc, Sv = squeeze_op(spec_c.xi, Nc), squeeze_op(spec_v.xi, Nv)
+        terms = [
+            spec_c.zeta**L * sum(np.kron(qc, qv) for qc, qv in zip(
+                fock._q_level(L, spec_c.n_bar, spec_c.xi, Sc),
+                fock._q_level(L, spec_v.n_bar, spec_v.xi, Sv)))
+            for L in range(41)
+        ]
         for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
             u, v = displacement_trajectory(OSC3, alpha, beta, t)
-            D = np.kron(displacement_op(u, N), displacement_op(v, N))
-            want = D @ series @ D.conj().T
-            want = 0.5 * (want + want.conj().T)
-            for budget in (AssemblyBudget(dims=(N, N)), AssemblyBudget(dims=(N, N), mn_cutoff=M)):
+            D = np.kron(displacement_op(u, Nc), displacement_op(v, Nv))
+            for budget, cut in ((AssemblyBudget(dims=dims), 40),
+                                (AssemblyBudget(dims=dims, mn_cutoff=M), M)):
+                want = D @ sum(terms[: cut + 1]) @ D.conj().T
+                want = 0.5 * (want + want.conj().T)
                 rho = assemble_joint_density(OSC3, t, alpha, beta, budget)
                 assert np.abs(rho.entries - want).max() <= 1e-13
 
-    def test_one_coefficient_call_per_level_and_mode(self, monkeypatch):
-        # a per-m or per-k loop over scalar coefficient calls would multiply these
+    def test_no_coefficient_calls(self, monkeypatch):
+        # the level tables are closed forms: no C coefficient is evaluated, and the
+        # R diagonals take one jacobi_poly call per level and mode
         calls = {"c_coefficient": 0, "jacobi_poly": 0}
         for name in calls:
             def counted(*args, _fn=getattr(fock, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(fock, name, counted)
-        spec = mode_spec(OSC3, 1.2, "c")
-        M = fock._resolve_cutoff(spec.zeta, AssemblyBudget(dims=(12, 12)))
-        assemble_joint_density(OSC3, 1.2, 0.0, 0.0, AssemblyBudget(dims=(12, 12)))
-        assert M > 5
-        assert calls == {"c_coefficient": 2 * (M + 1), "jacobi_poly": 2 * (M + 1)}
+        for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
+            assemble_joint_density(OSC3, 1.2, alpha, beta, AssemblyBudget(dims=(12, 12), mn_cutoff=20))
+        assert calls == {"c_coefficient": 0, "jacobi_poly": 2 * 2 * 21}
+        assemble_joint_density(OSC3, 1.2, 0.3, 0.2j, AssemblyBudget(dims=(12, 12)))
+        assert calls["c_coefficient"] == 0
+
+    @pytest.mark.parametrize("point", [(1.0, 0.5, 0.4), (1.0, 0.5, 0.0)])
+    def test_level_norm_cutoff_keeps_positivity(self, point):
+        # at t = 1, N = 26 the level norms fall by 0.47-0.49 per level, not by |f g| =
+        # 0.27-0.29: a cutoff read off |f g| left lambda_min at -1.35e-8 and -1.82e-8
+        p = classify_regime(*point)
+        for alpha, beta in ((0.0, 0.0), (0.3 + 0.2j, -0.25 + 0.1j)):
+            rho = assemble_joint_density(p, 1.0, alpha, beta, AssemblyBudget(dims=(26, 26)))
+            rho.validate()
+
+    def test_cutoff_from_level_norms(self, monkeypatch):
+        # the cutoff is the first level whose norm, extrapolated at its ratio to the
+        # level below, bounds the tail below series_tol
+        seen = []
+
+        def recorded(*args):
+            seen.append(_level_norm(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(fock, "_level_norm", recorded)
+        spec_c, spec_v = mode_spec(OSC3, 1.0, "c"), mode_spec(OSC3, 1.0, "v")
+        fock._joint_core(spec_c, spec_v, AssemblyBudget(dims=(16, 16)), float)
+        tails = [n * n / (prev - n) if n < prev else math.inf for prev, n in zip(seen, seen[1:])]
+        assert tails[-1] < 1e-12 and min(tails[:-1]) >= 1e-12
+        assert len(seen) - 1 == 20
 
     def test_no_parametric_drive_is_coherent_product(self):
         # omega2 = 0: f g = 0 leaves one product term, the projector on D(u)|0> (x) D(v)|0>
@@ -674,6 +773,34 @@ class TestValidatePositivity:
         rho = self.state(-1.1e-8, rotate)
         assert f"{rho.min_eigenvalue():.3e}" == "-1.100e-08"
         with pytest.raises(ValidityError, match=r"eigenvalue -1\.100e-08 < -1e-08"):
+            rho.validate()
+
+
+class TestValidateCholesky:
+    """validate() factorizes in place with LAPACK potrf on a trace-1 matrix."""
+
+    @staticmethod
+    def state(lowest, dtype):
+        w = np.linspace(0.05, 0.3, 10)
+        w[0] = lowest
+        w[1:] *= (1.0 - lowest) / w[1:].sum()
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(10, 10)) + (1j * rng.normal(size=(10, 10)) if dtype is complex else 0)
+        U, _ = np.linalg.qr(z)
+        return FockDensity(entries=(U * w) @ U.conj().T, dims=(10,))
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_half_tolerance_passes(self, dtype):
+        rho = self.state(-0.5 * fock.TOL_PSD, dtype)
+        assert rho.entries.dtype == np.dtype(dtype)
+        before = rho.entries.copy()
+        rho.validate()
+        np.testing.assert_array_equal(rho.entries, before)
+
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+    def test_twice_tolerance_raises(self, dtype):
+        rho = self.state(-2.0 * fock.TOL_PSD, dtype)
+        with pytest.raises(ValidityError, match=r"eigenvalue -2\.000e-08 < -1e-08"):
             rho.validate()
 
 

@@ -129,6 +129,23 @@ class TestModeSpec:
                 assert mode_spec(OSC, t, mode).zeta == pytest.approx(
                     envelope(OSC, t).f * envelope(OSC, t).g, abs=1e-14)
 
+    def test_one_envelope_evaluation(self, monkeypatch):
+        from ioncavity import observables
+        calls = []
+        monkeypatch.setattr(observables, "_damped_parts",
+                            lambda *args: calls.append(args) or _damped_parts(*args))
+        for mode in "cv":
+            mode_spec(OSC, 1.1, mode)
+        assert len(calls) == 2
+
+    def test_values_pinned(self):
+        # the values before the envelope parts were shared, bit for bit
+        want = {"c": (0.12479696316003641, -0.3338270826646973, 0.3435534590460388),
+                "v": (0.12328321954332411, 0.38367582169809067, 0.3435534590460388)}
+        for mode, (n_bar, xi, zeta) in want.items():
+            spec = mode_spec(OSC, 1.1, mode)
+            assert (spec.n_bar, spec.xi, spec.zeta) == (n_bar, xi, zeta)
+
     @pytest.mark.parametrize("point", REGIME_POINTS)
     def test_matches_covariance_oracle(self, point):
         p = classify_regime(*point)
