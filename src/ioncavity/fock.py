@@ -165,11 +165,12 @@ class FockDensity:
 class AssemblyBudget:
     """Truncation budget for assembling the joint density operator.
 
-    ``mn_cutoff`` limits the level L = m+n of the double sum, and is refused
-    when |f g|^{M+1} exceeds ``series_tol``.  None stops at the first level
-    whose exact Frobenius norm, extrapolated geometrically at its ratio to
-    the level below, bounds the tail below ``series_tol``; a series that
-    needs more than ``MAX_MN_CUTOFF`` levels is refused.
+    None stops at the first level whose exact Frobenius norm, extrapolated
+    geometrically at its ratio to the level below, bounds the tail below
+    ``series_tol``; a series that needs more than ``MAX_MN_CUTOFF`` levels is
+    refused.  ``mn_cutoff`` = M limits the level L = m+n of the double sum,
+    and is refused unless level M passes that same test (M = 0: unless
+    |f g| <= ``series_tol``).
     """
 
     dims: Tuple[int, int]
@@ -199,27 +200,31 @@ def ladder(N: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
 
 
-def displacement_op(alpha: complex, N: int) -> np.ndarray:
+def displacement_op(alpha: complex, N: int, *, stacklevel: int = 2) -> np.ndarray:
     """D(alpha) = exp(alpha ad - alpha* a) via scaling-and-squaring expm.
 
     Warns when the coverage heuristic |alpha|^2 + 4|alpha| < N fails;
-    unitarity should then only be trusted in the occupied block.
+    unitarity should then only be trusted in the occupied block.  The
+    warning names the line ``stacklevel`` frames up, as ``warnings.warn``.
     """
     a = ladder(N)
     mag = abs(alpha)
     if mag * mag + 4.0 * mag >= N:
         warnings.warn(
             f"displacement amplitude |alpha|={mag:.3g} poorly covered by N={N}",
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
-def squeeze_op(xi: float, N: int) -> np.ndarray:
-    """S(xi) = exp((xi/2)(a^2 - ad^2)); real matrix for real xi."""
+def squeeze_op(xi: float, N: int, *, stacklevel: int = 2) -> np.ndarray:
+    """S(xi) = exp((xi/2)(a^2 - ad^2)); real matrix for real xi.
+
+    Warns, naming the line ``stacklevel`` frames up, when 4 e^{2|xi|} > N.
+    """
     if 4.0 * math.exp(2.0 * abs(xi)) > N:
         warnings.warn(
-            f"squeeze parameter |xi|={abs(xi):.3g} poorly covered by N={N}", stacklevel=2
+            f"squeeze parameter |xi|={abs(xi):.3g} poorly covered by N={N}", stacklevel=stacklevel
         )
     a = ladder(N)
     a2 = a @ a
@@ -291,10 +296,13 @@ def c_coefficient(m, n, k, xi: float):
     return _term_sum(np.where(live, np.exp(mag) * ch**p_ch * sh**p_sh, 0.0))
 
 
-def _frame(w: complex, xi: float, N: int) -> np.ndarray:
-    """D(w) S(xi) on N levels; S(xi) alone, as a real matrix, when w = 0."""
-    S = squeeze_op(xi, N)
-    return np.ascontiguousarray(S.real) if w == 0 else displacement_op(w, N) @ S
+def _frame(w: complex, xi: float, N: int, stacklevel: int) -> np.ndarray:
+    """D(w) S(xi) on N levels; S(xi) alone, as a real matrix, when w = 0.  A
+    coverage warning names the line ``stacklevel`` frames up from here."""
+    S = squeeze_op(xi, N, stacklevel=stacklevel + 1)
+    if w == 0:
+        return np.ascontiguousarray(S.real)
+    return displacement_op(w, N, stacklevel=stacklevel + 1) @ S
 
 
 def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
@@ -360,7 +368,7 @@ def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> np.ndarray:
     """Q^{m,n}(n_bar, xi) = sum_k C_k^{m,n}(-xi) S(xi) R^{m+n-k,k}(n_bar) S(xi)^dag."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    return _q_level(m + n, n_bar, xi, squeeze_op(xi, N))[m]
+    return _q_level(m + n, n_bar, xi, squeeze_op(xi, N, stacklevel=3))[m]
 
 
 def default_dim(params: CouplingParams) -> int:
@@ -414,7 +422,8 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
 
     With no ``mn_cutoff`` it stops at the first level L >= 1 whose norm
     n_L, extrapolated geometrically at the ratio q = n_L/n_{L-1} < 1, bounds
-    the tail n_L q/(1 - q) below ``series_tol``.  n_L is exact
+    the tail n_L q/(1 - q) below ``series_tol``; an explicit cutoff M >= 1 is
+    refused unless level M passes that test.  n_L is exact
     (``_level_norm``), and it is the norm of the conjugated level too, as
     the frame is unitary on the truncated basis.
     """
@@ -425,11 +434,10 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
             f"assembly refused: |f g| = {az:.6g} >= 1, the operator series has "
             "no geometric tail bound at this time"
         )
-    M = budget.mn_cutoff
-    if M is not None and az ** (M + 1) > budget.series_tol:
+    M, tol = budget.mn_cutoff, budget.series_tol
+    if M == 0 and az > tol:
         raise TruncationError(
-            f"assembly budget exhausted: |f g|^{M + 1} = "
-            f"{az ** (M + 1):.3e} > series_tol = {budget.series_tol:.3e}"
+            f"assembly budget exhausted: |f g| = {az:.3e} > series_tol = {tol:.3e}"
         )
     rc_levels, v_levels, norm = [], [], 0.0
     for L, T in enumerate(_level_tables(spec_c.xi + spec_v.xi)):
@@ -438,18 +446,26 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
         rc_levels.append(rc)
         # mode-v factor of each (L, k): sum_k' zT[k, k'] R_v^{L-k',k'}, dense
         v_levels.append((zT @ _dense(rv).reshape(L + 1, -1)).reshape(L + 1, Nv, Nv))
-        if M is not None:
-            if L == M:
-                break
-            continue
         prev, norm = norm, _level_norm(zT, rc, rv)
-        if L > 0 and norm < prev and norm * norm / (prev - norm) < budget.series_tol:
+        # the tail n_L q/(1 - q) past level L, q = n_L/n_{L-1} < 1; a zero level ends it
+        tail = math.inf
+        if L > 0 and (norm < prev or norm == 0):
+            tail = norm * norm / (prev - norm) if norm else 0.0
+        if M is None:
+            if tail < tol:
+                break
+            if L == MAX_MN_CUTOFF:
+                raise TruncationError(
+                    f"assembly needs m+n > {MAX_MN_CUTOFF} terms (|f g| = {az:.4f}); "
+                    "refusing direct summation at this parameter point"
+                )
+        elif L == M:
+            if M > 0 and not tail < tol:
+                raise TruncationError(
+                    f"assembly budget exhausted: the measured tail past level {M}, "
+                    f"n_M^2/(n_(M-1) - n_M) = {tail:.3e}, exceeds series_tol = {tol:.3e}"
+                )
             break
-        if L == MAX_MN_CUTOFF:
-            raise TruncationError(
-                f"assembly needs m+n > {MAX_MN_CUTOFF} terms (|f g| = {az:.4f}); "
-                "refusing direct summation at this parameter point"
-            )
     M = len(rc_levels) - 1
     # the block of X on the diagonal i - i' = d of mode c is one product over the
     # levels L = |d|, |d| + 2, ... <= M, at k = (L - d)/2
@@ -504,7 +520,7 @@ def assemble_joint_density(
     u, v = displacement_trajectory(params, alpha, beta, t)
     # without displacement both frames are real, and then so is every buffer
     X = _joint_core(spec_c, spec_v, budget, complex if u or v else float)
-    rho = _conjugate(X, _frame(u, spec_c.xi, Nc), _frame(v, spec_v.xi, Nv))
+    rho = _conjugate(X, _frame(u, spec_c.xi, Nc, 3), _frame(v, spec_v.xi, Nv, 3))
     return FockDensity(entries=rho, dims=(Nc, Nv))
 
 
@@ -519,7 +535,7 @@ def reduced_density(
     """
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
-    U = _frame(u if mode == "c" else v, spec.xi, N)
+    U = _frame(u if mode == "c" else v, spec.xi, N, 3)
     return FockDensity(entries=_q_level(0, spec.n_bar, spec.xi, U)[0], dims=(N,))
 
 
@@ -547,7 +563,7 @@ def lossless_ket(
     psi = np.zeros((Nc, Nv), dtype=complex)
     psi[k, k] = (sign * math.sqrt(nb / (nb + 1.0))) ** k / math.sqrt(nb + 1.0)
     # (U_c (x) U_v) acts on the (Nc, Nv) amplitude matrix as U_c psi U_v^T
-    Uc, Uv = _frame(spec.u0, -spec.xi0, Nc), _frame(spec.v0, spec.xi0, Nv)
+    Uc, Uv = _frame(spec.u0, -spec.xi0, Nc, 3), _frame(spec.v0, spec.xi0, Nv, 3)
     return (Uc @ psi @ Uv.T).ravel()
 
 

@@ -13,13 +13,20 @@ and n = ad a, all real D x D matrices (D = Nc Nv), the generator is
 
 In row-major vec, vec(A X B) = (A (x) B^T) vec X, so L is the D^2 x D^2 matrix
 K (x) 1 + 1 (x) K + gamma a (x) a - (gamma/2)(n (x) 1 + 1 (x) n).  It is never
-stored.  Since K, n and a are real, with mu = tr L / D^2,
+stored, and it is real, so the propagator runs in real arithmetic.  With
+mu = tr L / D^2,
 
     L(X) - mu X = M X + X M^T + gamma a X a^T,   M = K - (gamma/2) n - (mu/2) I,
 
-and for Hermitian X, X M^T = (M X)^dag: one sparse product, its adjoint and
-the jump as a level shift, with an exactly Hermitian result.  The propagator
-runs this kernel on rho0's Hermitian part, and on its anti-Hermitian part only
+and for real X with X^T = sign X (sign = +1 or -1), X M^T = sign (M X)^T: one
+real sparse product, plus sign times its transpose, plus the jump as a level
+shift, with a result exactly (anti)symmetric like X.  L maps each such class
+into itself, so any complex X splits into at most four real parts that evolve
+on their own: the symmetric and antisymmetric parts of Re X and of Im X.  A
+Hermitian X is Re-symmetric plus i Im-antisymmetric; its anti-Hermitian part
+is the other two.  An exactly zero part is skipped, as exp(L t) 0 = 0, so a
+real Hermitian start (every vacuum start) propagates one real matrix and a
+complex Hermitian start two.  The anti-Hermitian parts are propagated only
 beyond TRACE_DRIFT_TOL, so that such a start is reported at its first
 checkpoint.
 
@@ -40,7 +47,7 @@ does not load it.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +88,8 @@ def effective_hamiltonian(params: CouplingParams, dims: Sequence[int]) -> np.nda
 
 
 def _kernel(params: CouplingParams, dims: Sequence[int]):
-    """apply(X) = L(X) - mu X for Hermitian X, mu = tr L / D^2, and ||L - mu I||_1."""
+    """apply(X, sign) = L(X) - mu X for real X with X^T = sign X, mu = tr L / D^2,
+    and ||L - mu I||_1."""
     import scipy.sparse as sp
 
     K = _k_matrix(params, dims)
@@ -90,15 +98,15 @@ def _kernel(params: CouplingParams, dims: Sequence[int]):
     mu = -0.5 * g * (Nc - 1)  # tr L / D^2; the column sums of |L - mu I| at cavity levels p, q:
     kmax = np.asarray(abs(K).sum(axis=0)).reshape(Nc, Nv).max(axis=1)[:, None]
     cols = kmax + kmax.T + g * np.sqrt(lv[:, None] * lv) + np.abs(0.5 * g * (lv[:, None] + lv) + mu)
-    M = (K - sp.diags(np.repeat(0.5 * (g * lv + mu), Nv))).astype(complex).tocsr()
+    M = (K - sp.diags(np.repeat(0.5 * (g * lv + mu), Nv))).tocsr()
     # on the (Nc, Nv, Nc, Nv) view, g a X a^T moves X[i+1, j, k+1, l] to
     # [i, j, k, l] with weight g sqrt((i+1)(k+1))
     jump = g * np.sqrt(lv[1:, None, None, None] * lv[None, None, 1:, None])
-    adj, hop = np.empty(M.shape, dtype=complex), np.empty((Nc - 1, Nv, Nc - 1, Nv), dtype=complex)
+    adj, hop = np.empty(M.shape), np.empty((Nc - 1, Nv, Nc - 1, Nv))
 
-    def apply(X: np.ndarray) -> np.ndarray:
+    def apply(X: np.ndarray, sign: int) -> np.ndarray:
         Y = M @ X
-        Y += np.conjugate(Y.T, out=adj)  # X M^T = (M X)^dag
+        Y += np.multiply(Y.T, sign, out=adj)  # X M^T = sign (M X)^T
         if g:
             X4, Y4 = X.reshape(Nc, Nv, Nc, Nv), Y.reshape(Nc, Nv, Nc, Nv)
             Y4[:-1, :, :-1] += np.multiply(jump, X4[1:, :, 1:], out=hop)
@@ -107,18 +115,42 @@ def _kernel(params: CouplingParams, dims: Sequence[int]):
     return apply, mu, float(cols.max())
 
 
+def _parts(X: np.ndarray) -> list:
+    """The nonzero real parts (sign, imag, P) of X: P^T = sign P, and X is the
+    sum of the P, each times 1j where imag.  Hermitian parts have
+    (sign > 0) != imag."""
+    parts = []
+    for imag, R in ((False, X.real), (True, X.imag)):
+        for sign in (1, -1):
+            P = 0.5 * (R + R.T if sign > 0 else R - R.T)
+            if P.any():
+                parts.append((sign, imag, P))
+    return parts
+
+
+def _join(parts: list, shape: Tuple[int, int]) -> np.ndarray:
+    """The matrix whose ``_parts`` these are: real when no part is imaginary."""
+    X = np.zeros(shape, dtype=complex if any(imag for _, imag, _ in parts) else float)
+    for _, imag, P in parts:
+        if imag:
+            X.imag += P
+        else:
+            X.real += P
+    return X
+
+
 def lindblad_rhs(params: CouplingParams, rho: FockDensity) -> FockDensity:
     """d rho/dt = L(rho): the generator the propagator exponentiates, at unit step.
 
-    Holds on any complex X = H + iG, H and G Hermitian: L is real, so
-    L(X) = L H + i L G.
+    Holds on any complex X: L is real and keeps each (anti)symmetric part, so
+    it is the sum of the kernel over the four real parts of X.
     """
     if not rho.joint:
         raise ValueError("lindblad_rhs needs a two-mode density")
     apply, mu, _ = _kernel(params, rho.dims)
     X = rho.entries
-    H, G = 0.5 * (X + X.conj().T), -0.5j * (X - X.conj().T)
-    return FockDensity(entries=apply(H) + 1j * apply(G) + mu * X, dims=rho.dims)
+    Y = _join([(sign, imag, apply(P, sign)) for sign, imag, P in _parts(X)], X.shape)
+    return FockDensity(entries=Y + mu * X, dims=rho.dims)
 
 
 def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.ndarray:
@@ -161,8 +193,9 @@ def evolve_trajectory(
 ) -> list[FockDensity]:
     """Evolve rho0 through a nondecreasing list of checkpoint times.
 
-    rho(t_k) = exp(L (t_k - t_{k-1})) rho(t_{k-1}); the trace drift and the
-    Hermiticity error are checked at every checkpoint.
+    rho(t_k) = exp(L (t_k - t_{k-1})) rho(t_{k-1}), each real part of rho0 on
+    its own; the densities are float64 when rho0's imaginary part is zero.
+    The trace drift and the Hermiticity error are checked at every checkpoint.
     """
     if not rho0.joint:
         raise ValueError("evolve_trajectory needs a two-mode density")
@@ -170,17 +203,20 @@ def evolve_trajectory(
     if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
     apply, mu, norm1 = _kernel(params, rho0.dims)
-    rho = rho0.entries.astype(complex)
-    parts = [0.5 * (rho + rho.conj().T), -0.5j * (rho - rho.conj().T)]
-    if np.abs(parts[1]).max() <= TRACE_DRIFT_TOL:
-        del parts[1]
+    X = rho0.entries
+    rho = X if X.imag.any() else X.real
+    parts = _parts(X)
+    if 0.5 * np.abs(X - X.conj().T).max() <= TRACE_DRIFT_TOL:  # keep the Hermitian parts only
+        parts = [(sign, imag, P) for sign, imag, P in parts if (sign > 0) != imag]
 
     out: list[FockDensity] = []
     t_prev = 0.0
     for t in times:
         if t > t_prev:
-            parts = [_taylor_expm(apply, x, t - t_prev, mu, norm1) for x in parts]
-            rho = parts[0] + 1j * parts[1] if len(parts) > 1 else parts[0]
+            parts = [(sign, imag, _taylor_expm(lambda x, sign=sign: apply(x, sign), P,
+                                                t - t_prev, mu, norm1))
+                     for sign, imag, P in parts]
+            rho = _join(parts, X.shape)
         _check_state(rho, params, rho0.dims, t)
         t_prev = t
         out.append(FockDensity(entries=rho.copy(), dims=rho0.dims))

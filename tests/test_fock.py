@@ -134,6 +134,21 @@ class TestSqueeze:
             squeeze_op(1.5, 8)
 
 
+class TestCoverageWarningLocation:
+    """A coverage warning raised through a public builder names its caller's line."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: assemble_joint_density(OSC, 1.0, 1.0, 0.0, AssemblyBudget(dims=(4, 4))),
+        lambda: reduced_density(OSC, 1.0, "c", 1.0, 0.0, 4),
+        lambda: lossless_ket(classify_regime(1.0, 0.6, 0.0), 1.0, 0.0, 0.5, (4, 4)),
+        lambda: q_operator(0, 1, 0.2, 0.5, 4),
+    ], ids=["assemble_joint_density", "reduced_density", "lossless_ket", "q_operator"])
+    def test_names_the_caller(self, build):
+        with pytest.warns(UserWarning, match="poorly covered") as record:
+            build()
+        assert [w.filename for w in record] == [__file__] * len(record)
+
+
 class TestThermal:
     def test_vacuum(self):
         rho = thermal(0.0, 6)
@@ -518,11 +533,12 @@ class TestAssembly:
     def check_defining_series(dims):
         # (D_c (x) D_v)(sum zeta^{m+n} Q_c^{m,n} (x) Q_v^{m,n})(D_c (x) D_v)^dag, term by
         # term with kron: an explicit cutoff sums the series to it, and the default
-        # budget agrees with the series summed to M = 40
+        # budget agrees with the series summed to M = 40.  The explicit M is the first
+        # level whose Frobenius norm, extrapolated at its ratio to the level below,
+        # bounds the tail below 1e-12 (the geometric |f g|^{M+1} rule's M = 12 leaves
+        # a measured tail of 2e-9, which the assembly refuses)
         (Nc, Nv), t = dims, 1.2
         spec_c, spec_v = mode_spec(OSC3, t, "c"), mode_spec(OSC3, t, "v")
-        az = abs(spec_c.zeta)
-        M = next(M for M in range(61) if az ** (M + 1) / (1.0 - az) < 1e-12)
         Sc, Sv = squeeze_op(spec_c.xi, Nc), squeeze_op(spec_v.xi, Nv)
         terms = [
             spec_c.zeta**L * sum(np.kron(qc, qv) for qc, qv in zip(
@@ -530,6 +546,9 @@ class TestAssembly:
                 fock._q_level(L, spec_v.n_bar, spec_v.xi, Sv)))
             for L in range(41)
         ]
+        norms = [np.linalg.norm(term) for term in terms]
+        M = next(L for L in range(1, 41)
+                 if norms[L] < norms[L - 1] and norms[L] ** 2 / (norms[L - 1] - norms[L]) < 1e-12)
         for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
             u, v = displacement_trajectory(OSC3, alpha, beta, t)
             D = np.kron(displacement_op(u, Nc), displacement_op(v, Nv))
@@ -609,6 +628,16 @@ class TestAssembly:
         budget = AssemblyBudget(dims=(10, 10), mn_cutoff=1, series_tol=1e-12)
         with pytest.raises(TruncationError):
             assemble_joint_density(OSC3, 0.5, 0.0, 0.0, budget)
+
+    def test_explicit_cutoff_refused_on_measured_tail(self):
+        # |f g|^22 = 2.5e-13 passed the old geometric guard here, and the density
+        # summed to M = 21 failed validate() with lambda_min = -1.347e-8; the level
+        # norms fall by about 0.48 per level, so the measured tail is 3e-8
+        p = classify_regime(1.0, 0.5, 0.4)
+        with pytest.raises(TruncationError, match="measured tail past level 21") as exc:
+            assemble_joint_density(p, 1.0, 0.0, 0.0, AssemblyBudget(dims=(26, 26), mn_cutoff=21))
+        tail = float(str(exc.value).split(" = ")[1].split(",")[0])
+        assert 1e-8 < tail < 1e-7
 
     def test_truncation_stability_in_dims(self):
         # growing the basis by 5 only moves the state at the edge-truncation

@@ -99,16 +99,18 @@ def pure_joint(psi, dims):
 
 
 def count_kernel_calls(monkeypatch):
-    """Count applications of lindblad's generator kernel."""
-    calls = {"apply": 0}
+    """Count applications of lindblad's generator kernel, in total ("apply")
+    and by the sign of the (anti)symmetric part they act on (1 and -1)."""
+    calls = {"apply": 0, 1: 0, -1: 0}
     kernel = lindblad._kernel
 
     def counting_kernel(params, dims):
         apply, mu, norm1 = kernel(params, dims)
 
-        def counted(X):
+        def counted(X, sign):
             calls["apply"] += 1
-            return apply(X)
+            calls[sign] += 1
+            return apply(X, sign)
 
         return counted, mu, norm1
 
@@ -194,15 +196,19 @@ class TestGenerator:
         assert abs(np.trace(dense).imag) < 1e-12
 
     @pytest.mark.parametrize("name", ["OSC", "LOSSLESS"])
-    def test_kernel_output_exactly_hermitian(self, name):
-        # the propagator relies on it: X M^T is taken as (M X)^dag
+    @pytest.mark.parametrize("sign", [1, -1], ids=["sym", "antisym"])
+    def test_kernel_output_exactly_keeps_symmetry(self, name, sign):
+        # the propagator relies on it: X M^T is taken as sign (M X)^T, so a
+        # symmetric input stays exactly symmetric and an antisymmetric one
+        # exactly antisymmetric
         params, dims = POINTS[name], (5, 6)
         apply = lindblad._kernel(params, dims)[0]
-        rho = random_density(np.random.default_rng(13), *dims).entries
-        X = 0.5 * (rho + rho.conj().T)
+        R = np.random.default_rng(13).normal(size=(30, 30))
+        X = R + sign * R.T
         for _ in range(3):
-            X = apply(X)
-            assert np.abs(X - X.conj().T).max() == 0
+            X = apply(X, sign)
+            assert X.dtype == np.float64
+            assert np.abs(X - sign * X.T).max() == 0
 
 
 class TestOneNorm:
@@ -242,6 +248,39 @@ class TestOneNorm:
         once = calls["apply"]
         evolve_trajectory(OSC3, sym, [0.5, 1.0])
         assert calls["apply"] == 2 * once > 0
+
+
+class TestRealParts:
+    """A real start propagates one real matrix, a complex Hermitian start two."""
+
+    @pytest.mark.parametrize("name", POINTS)
+    def test_real_start_matches_dense_expm(self, name, monkeypatch):
+        params, dims = POINTS[name], (4, 5)
+        R = np.random.default_rng(17).normal(size=(20, 20))
+        rho0 = FockDensity(entries=R @ R.T / np.trace(R @ R.T), dims=dims)
+        calls = count_kernel_calls(monkeypatch)
+        states = evolve_trajectory(params, rho0, [0.5, 1.0])
+        assert calls[1] > 0 and calls[-1] == 0
+        step = scipy.linalg.expm(0.5 * dense_liouvillian(params, dims).real)
+        want = rho0.entries.ravel()
+        for rho in states:
+            want = step @ want
+            assert rho.entries.dtype == np.float64
+            np.testing.assert_allclose(rho.entries.ravel(), want, rtol=0, atol=1e-12)
+
+    def test_vacuum_start_is_real(self, monkeypatch):
+        # a complex array whose imaginary part is zero is a real start too
+        calls = count_kernel_calls(monkeypatch)
+        states = evolve_trajectory(OSC3, vacuum_joint(6, 6), [0.0, 0.5, 1.0])
+        assert calls[1] > 0 and calls[-1] == 0
+        assert all(rho.entries.dtype == np.float64 for rho in states)
+
+    def test_complex_hermitian_start_propagates_two_parts(self, monkeypatch):
+        # Re rho symmetric (sign 1) and Im rho antisymmetric (sign -1)
+        calls = count_kernel_calls(monkeypatch)
+        rho = evolve_trajectory(OSC3, coherent_joint(0.4 + 0.2j, 0.3j, 6, 6), [1.0])[-1]
+        assert calls[1] > 0 and calls[-1] > 0
+        assert rho.entries.dtype == np.complex128
 
 
 class TestEvolve:
