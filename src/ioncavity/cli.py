@@ -60,6 +60,7 @@ from .fock import (
     quad_stats,
     reduced_density,
     state_metrics,
+    trace_distance,
 )
 from .lindblad import evolve_trajectory
 from .observables import QuadTuple, quad_variances, revival_schedule, squeezed_thermal
@@ -75,6 +76,9 @@ EXIT_NO_REVIVALS = 4
 
 #: validate refuses joint dimensions beyond desk scale
 MAX_VALIDATE_DIM = 1024
+
+#: simulate refuses time grids beyond desk scale
+MAX_SIMULATE_ROWS = 10**6
 
 #: validate's default drive omega2/omega1, under any config file and flags
 VALIDATE_OMEGA2 = 0.3
@@ -213,8 +217,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def cmd_simulate(cfg: RunConfig) -> int:
     if not cfg.out_path:
         raise ConfigError("simulate needs out_path (--out_path or config key)")
+    steps = cfg.t_max / cfg.t_step + 1e-9  # inf once t_step is tiny enough
+    if not steps < MAX_SIMULATE_ROWS:
+        raise ConfigError(f"simulate needs t_max/t_step < {MAX_SIMULATE_ROWS}, got {steps:.6g}")
     params = cfg.params()
-    t = np.arange(math.floor(cfg.t_max / cfg.t_step + 1e-9) + 1) * cfg.t_step
+    t = np.arange(math.floor(steps) + 1) * cfg.t_step
     qv = quad_variances(params, t, cfg.alpha, cfg.beta)
     env = envelope(params, t)
     nb_c, xi_c = squeezed_thermal(qv.var_xc, qv.var_pc, params, t, "c")
@@ -293,8 +300,8 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
         # D(0) = expm(0) is exactly the identity, so a vacuum start is exact too
         oracle_states = evolve_trajectory(params, _coherent_joint(a, b, cfg.nc, cfg.nv), times)
         for t, rho in zip(times, oracle_states):
-            report(f"t={t:g} joint trace distance", TD_TOL, lambda: state_metrics(
-                assemble_joint_density(params, t, a, b, budget), rho).trace_distance)
+            report(f"t={t:g} joint trace distance", TD_TOL, lambda: trace_distance(
+                assemble_joint_density(params, t, a, b, budget), rho))
             for mode, N in (("c", cfg.nc), ("v", cfg.nv)):
                 report(f"t={t:g} mode-{mode} fidelity deficit", FID_DEFICIT_TOL,
                        lambda: 1.0 - state_metrics(reduced_density(params, t, mode, a, b, N),

@@ -1,9 +1,9 @@
 """Dense truncated-Fock-space operator algebra.
 
-Ladder, displacement and squeeze operators; the R^{m,n} and Q^{m,n} operator
-families that expand the exact joint density operator; assembly of that
-density operator, with a series cutoff read from its level norms; partial
-traces, state metrics and quadrature statistics measured from matrices.
+Ladder, displacement and squeeze operators; the R^{m,n} operator family
+that expands the exact joint density operator; assembly of that density
+operator, with a series cutoff read from its level norms; partial traces,
+state metrics and quadrature statistics measured from matrices.
 
 Single-mode operators are plain (N, N) arrays, entry [row, col] =
 <row| O |col>: real where every factor is (R^{m,n}, an undisplaced frame, and
@@ -20,28 +20,23 @@ Conventions.  R^{m,n}(n_bar) is anchored to its superoperator construction
 which the independent closed form (Jacobi-polynomial matrix elements plus
 the adjoint rule) must reproduce; relative to that construction the plain
 closed form acquires a factor (-1)^n, applied here so the two code paths
-agree identically.  Likewise Q^{m,n}(n_bar, xi) expands as
+agree identically.  The per-mode sign cancels in the joint products, so the
+assembled density operator is independent of this bookkeeping.
 
-    Q^{m,n} = sum_k C_k^{m,n}(-xi) S(xi) R^{m+n-k,k}(n_bar) S(xi)^dag ,
-
-the sign flip of the C-coefficient argument being required for consistency
-with the superoperator route (verified against it in the test suite).  The
-per-mode sign (-1)^n cancels in the joint products, so the assembled
-density operator is independent of this bookkeeping.
-
-Each family has one builder per level L = m+n.  ``_r_diagonals`` holds every
+The family has one builder per level L = m+n.  ``_r_diagonals`` holds every
 R^{L-k,k} by its one diagonal, from one ``jacobi_poly`` call; ``_dense``
 spreads them into matrices, and ``r_operator`` is one of them.
-``_q_level`` (every Q^{m,L-m}, shared by ``q_operator`` and
-``reduced_density``) adds one ``c_coefficient`` call.  Both take ints or int
-arrays for every index, broadcast together: scalars give a Python float, and
-any bad element raises the scalar ValueError.  Log-factorials come from one
-``math.lgamma`` table and each series is summed in index order, so array and
-scalar calls agree.  R^{0,0} is the thermal state, so a reduced state
-D(w) S(xi) R^{0,0} S(xi)^dag D(w)^dag is the L = 0 term of the joint series,
-and one builder, ``_frame``, gives the D(w) S(xi) of every conjugation.
+``jacobi_poly`` takes ints or int arrays for every index, broadcast
+together: scalars give a Python float, and any bad element raises the
+scalar ValueError.  Log-factorials come from one ``math.lgamma`` table and
+each series is summed in index order, so array and scalar calls agree.  One
+builder, ``_frame``, gives the D(w) S(xi) of every conjugation.
 
-The joint density needs no C coefficient.  With U = D(w) S(xi) per mode,
+The paper writes the joint density as the series
+sum_{m,n} (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n}, each Q^{m,n} a sum of
+C_k^{m,n}(-xi) S(xi) R^{m+n-k,k} S(xi)^dag; those defining forms are the
+test oracle ``tests/series_oracle.py``.  The assembly needs no C
+coefficient.  With U = D(w) S(xi) per mode,
 
     rho = (U_c (x) U_v) X (U_c (x) U_v)^dag,
     X = sum_L zeta^L sum_{k,k'} T_L[k, k'] R_c^{L-k,k} (x) R_v^{L-k',k'},
@@ -49,7 +44,9 @@ The joint density needs no C coefficient.  With U = D(w) S(xi) per mode,
 where T_L = C_c^T C_v (the C tables of level L at -xi_c and -xi_v) has a
 closed form in xi_c + xi_v (``_level_tables``).  ``_joint_core`` sums X from
 the diagonal tables and stops at its measured level norms;
-``_conjugate`` applies the frame by one-mode products on each axis.
+``_conjugate`` applies the frame by one-mode products on each axis.  A
+reduced state is the L = 0 term, where C_0^{0,0} = 1: U R^{0,0} U^dag, with
+R^{0,0} the thermal diagonal.
 """
 
 from __future__ import annotations
@@ -84,14 +81,13 @@ __all__ = [
     "displacement_op",
     "squeeze_op",
     "jacobi_poly",
-    "c_coefficient",
     "r_operator",
-    "q_operator",
     "default_dim",
     "assemble_joint_density",
     "reduced_density",
     "lossless_ket",
     "partial_trace",
+    "trace_distance",
     "state_metrics",
     "quad_stats",
 ]
@@ -128,9 +124,6 @@ class FockDensity:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def hermiticity_error(self) -> float:
-        return float(np.abs(self.entries - self.entries.conj().T).max())
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))[0])
@@ -272,30 +265,6 @@ def jacobi_poly(m, k, l, x: float):
     return _term_sum(np.where(live, sign * np.exp(mag) * x**j, 0.0))
 
 
-def c_coefficient(m, n, k, xi: float):
-    """Coefficient C_k^{m,n}(xi) of the squeezed operator-family expansion.
-
-    sqrt((m+n-k)! k!/(m! n!)) sum_l binom-weights cosh^{m-k+2l} sinh^{n+k-2l},
-    log-factorial magnitudes times the integer powers, whose sign is that of
-    sinh(xi)^{n+k-2l}; ``m``, ``n`` and ``k`` broadcast together.
-    """
-    m, n, k = np.broadcast_arrays(np.asarray(m), np.asarray(n), np.asarray(k))
-    if (m < 0).any() or (n < 0).any():
-        raise ValueError("need m, n >= 0")
-    bad = (k < 0) | (k > m + n)
-    if bad.any():
-        raise ValueError(f"need 0 <= k <= m+n, got k={k[bad][0]}, m+n={(m + n)[bad][0]}")
-    ch, sh = math.cosh(xi), math.sinh(xi)
-    l = np.arange(n.max(initial=0) + 1).reshape((-1,) + (1,) * k.ndim)
-    live = (l >= k - m) & (l <= k) & (l <= n)
-    lf = _log_factorials(int((m + n).max(initial=0)).bit_length())
-    pref = 0.5 * (lf[m + n - k] + lf[k] - lf[m] - lf[n])
-    mag = (pref + lf[m] - lf[np.where(live, k - l, 0)] - lf[np.where(live, m - k + l, 0)]
-           + lf[n] - lf[l] - lf[np.where(live, n - l, 0)])
-    p_ch, p_sh = np.where(live, m - k + 2 * l, 0), np.where(live, n + k - 2 * l, 0)
-    return _term_sum(np.where(live, np.exp(mag) * ch**p_ch * sh**p_sh, 0.0))
-
-
 def _frame(w: complex, xi: float, N: int, stacklevel: int) -> np.ndarray:
     """D(w) S(xi) on N levels; S(xi) alone, as a real matrix, when w = 0.  A
     coverage warning names the line ``stacklevel`` frames up from here."""
@@ -353,24 +322,6 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
     return _dense(_r_diagonals(m + n, n_bar, N))[n]
 
 
-def _q_level(L: int, n_bar: float, xi: float, U: np.ndarray) -> np.ndarray:
-    """Stack of Q^{m,L-m}(n_bar, xi) for m = 0..L, conjugated by U.
-
-    Q^{m,L-m} = sum_k C_k^{m,L-m}(-xi) U R^{L-k,k}(n_bar) U^dag, where U is
-    S(xi), or D(w) S(xi) to carry a coherent displacement along.
-    """
-    S = U @ _dense(_r_diagonals(L, n_bar, U.shape[0])) @ U.conj().T
-    m = k = np.arange(L + 1)
-    return np.tensordot(c_coefficient(m[:, None], L - m[:, None], k, -xi), S, axes=1)
-
-
-def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> np.ndarray:
-    """Q^{m,n}(n_bar, xi) = sum_k C_k^{m,n}(-xi) S(xi) R^{m+n-k,k}(n_bar) S(xi)^dag."""
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
-    return _q_level(m + n, n_bar, xi, squeeze_op(xi, N, stacklevel=3))[m]
-
-
 def default_dim(params: CouplingParams) -> int:
     """Truncation heuristic N = max(16, ceil(8 (nbar_max + 1) e^{2 |xi_bar|})).
 
@@ -384,7 +335,8 @@ def default_dim(params: CouplingParams) -> int:
 
 def _level_tables(sigma: float):
     """Yield T_L for L = 0, 1, ...: the (L+1, L+1) table
-    T_L[k, k'] = sum_m C_k^{m,L-m}(-xi_c) C_k'^{m,L-m}(-xi_v), sigma = xi_c + xi_v.
+    T_L[k, k'] = sum_m C_k^{m,L-m}(-xi_c) C_k'^{m,L-m}(-xi_v), sigma = xi_c + xi_v,
+    with C_k^{m,n} as the test oracle ``tests/series_oracle.py`` defines it.
 
     In closed form T_L[k, k'] = sqrt(k! (L-k)! k'! (L-k')!)/L! times the
     x^k y^k' coefficient of (cosh sigma (1 + x y) - sinh sigma (x + y))^L,
@@ -536,7 +488,7 @@ def reduced_density(
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
     U = _frame(u if mode == "c" else v, spec.xi, N, 3)
-    return FockDensity(entries=_q_level(0, spec.n_bar, spec.xi, U)[0], dims=(N,))
+    return FockDensity(entries=(U * _r_diagonals(0, spec.n_bar, N)[0]) @ U.conj().T, dims=(N,))
 
 
 def lossless_ket(
@@ -578,28 +530,29 @@ def partial_trace(rho: FockDensity, keep: str) -> FockDensity:
     return FockDensity(entries=out, dims=(len(out),))
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    if w[0] < -TOL_PSD:
-        raise ValidityError(f"matrix is not PSD within tolerance (min eig {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+def trace_distance(rho: FockDensity, sigma: FockDensity) -> float:
+    """(1/2) sum |eig(rho - sigma)|; like ``state_metrics``, it refuses a rho
+    with an eigenvalue below -TOL_PSD."""
+    if rho.dims != sigma.dims:
+        raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
+    if (lo := rho.min_eigenvalue()) < -TOL_PSD:
+        raise ValidityError(f"matrix is not PSD within tolerance (min eig {lo:.3e})")
+    diff = rho.entries - sigma.entries
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
 
 
 def state_metrics(rho: FockDensity, sigma: FockDensity) -> StateMetrics:
     """Uhlmann fidelity, trace distance and purity of rho.
 
     fidelity = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2,
-    trace distance = (1/2) sum |eig(rho - sigma)|,  purity = tr rho^2.
+    trace distance = ``trace_distance(rho, sigma)``,  purity = tr rho^2.
     """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
-    sr = _psd_sqrt(rho.entries)
+    td = trace_distance(rho, sigma)
+    w, v = np.linalg.eigh(0.5 * (rho.entries + rho.entries.conj().T))
+    sr = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     mid = sr @ sigma.entries @ sr
     w = np.linalg.eigvalsh(0.5 * (mid + mid.conj().T))
     fid = float(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2)
-    diff = rho.entries - sigma.entries
-    td = 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())
     purity = float(np.trace(rho.entries @ rho.entries).real)
     return StateMetrics(fidelity=min(fid, 1.0), trace_distance=td, purity=purity)
 

@@ -41,7 +41,7 @@ the diagonal, p and q the cavity levels of j and l, so it is a maximum over
 the Nc^2 pairs (p, q).  ||F||_inf is taken only once the two terms fall below
 u times the sum of all terms' ||.||_inf, a bound on it, so the cut is the same.
 scipy.sparse is imported where the generator is built, so importing the package
-does not load it.
+does not load it.  Only ``evolve_trajectory`` is public.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .errors import IntegrationError
 from .fock import FockDensity
 from .params import CouplingParams
 
-__all__ = ["effective_hamiltonian", "lindblad_rhs", "evolve_trajectory"]
+__all__ = ["evolve_trajectory"]
 
 #: |tr rho - 1| or max |rho - rho^dag| beyond this at a checkpoint aborts a trajectory
 TRACE_DRIFT_TOL = 1e-8
@@ -80,11 +80,6 @@ def _k_matrix(params: CouplingParams, dims: Sequence[int]):
     b = sp.kron(sp.identity(Nc), sp.diags(np.sqrt(np.arange(1.0, Nv)), 1), format="csr")
     K = params.omega1 * (a.T @ b - a @ b.T) + params.omega2 * (a.T @ b.T - a @ b)
     return K.tocsr()
-
-
-def effective_hamiltonian(params: CouplingParams, dims: Sequence[int]) -> np.ndarray:
-    """Joint Hamiltonian i omega1 (ad b - a bd) + i omega2 (ad bd - a b) = iK, dense."""
-    return 1j * _k_matrix(params, dims).toarray()
 
 
 def _kernel(params: CouplingParams, dims: Sequence[int]):
@@ -137,20 +132,6 @@ def _join(parts: list, shape: Tuple[int, int]) -> np.ndarray:
         else:
             X.real += P
     return X
-
-
-def lindblad_rhs(params: CouplingParams, rho: FockDensity) -> FockDensity:
-    """d rho/dt = L(rho): the generator the propagator exponentiates, at unit step.
-
-    Holds on any complex X: L is real and keeps each (anti)symmetric part, so
-    it is the sum of the kernel over the four real parts of X.
-    """
-    if not rho.joint:
-        raise ValueError("lindblad_rhs needs a two-mode density")
-    apply, mu, _ = _kernel(params, rho.dims)
-    X = rho.entries
-    Y = _join([(sign, imag, apply(P, sign)) for sign, imag, P in _parts(X)], X.shape)
-    return FockDensity(entries=Y + mu * X, dims=rho.dims)
 
 
 def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.ndarray:

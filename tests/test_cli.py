@@ -67,6 +67,15 @@ class TestSimulate:
     def test_needs_out_path(self):
         assert main(["simulate"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("t_step", ["1e-300", "1e-310"])
+    def test_refuses_a_grid_past_the_row_cap(self, tmp_path, capsys, t_step):
+        # t_max/t_step is 2.5e301, or inf for the subnormal step: refused before
+        # any allocation
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--t_step", t_step, "--out_path", str(out)]) == EXIT_CONFIG
+        assert "error: invalid configuration" in capsys.readouterr().err
+        assert not out.exists() and not list(tmp_path.iterdir())
+
 
 class TestSweepRatio:
     def test_equal_coupling_row(self, tmp_path):

@@ -4,7 +4,10 @@ The R-family oracle pair: the Jacobi-polynomial closed form (r_operator)
 against the ladder-superoperator construction (raise_superop, from the
 ``superop_oracle`` helper module) -- two independent code paths for the
 same object.  For the comparison the raised input is built with m+n spare
-levels and cropped, so both sides are exact on the compared block.
+levels and cropped, so both sides are exact on the compared block.  The
+defining Q^{m,n} / C_k^{m,n} forms of the series come from the
+``series_oracle`` helper module; the assembly, its level tables and the
+reduced states are pinned against them.
 """
 
 import itertools
@@ -21,7 +24,6 @@ from ioncavity import (
     TruncationError,
     ValidityError,
     assemble_joint_density,
-    c_coefficient,
     classify_regime,
     default_dim,
     displacement_op,
@@ -33,7 +35,6 @@ from ioncavity import (
     lossless_spec,
     mode_spec,
     partial_trace,
-    q_operator,
     quad_stats,
     quad_variances,
     r_operator,
@@ -42,9 +43,11 @@ from ioncavity import (
     state_metrics,
     steady_squeeze,
     squeeze_op,
+    trace_distance,
 )
 from ioncavity import fock
 from ioncavity.fock import _level_norm, _level_tables, _r_diagonals
+from series_oracle import _q_level, c_coefficient, q_operator
 from superop_oracle import raise_superop
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -141,8 +144,7 @@ class TestCoverageWarningLocation:
         lambda: assemble_joint_density(OSC, 1.0, 1.0, 0.0, AssemblyBudget(dims=(4, 4))),
         lambda: reduced_density(OSC, 1.0, "c", 1.0, 0.0, 4),
         lambda: lossless_ket(classify_regime(1.0, 0.6, 0.0), 1.0, 0.0, 0.5, (4, 4)),
-        lambda: q_operator(0, 1, 0.2, 0.5, 4),
-    ], ids=["assemble_joint_density", "reduced_density", "lossless_ket", "q_operator"])
+    ], ids=["assemble_joint_density", "reduced_density", "lossless_ket"])
     def test_names_the_caller(self, build):
         with pytest.warns(UserWarning, match="poorly covered") as record:
             build()
@@ -542,8 +544,8 @@ class TestAssembly:
         Sc, Sv = squeeze_op(spec_c.xi, Nc), squeeze_op(spec_v.xi, Nv)
         terms = [
             spec_c.zeta**L * sum(np.kron(qc, qv) for qc, qv in zip(
-                fock._q_level(L, spec_c.n_bar, spec_c.xi, Sc),
-                fock._q_level(L, spec_v.n_bar, spec_v.xi, Sv)))
+                _q_level(L, spec_c.n_bar, spec_c.xi, Sc),
+                _q_level(L, spec_v.n_bar, spec_v.xi, Sv)))
             for L in range(41)
         ]
         norms = [np.linalg.norm(term) for term in terms]
@@ -560,19 +562,15 @@ class TestAssembly:
                 assert np.abs(rho.entries - want).max() <= 1e-13
 
     def test_no_coefficient_calls(self, monkeypatch):
-        # the level tables are closed forms: no C coefficient is evaluated, and the
+        # the level tables are closed forms, so fock holds no C coefficient, and the
         # R diagonals take one jacobi_poly call per level and mode
-        calls = {"c_coefficient": 0, "jacobi_poly": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(fock, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(fock, name, counted)
+        assert not hasattr(fock, "c_coefficient")
+        calls = []
+        jacobi_poly = fock.jacobi_poly
+        monkeypatch.setattr(fock, "jacobi_poly", lambda *args: calls.append(args) or jacobi_poly(*args))
         for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
             assemble_joint_density(OSC3, 1.2, alpha, beta, AssemblyBudget(dims=(12, 12), mn_cutoff=20))
-        assert calls == {"c_coefficient": 0, "jacobi_poly": 2 * 2 * 21}
-        assemble_joint_density(OSC3, 1.2, 0.3, 0.2j, AssemblyBudget(dims=(12, 12)))
-        assert calls["c_coefficient"] == 0
+        assert len(calls) == 2 * 2 * 21
 
     @pytest.mark.parametrize("point", [(1.0, 0.5, 0.4), (1.0, 0.5, 0.0)])
     def test_level_norm_cutoff_keeps_positivity(self, point):
@@ -668,6 +666,22 @@ class TestDecorrelation:
 
 
 class TestReducedDensity:
+    @pytest.mark.parametrize("point, t, N", [
+        ((1.0, 0.3, 0.4), 0.5, 8), ((1.0, 0.6, 0.4), 2.0, 15), ((1.0, 0.6, 0.0), 1.0, 26),
+        ((1.0, 0.0, 0.4), 4.0, 15), ((1.0, 1.0, 0.4), 0.0, 8),
+    ])
+    def test_vacuum_start_is_the_defining_l0_term(self, point, t, N):
+        # from vacuum the frame is S(xi) alone, and the state is Q^{0,0} exactly,
+        # bit for bit, as the defining series builds it
+        p = classify_regime(*point)
+        for mode in "cv":
+            spec = mode_spec(p, t, mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # coverage is not under test
+                got = reduced_density(p, t, mode, 0.0, 0.0, N).entries
+                want = q_operator(0, 0, spec.n_bar, spec.xi, N)
+            assert np.array_equal(got, want), (point, t, N, mode)
+
     def test_cavity_vacuum_revival(self):
         rho = reduced_density(OSC, TAU_PRIME_1, "c", 0.0, 0.4j, 12)
         vac = vacuum_density(12)
@@ -765,9 +779,11 @@ class TestPartialTraceAndMetrics:
         b = np.zeros((N, N), dtype=complex)
         a[0, 0] = 1.0
         b[1, 1] = 1.0
-        m = state_metrics(FockDensity(entries=a, dims=(N,)), FockDensity(entries=b, dims=(N,)))
+        rho, sigma = FockDensity(entries=a, dims=(N,)), FockDensity(entries=b, dims=(N,))
+        m = state_metrics(rho, sigma)
         assert m.fidelity == pytest.approx(0.0, abs=1e-12)
         assert m.trace_distance == pytest.approx(1.0, abs=1e-12)
+        assert trace_distance(rho, sigma) == m.trace_distance
 
     def test_thermal_purity(self):
         m = state_metrics(thermal(1.0, 40), thermal(1.0, 40))

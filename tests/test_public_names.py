@@ -21,16 +21,26 @@ def test_package_lists_exactly_the_module_names():
     assert sorted(ioncavity.__all__) == sorted(names)
 
 
-@pytest.mark.parametrize("name", ["FockOperator", "FockKet", "quad_stats_single", "thermal_state"])
+@pytest.mark.parametrize("name", ["FockOperator", "FockKet", "quad_stats_single", "thermal_state",
+                                  "c_coefficient", "q_operator"])
 def test_removed_names_are_gone(name):
     assert not hasattr(ioncavity, name)
     assert not hasattr(fock, name)
 
 
+@pytest.mark.parametrize("name", ["lindblad_rhs", "effective_hamiltonian"])
+def test_removed_generator_names_are_gone(name):
+    assert not hasattr(ioncavity, name)
+    assert not hasattr(lindblad, name)
+
+
+def test_density_has_no_hermiticity_error():
+    assert not hasattr(ioncavity.FockDensity, "hermiticity_error")
+
+
 def test_operators_and_kets_are_arrays():
     p = ioncavity.classify_regime(1.0, 0.6, 0.0)
     for op in (ioncavity.ladder(8), ioncavity.displacement_op(0.1, 8), ioncavity.squeeze_op(0.1, 8),
-               ioncavity.r_operator(1, 0, 0.2, 8), ioncavity.q_operator(0, 1, 0.2, 0.1, 8)):
+               ioncavity.r_operator(1, 0, 0.2, 8)):
         assert type(op) is np.ndarray and op.shape == (8, 8)
-    assert ioncavity.effective_hamiltonian(p, (6, 8)).shape == (48, 48)
     assert ioncavity.lossless_ket(p, 0.0, 0.0, 0.5, (6, 8)).shape == (48,)
