@@ -28,9 +28,9 @@ R^{L-k,k} by its one diagonal, from one ``jacobi_poly`` call; ``_dense``
 spreads them into matrices, and ``r_operator`` is one of them.
 ``jacobi_poly`` takes ints or int arrays for every index, broadcast
 together: scalars give a Python float, and any bad element raises the
-scalar ValueError.  Log-factorials come from one ``math.lgamma`` table and
-each series is summed in index order, so array and scalar calls agree.  One
-builder, ``_frame``, gives the D(w) S(xi) of every conjugation.
+scalar ValueError.  Its sum is a Jacobi polynomial in 1 - 2x, run up the
+stable forward three-term recurrence for every entry at once, so array and
+scalar calls agree.  One builder, ``_frame``, gives every D(w) S(xi).
 
 The paper writes the joint density as the series
 sum_{m,n} (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n}, each Q^{m,n} a sum of
@@ -95,6 +95,9 @@ __all__ = [
 #: eigenvalues of a density matrix may dip this far below zero from truncation
 TOL_PSD = 1e-8
 
+#: ``FockDensity.validate`` refuses a trace further than this from 1
+TOL_TRACE = 1e-6
+
 #: direct summation of the operator-family series is capped here; the
 #: assembler's level-norm rule must stop by then
 MAX_MN_CUTOFF = 60
@@ -128,51 +131,55 @@ class FockDensity:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))[0])
 
-    def validate(self, tol_trace: float = 1e-6) -> None:
-        """Assert the Hermiticity / positivity / trace invariants.
+    def _eigenvalue_below_tol(self, herm: Optional[np.ndarray] = None) -> Optional[float]:
+        """The lowest eigenvalue if it lies below -TOL_PSD, else None.
 
-        Positivity is one in-place LAPACK Cholesky factorization (potrf) of
-        the Hermitian part shifted by ``TOL_PSD``; only when it fails are the
-        eigenvalues computed, to name the lowest.
+        One LAPACK Cholesky factorization (potrf) of the Hermitian part
+        ``herm`` shifted by ``TOL_PSD`` decides it, in place when ``herm`` is
+        C-ordered (a fresh one if not given; it is overwritten).  Only when it
+        fails are the eigenvalues computed, to name the lowest.
         """
-        shifted = np.conjugate(self.entries.T)  # one D x D buffer serves both checks
+        if herm is None:
+            herm = 0.5 * (self.entries + self.entries.conj().T)
+        herm.flat[:: herm.shape[0] + 1] += TOL_PSD  # Cholesky succeeds iff lambda_min > -TOL_PSD
+        # factorized in place; the F-ordered view is its conjugate, positive definite with it
+        potrf, = get_lapack_funcs(("potrf",), (herm,))
+        _, info = potrf(herm.T, overwrite_a=True, clean=False)
+        if info < 0:
+            raise ValueError(f"potrf: illegal argument {-info}")
+        if info > 0 and (lo := self.min_eigenvalue()) < -TOL_PSD:
+            return lo
+        return None
+
+    def validate(self) -> None:
+        """Assert the Hermiticity, trace (within ``TOL_TRACE``) and positivity
+        (``_eigenvalue_below_tol``) invariants."""
+        shifted = np.conjugate(self.entries.T, order="C")  # one D x D buffer serves both checks
         np.subtract(self.entries, shifted, out=shifted)
         if (herm := float(np.abs(shifted).max())) > 1e-10:
             raise ValidityError(f"density not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        if abs((tr := self.trace()) - 1.0) > tol_trace:
-            raise ValidityError(f"trace {tr} deviates from 1 by more than {tol_trace}")
+        if abs((tr := self.trace()) - 1.0) > TOL_TRACE:
+            raise ValidityError(f"trace {tr} deviates from 1 by more than {TOL_TRACE}")
         shifted *= -0.5
         shifted += self.entries  # the Hermitian part rho - (rho - rho^dag)/2, in place
-        shifted.flat[:: shifted.shape[0] + 1] += TOL_PSD  # Cholesky succeeds iff lambda_min > -TOL_PSD
-        # factorized in place; the F-ordered view is its conjugate, positive definite with it
-        potrf, = get_lapack_funcs(("potrf",), (shifted,))
-        _, info = potrf(shifted.T, overwrite_a=True, clean=False)
-        if info < 0:
-            raise ValueError(f"potrf: illegal argument {-info}")
-        if info > 0:  # only then are the eigenvalues needed, to name the lowest
-            if (lo := self.min_eigenvalue()) < -TOL_PSD:
-                raise ValidityError(f"density has eigenvalue {lo:.3e} < -{TOL_PSD}")
+        if (lo := self._eigenvalue_below_tol(shifted)) is not None:
+            raise ValidityError(f"density has eigenvalue {lo:.3e} < -{TOL_PSD}")
 
 
 @dataclass(frozen=True)
 class AssemblyBudget:
     """Truncation budget for assembling the joint density operator.
 
-    None stops at the first level whose exact Frobenius norm, extrapolated
-    geometrically at its ratio to the level below, bounds the tail below
-    ``series_tol``; a series that needs more than ``MAX_MN_CUTOFF`` levels is
-    refused.  ``mn_cutoff`` = M limits the level L = m+n of the double sum,
-    and is refused unless level M passes that same test (M = 0: unless
-    |f g| <= ``series_tol``).
+    The series over the levels L = m+n stops at the first level whose exact
+    Frobenius norm, extrapolated geometrically at its ratio to the level
+    below, bounds the tail below ``series_tol``; a series that needs more
+    than ``MAX_MN_CUTOFF`` levels is refused.
     """
 
     dims: Tuple[int, int]
     series_tol: float = 1e-12
-    mn_cutoff: Optional[int] = None
 
     def __post_init__(self):
-        if self.mn_cutoff is not None and self.mn_cutoff < 0:
-            raise ValueError("mn_cutoff must be >= 0")
         if not self.series_tol > 0:
             raise ValueError("series_tol must be > 0")
         if len(self.dims) != 2 or any(d < 2 for d in self.dims):
@@ -232,22 +239,19 @@ def _log_factorials(bits: int) -> np.ndarray:
     return table
 
 
-def _term_sum(terms: np.ndarray):
-    """Sum over axis 0 in index order; a Python float for scalar summands.
-
-    A running sum, unlike numpy's pairwise one, adds the zero terms that pad
-    an array call without regrouping the rounding of the others.
-    """
-    total = np.cumsum(terms, axis=0)[-1]
-    return float(total) if total.ndim == 0 else total
-
-
 def jacobi_poly(m, k, l, x: float):
-    """P_m^{k,l}(x) = sum_{j=max(0,l)}^k (-1)^{j-l} (j+m)!/((j-l)!(k-j)!) x^j/j!.
+    """P_m^{k,l}(x) = sum_{j=max(0,l)}^k (-1)^{j-l} (j+m)!/((j-l)!(k-j)!) x^j/j!, for m >= k - l.
 
-    ``m``, ``k`` and ``l`` are ints or int arrays (broadcast together).
-    Factorial ratios go through the log-factorial table with explicit sign
-    tracking; x^j is formed directly (0 <= x < 1 cannot overflow).
+    ``m``, ``k`` and ``l`` are ints or int arrays (broadcast together).  With
+    n = min(k, k-l), a = |l| and b = m - k + l, both Jacobi parameters >= 0 on
+    that domain,
+
+        P_m^{k,l}(x) = (-1)^{max(-l,0)} x^{max(l,0)} (m + max(l,0))!/(n! a!) p_n(1 - 2x),
+
+    where p_n = P_n^{(a,b)}/binom(n+a, n) comes from the forward three-term
+    recurrence (DLMF 18.9) in difference form: p_0 = 1, p_j = p_{j-1} + d_j,
+    d_j = A_j p_{j-1} + B_j d_{j-1}.  A and B are zero past each entry's n,
+    so one loop over the degrees serves every entry.
     """
     m, k, l = np.broadcast_arrays(np.asarray(m), np.asarray(k), np.asarray(l))
     if (m < 0).any() or (k < 0).any():
@@ -256,13 +260,24 @@ def jacobi_poly(m, k, l, x: float):
         raise ValueError("need l <= k")
     if not 0.0 <= x < 1.0:
         raise ValueError(f"need 0 <= x < 1, got {x}")
-    j = np.arange(k.max(initial=0) + 1).reshape((-1,) + (1,) * k.ndim)
-    live = (j >= l) & (j <= k)
-    jl = np.where(live, j - l, 0)
-    lf = _log_factorials(int(max(m.max(initial=0) + j.size, jl.max(initial=0))).bit_length())
-    mag = lf[j + m] - lf[jl] - lf[np.where(live, k - j, 0)] - lf[j]
-    sign = np.where((j - l) % 2, -1.0, 1.0)
-    return _term_sum(np.where(live, sign * np.exp(mag) * x**j, 0.0))
+    if (m < k - l).any():
+        raise ValueError("need m >= k - l")
+    lp, a, b = np.maximum(l, 0), np.abs(l), m - k + l
+    n = k - lp
+    # degree j = i + 1 from row i: t = 2i + a + b, and B_1 = 0 (i = 0, where t may be 0)
+    i = np.arange(n.max(initial=0)).reshape((-1,) + (1,) * n.ndim)
+    t, den = 2 * i + a + b, (i + a + 1) * (i + a + b + 1)
+    live = i < n
+    A = np.where(live, -x * (t + 1) * (t + 2) / den, 0.0)
+    B = np.where(live, i * (i + b) * (t + 2) / (den * np.maximum(t, 1)), 0.0)
+    p, d = np.ones(n.shape), np.zeros(n.shape)
+    for Aj, Bj in zip(A, B):
+        d = Aj * p + Bj * d
+        p += d
+    lf = _log_factorials(int((m + lp).max(initial=0)).bit_length())
+    sign = np.where((l < 0) & (a % 2 == 1), -1.0, 1.0)
+    out = sign * x**lp * np.exp(lf[m + lp] - lf[n] - lf[a]) * p
+    return float(out) if out.ndim == 0 else out
 
 
 def _frame(w: complex, xi: float, N: int, stacklevel: int) -> np.ndarray:
@@ -279,9 +294,9 @@ def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
 
     R^{L-k,k} lies on the diagonal row - col = L - 2k; row k of the table
     holds its entries at min(row, col) = c, zero where max(row, col) >= N.
-    Rows k <= L/2 come from one ``jacobi_poly`` call over (k, c) (see
-    ``r_operator``); the others are (-1)^L times their mirror L - k, by the
-    adjoint rule.
+    Rows k <= L/2, where m = L - k >= k, come from one ``jacobi_poly`` call
+    over (k, c) (see ``r_operator``); the others are (-1)^L times their
+    mirror L - k, by the adjoint rule.
     """
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
@@ -313,9 +328,9 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
         (-1)^n sqrt(n! k!/(m! (k+m-n)!)) (n_bar+1)^{-(m+1)}
                P_m^{k,k-n}(n_bar/(n_bar+1))   at |k+m-n><k| ,
 
-    row n of ``_r_diagonals(m+n, ...)``; for m < n the operator is
-    (-1)^{m+n} times the transpose of r_operator(n, m).  R^{0,0} is the
-    thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.  A real matrix.
+    row n of ``_r_diagonals(m+n, ...)``, on ``jacobi_poly``'s domain m >= n;
+    for m < n it is (-1)^{m+n} times r_operator(n, m) transposed.  R^{0,0} is
+    the thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.  A real matrix.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
@@ -372,12 +387,11 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
 
         X = sum_L zeta^L sum_{k,k'} T_L[k, k'] R_c^{L-k,k} (x) R_v^{L-k',k'}.
 
-    With no ``mn_cutoff`` it stops at the first level L >= 1 whose norm
-    n_L, extrapolated geometrically at the ratio q = n_L/n_{L-1} < 1, bounds
-    the tail n_L q/(1 - q) below ``series_tol``; an explicit cutoff M >= 1 is
-    refused unless level M passes that test.  n_L is exact
-    (``_level_norm``), and it is the norm of the conjugated level too, as
-    the frame is unitary on the truncated basis.
+    It stops at the first level L >= 1 whose norm n_L, extrapolated
+    geometrically at the ratio q = n_L/n_{L-1} < 1, bounds the tail
+    n_L q/(1 - q) below ``series_tol``.  n_L is exact (``_level_norm``), and
+    it is the norm of the conjugated level too, as the frame is unitary on
+    the truncated basis.
     """
     zeta, (Nc, Nv) = spec_c.zeta, budget.dims
     az = abs(zeta)
@@ -385,11 +399,6 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
         raise TruncationError(
             f"assembly refused: |f g| = {az:.6g} >= 1, the operator series has "
             "no geometric tail bound at this time"
-        )
-    M, tol = budget.mn_cutoff, budget.series_tol
-    if M == 0 and az > tol:
-        raise TruncationError(
-            f"assembly budget exhausted: |f g| = {az:.3e} > series_tol = {tol:.3e}"
         )
     rc_levels, v_levels, norm = [], [], 0.0
     for L, T in enumerate(_level_tables(spec_c.xi + spec_v.xi)):
@@ -400,24 +409,13 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
         v_levels.append((zT @ _dense(rv).reshape(L + 1, -1)).reshape(L + 1, Nv, Nv))
         prev, norm = norm, _level_norm(zT, rc, rv)
         # the tail n_L q/(1 - q) past level L, q = n_L/n_{L-1} < 1; a zero level ends it
-        tail = math.inf
-        if L > 0 and (norm < prev or norm == 0):
-            tail = norm * norm / (prev - norm) if norm else 0.0
-        if M is None:
-            if tail < tol:
-                break
-            if L == MAX_MN_CUTOFF:
-                raise TruncationError(
-                    f"assembly needs m+n > {MAX_MN_CUTOFF} terms (|f g| = {az:.4f}); "
-                    "refusing direct summation at this parameter point"
-                )
-        elif L == M:
-            if M > 0 and not tail < tol:
-                raise TruncationError(
-                    f"assembly budget exhausted: the measured tail past level {M}, "
-                    f"n_M^2/(n_(M-1) - n_M) = {tail:.3e}, exceeds series_tol = {tol:.3e}"
-                )
+        if L > 0 and (norm == 0 or norm < prev and norm * norm / (prev - norm) < budget.series_tol):
             break
+        if L == MAX_MN_CUTOFF:
+            raise TruncationError(
+                f"assembly needs m+n > {MAX_MN_CUTOFF} terms (|f g| = {az:.4f}); "
+                "refusing direct summation at this parameter point"
+            )
     M = len(rc_levels) - 1
     # the block of X on the diagonal i - i' = d of mode c is one product over the
     # levels L = |d|, |d| + 2, ... <= M, at k = (L - d)/2
@@ -532,10 +530,10 @@ def partial_trace(rho: FockDensity, keep: str) -> FockDensity:
 
 def trace_distance(rho: FockDensity, sigma: FockDensity) -> float:
     """(1/2) sum |eig(rho - sigma)|; like ``state_metrics``, it refuses a rho
-    with an eigenvalue below -TOL_PSD."""
+    with an eigenvalue below -TOL_PSD (``FockDensity._eigenvalue_below_tol``)."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
-    if (lo := rho.min_eigenvalue()) < -TOL_PSD:
+    if (lo := rho._eigenvalue_below_tol()) is not None:
         raise ValidityError(f"matrix is not PSD within tolerance (min eig {lo:.3e})")
     diff = rho.entries - sigma.entries
     return 0.5 * float(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))).sum())

@@ -23,14 +23,25 @@ or by D(w) S(xi) to carry a coherent displacement along; ``q_operator`` is
 one of them.  ``c_coefficient`` takes ints or int arrays for every index,
 broadcast together: scalars give a Python float, and any bad element raises
 the scalar ValueError.  Its log-factorials come from fock's ``math.lgamma``
-table and it is summed in index order, so array and scalar calls agree.
+table and it is summed in index order (``_term_sum``), so array and scalar
+calls agree.
 """
 
 import math
 
 import numpy as np
 
-from ioncavity.fock import _dense, _log_factorials, _r_diagonals, _term_sum, squeeze_op
+from ioncavity.fock import _dense, _log_factorials, _r_diagonals, squeeze_op
+
+
+def _term_sum(terms: np.ndarray):
+    """Sum over axis 0 in index order; a Python float for scalar summands.
+
+    A running sum, unlike numpy's pairwise one, adds the zero terms that pad
+    an array call without regrouping the rounding of the others.
+    """
+    total = np.cumsum(terms, axis=0)[-1]
+    return float(total) if total.ndim == 0 else total
 
 
 def c_coefficient(m, n, k, xi: float):

@@ -301,10 +301,14 @@ class TestConfigFileTypes:
 
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # the propagator imports scipy.sparse where it builds the generator, so
-    # that the closed-form subcommands do not pay for it at start-up
+    # that the closed-form subcommands do not pay for it at start-up; the R
+    # tables of an assembly run their own recurrence, without scipy.special
     src = os.path.dirname(os.path.dirname(os.path.abspath(ioncavity.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, ioncavity.cli; print('scipy.sparse' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assemble = ("from ioncavity import *; assemble_joint_density(classify_regime(1.0, 0.3, 0.4), "
+                "1.0, 0.3, 0.2j, AssemblyBudget(dims=(8, 8)))")
+    for code in ("import sys, ioncavity.cli; print('scipy.sparse' in sys.modules)",
+                 f"import sys; {assemble}; print('scipy.special' in sys.modules)"):
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        assert done.stdout.strip() == "False"

@@ -278,14 +278,17 @@ class TestCoefficientsExact:
     """Array calls of the coefficients against exact integer references."""
 
     def test_jacobi_against_exact_binomials(self):
+        # the domain is m >= k - l = n, where both Jacobi parameters are >= 0
         k = np.arange(30)
         for x in (0.0, 0.3, 0.8125):
             for m in range(25):
-                for n in range(25 - m):
+                for n in range(min(m + 1, 25 - m)):
                     got = jacobi_poly(m, k, k - n, x)
                     for kk in k:
                         want, scale = _jacobi_exact(m, int(kk), int(kk) - n, x)
                         assert abs(got[kk] - want) <= 1e-13 * scale, (m, n, kk, x)
+        with pytest.raises(ValueError, match="need m >= k - l"):
+            jacobi_poly(2, k, k - 3, 0.3)
 
     def test_c_coefficient_against_exact_binomials(self):
         for xi in (-0.6, 0.0, 0.35):
@@ -383,6 +386,26 @@ class TestROperator:
                     raised = raise_superop(thermal(nb, N + m + n), m, n)
                     np.testing.assert_allclose(raised[:N, :N], closed,
                                                atol=1e-10)
+
+    @pytest.mark.parametrize("L", [40, 60, 100])
+    @pytest.mark.parametrize("nb", [0.2, 0.6])
+    def test_high_levels_match_exact_series(self, L, nb):
+        # rows k <= L/2 of the level-L table against the alternating sum of
+        # jacobi_poly's definition, exact in Fractions at the float x, times the
+        # float prefactor; that sum in floats cancels, and loses 1e-6 of the
+        # level's largest entry at L = 60, nb = 0.6
+        N, f = 20, math.factorial
+        x = Fraction(nb / (nb + 1.0))
+        got, want = _r_diagonals(L, nb, N)[: L // 2 + 1], np.zeros((L // 2 + 1, N))
+        for s, c in itertools.product(range(L // 2 + 1), range(N)):
+            m, row = L - s, c + L - 2 * s
+            if row < N:
+                l = c - s
+                series = sum(Fraction((-1) ** (j - l) * f(j + m), f(j - l) * f(c - j) * f(j)) * x**j
+                             for j in range(max(0, l), c + 1))
+                pref = math.sqrt(Fraction(f(s) * f(c), f(m) * f(row))) * (nb + 1.0) ** -(m + 1)
+                want[s, c] = (-1) ** s * pref * float(series)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestRaiseSuperop:
@@ -514,7 +537,8 @@ class TestAssembly:
         budget = AssemblyBudget(dims=(12, 12))
         for t in (0.5, 1.5, 3.0):
             rho = assemble_joint_density(OSC3, t, 0.0, 0.0, budget)
-            rho.validate(tol_trace=1e-8)
+            rho.validate()
+            assert rho.trace_deficit <= 1e-8
 
     def test_partial_trace_matches_reduced_form(self):
         budget = AssemblyBudget(dims=(14, 14))
@@ -534,43 +558,37 @@ class TestAssembly:
     @staticmethod
     def check_defining_series(dims):
         # (D_c (x) D_v)(sum zeta^{m+n} Q_c^{m,n} (x) Q_v^{m,n})(D_c (x) D_v)^dag, term by
-        # term with kron: an explicit cutoff sums the series to it, and the default
-        # budget agrees with the series summed to M = 40.  The explicit M is the first
-        # level whose Frobenius norm, extrapolated at its ratio to the level below,
-        # bounds the tail below 1e-12 (the geometric |f g|^{M+1} rule's M = 12 leaves
-        # a measured tail of 2e-9, which the assembly refuses)
+        # term with kron: the default budget agrees with the series summed to M = 40
         (Nc, Nv), t = dims, 1.2
         spec_c, spec_v = mode_spec(OSC3, t, "c"), mode_spec(OSC3, t, "v")
         Sc, Sv = squeeze_op(spec_c.xi, Nc), squeeze_op(spec_v.xi, Nv)
-        terms = [
+        series = sum(
             spec_c.zeta**L * sum(np.kron(qc, qv) for qc, qv in zip(
                 _q_level(L, spec_c.n_bar, spec_c.xi, Sc),
                 _q_level(L, spec_v.n_bar, spec_v.xi, Sv)))
             for L in range(41)
-        ]
-        norms = [np.linalg.norm(term) for term in terms]
-        M = next(L for L in range(1, 41)
-                 if norms[L] < norms[L - 1] and norms[L] ** 2 / (norms[L - 1] - norms[L]) < 1e-12)
+        )
         for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
             u, v = displacement_trajectory(OSC3, alpha, beta, t)
             D = np.kron(displacement_op(u, Nc), displacement_op(v, Nv))
-            for budget, cut in ((AssemblyBudget(dims=dims), 40),
-                                (AssemblyBudget(dims=dims, mn_cutoff=M), M)):
-                want = D @ sum(terms[: cut + 1]) @ D.conj().T
-                want = 0.5 * (want + want.conj().T)
-                rho = assemble_joint_density(OSC3, t, alpha, beta, budget)
-                assert np.abs(rho.entries - want).max() <= 1e-13
+            want = D @ series @ D.conj().T
+            want = 0.5 * (want + want.conj().T)
+            rho = assemble_joint_density(OSC3, t, alpha, beta, AssemblyBudget(dims=dims))
+            assert np.abs(rho.entries - want).max() <= 1e-13
 
     def test_no_coefficient_calls(self, monkeypatch):
         # the level tables are closed forms, so fock holds no C coefficient, and the
         # R diagonals take one jacobi_poly call per level and mode
         assert not hasattr(fock, "c_coefficient")
-        calls = []
+        calls, levels = [], []
         jacobi_poly = fock.jacobi_poly
-        monkeypatch.setattr(fock, "jacobi_poly", lambda *args: calls.append(args) or jacobi_poly(*args))
+        monkeypatch.setattr(fock, "jacobi_poly",
+                            lambda *args: calls.append(args) or jacobi_poly(*args))
+        monkeypatch.setattr(fock, "_level_norm",
+                            lambda *args: levels.append(args) or _level_norm(*args))
         for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
-            assemble_joint_density(OSC3, 1.2, alpha, beta, AssemblyBudget(dims=(12, 12), mn_cutoff=20))
-        assert len(calls) == 2 * 2 * 21
+            assemble_joint_density(OSC3, 1.2, alpha, beta, AssemblyBudget(dims=(12, 12)))
+        assert len(levels) > 2 and len(calls) == 2 * len(levels)
 
     @pytest.mark.parametrize("point", [(1.0, 0.5, 0.4), (1.0, 0.5, 0.0)])
     def test_level_norm_cutoff_keeps_positivity(self, point):
@@ -621,21 +639,6 @@ class TestAssembly:
         growing = classify_regime(1.0, 1.3, 0.4)
         with pytest.raises(TruncationError):
             assemble_joint_density(growing, 8.0, 0.0, 0.0, AssemblyBudget(dims=(8, 8)))
-
-    def test_explicit_cutoff_tail_guard(self):
-        budget = AssemblyBudget(dims=(10, 10), mn_cutoff=1, series_tol=1e-12)
-        with pytest.raises(TruncationError):
-            assemble_joint_density(OSC3, 0.5, 0.0, 0.0, budget)
-
-    def test_explicit_cutoff_refused_on_measured_tail(self):
-        # |f g|^22 = 2.5e-13 passed the old geometric guard here, and the density
-        # summed to M = 21 failed validate() with lambda_min = -1.347e-8; the level
-        # norms fall by about 0.48 per level, so the measured tail is 3e-8
-        p = classify_regime(1.0, 0.5, 0.4)
-        with pytest.raises(TruncationError, match="measured tail past level 21") as exc:
-            assemble_joint_density(p, 1.0, 0.0, 0.0, AssemblyBudget(dims=(26, 26), mn_cutoff=21))
-        tail = float(str(exc.value).split(" = ")[1].split(",")[0])
-        assert 1e-8 < tail < 1e-7
 
     def test_truncation_stability_in_dims(self):
         # growing the basis by 5 only moves the state at the edge-truncation

@@ -38,6 +38,16 @@ def test_density_has_no_hermiticity_error():
     assert not hasattr(ioncavity.FockDensity, "hermiticity_error")
 
 
+def test_removed_options_are_refused():
+    # the series cutoff is read from the level norms only, and the trace
+    # tolerance of validate() is fixed
+    with pytest.raises(TypeError):
+        ioncavity.AssemblyBudget(dims=(8, 8), mn_cutoff=4)
+    rho = ioncavity.FockDensity(entries=np.eye(2) / 2, dims=(2,))
+    with pytest.raises(TypeError):
+        rho.validate(tol_trace=1e-8)
+
+
 def test_operators_and_kets_are_arrays():
     p = ioncavity.classify_regime(1.0, 0.6, 0.0)
     for op in (ioncavity.ladder(8), ioncavity.displacement_op(0.1, 8), ioncavity.squeeze_op(0.1, 8),
