@@ -10,7 +10,8 @@ that omega1 = 1; all times are then in units of omega1 t.  Config files are
 flat JSON objects whose keys are the RunConfig field names; command-line
 flags override file values.  CSV output is UTF-8 with LF line endings and
 15 significant digits, written to a temporary file and renamed on success
-so no partial files are left behind.
+so no partial files are left behind; the file gets the mode a plain open()
+would give: an existing file keeps its own, a new one 0666 less the umask.
 
 The subcommands hold no physics.  ``simulate`` makes one ``quad_variances``
 and one ``envelope`` call over its whole time grid and maps both modes'
@@ -21,6 +22,10 @@ run serves them all, and at each one it prints a line per check.  A formula
 validity guard tripped inside a check (a non-PSD assembled density, say), or
 a series the assembly refuses to sum, is that check's ``FAIL`` line, naming
 the guard's value or the refusal, and the other checks still run (exit 1).
+
+Only ``validate`` loads scipy: ``fock`` imports scipy.linalg and ``lindblad``
+scipy.sparse where they are first called, so ``simulate``, ``sweep-ratio``
+and ``revivals`` start on numpy and the standard library alone.
 
 Exit codes: 0 success; 1 validation tolerance breach or propagator failure;
 2 invalid configuration; 3 formula-validity guard tripped; 4 no revivals in
@@ -34,6 +39,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
@@ -162,10 +168,19 @@ def _fmt(x: float) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    # mkstemp makes the file 0600; give it the mode open(path, "w") would: an
+    # existing file's own, else 0666 less the umask
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -47,6 +47,10 @@ the diagonal tables and stops at its measured level norms;
 ``_conjugate`` applies the frame by one-mode products on each axis.  A
 reduced state is the L = 0 term, where C_0^{0,0} = 1: U R^{0,0} U^dag, with
 R^{0,0} the thermal diagonal.
+
+scipy.linalg is imported where it is called: ``expm`` in ``displacement_op``
+and ``squeeze_op``, LAPACK's ``potrf`` in the positivity test.  Importing the
+package loads numpy only, so the closed-form subcommands never load scipy.
 """
 
 from __future__ import annotations
@@ -59,7 +63,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs
 
 from .errors import TruncationError, ValidityError
 from .observables import (
@@ -139,6 +142,8 @@ class FockDensity:
         C-ordered (a fresh one if not given; it is overwritten).  Only when it
         fails are the eigenvalues computed, to name the lowest.
         """
+        from scipy.linalg import get_lapack_funcs
+
         if herm is None:
             herm = 0.5 * (self.entries + self.entries.conj().T)
         herm.flat[:: herm.shape[0] + 1] += TOL_PSD  # Cholesky succeeds iff lambda_min > -TOL_PSD
@@ -207,6 +212,8 @@ def displacement_op(alpha: complex, N: int, *, stacklevel: int = 2) -> np.ndarra
     unitarity should then only be trusted in the occupied block.  The
     warning names the line ``stacklevel`` frames up, as ``warnings.warn``.
     """
+    from scipy.linalg import expm
+
     a = ladder(N)
     mag = abs(alpha)
     if mag * mag + 4.0 * mag >= N:
@@ -218,10 +225,13 @@ def displacement_op(alpha: complex, N: int, *, stacklevel: int = 2) -> np.ndarra
 
 
 def squeeze_op(xi: float, N: int, *, stacklevel: int = 2) -> np.ndarray:
-    """S(xi) = exp((xi/2)(a^2 - ad^2)); real matrix for real xi.
+    """S(xi) = exp((xi/2)(a^2 - ad^2)), a complex128 matrix whose imaginary
+    part is zero for real xi (``_frame`` keeps its real part).
 
     Warns, naming the line ``stacklevel`` frames up, when 4 e^{2|xi|} > N.
     """
+    from scipy.linalg import expm
+
     if 4.0 * math.exp(2.0 * abs(xi)) > N:
         warnings.warn(
             f"squeeze parameter |xi|={abs(xi):.3g} poorly covered by N={N}", stacklevel=stacklevel

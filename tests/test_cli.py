@@ -299,16 +299,46 @@ class TestConfigFileTypes:
         assert main(["revivals", "--config", str(config)]) == EXIT_OK
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    # the propagator imports scipy.sparse where it builds the generator, so
-    # that the closed-form subcommands do not pay for it at start-up; the R
-    # tables of an assembly run their own recurrence, without scipy.special
+def _fresh_python(code):
+    """The last line that ``python -c code`` prints, run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ioncavity.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # fock imports scipy.linalg and lindblad scipy.sparse where they are first
+    # called, so the closed-form subcommands never load scipy
+    loaded = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+    assert _fresh_python(f"import sys, ioncavity.cli; print({loaded})") == "[]"
+    runs = [["simulate", "--out_path", str(tmp_path / "sim.csv")],
+            ["sweep-ratio", "--out_path", str(tmp_path / "sweep.csv")],
+            ["revivals"]]
+    # a None entry makes any import of scipy raise ImportError
+    assert _fresh_python("import sys; sys.modules['scipy'] = None; from ioncavity.cli import main; "
+                         f"print([main(argv) for argv in {runs!r}])") == "[0, 0, 0]"
+    assert (tmp_path / "sim.csv").exists() and (tmp_path / "sweep.csv").exists()
+    # from a cold start the lazy expm (both frames) and potrf (validate) sites run, and the
+    # R tables of the assembly run their own recurrence, without scipy.special
     assemble = ("from ioncavity import *; assemble_joint_density(classify_regime(1.0, 0.3, 0.4), "
-                "1.0, 0.3, 0.2j, AssemblyBudget(dims=(8, 8)))")
-    for code in ("import sys, ioncavity.cli; print('scipy.sparse' in sys.modules)",
-                 f"import sys; {assemble}; print('scipy.special' in sys.modules)"):
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              timeout=60, check=True)
-        assert done.stdout.strip() == "False"
+                "1.0, 0.3, 0.2j, AssemblyBudget(dims=(8, 8))).validate()")
+    assert _fresh_python(f"import sys; {assemble}; print('scipy.linalg' in sys.modules, "
+                         "'scipy.special' in sys.modules)") == "True False"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_csv_mode_follows_umask(tmp_path, umask):
+    # the temporary file renamed into place gets the mode open(path, "w") would give
+    old = os.umask(umask)
+    try:
+        for argv in (["simulate", "--t_max", "1"], ["sweep-ratio", "--times", "1"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main([*argv, "--out_path", str(out)]) == EXIT_OK
+            assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+            out.chmod(0o600)  # a file that already exists keeps its own mode
+            assert main([*argv, "--out_path", str(out)]) == EXIT_OK
+            assert out.stat().st_mode & 0o777 == 0o600
+    finally:
+        os.umask(old)
