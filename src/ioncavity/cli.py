@@ -59,7 +59,6 @@ from .fock import (
     AssemblyBudget,
     FockDensity,
     assemble_joint_density,
-    default_dim,
     displacement_op,
     lossless_ket,
     partial_trace,
@@ -83,7 +82,7 @@ EXIT_NO_REVIVALS = 4
 #: validate refuses joint dimensions beyond desk scale
 MAX_VALIDATE_DIM = 1024
 
-#: simulate refuses time grids beyond desk scale
+#: simulate and revivals refuse time grids and revival lists beyond desk scale
 MAX_SIMULATE_ROWS = 10**6
 
 #: validate's default drive omega2/omega1, under any config file and flags
@@ -250,8 +249,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_revivals(cfg: RunConfig, stream=None) -> int:
     stream = stream or sys.stdout
     params = cfg.params()
+    lam = math.sqrt(max(params.lambda_sq, 0.0))  # lambda_sq > 0 wherever revival_schedule runs
+    rows = cfg.t_max * lam / math.pi  # about the length of each revival list
+    if rows > MAX_SIMULATE_ROWS:
+        raise ConfigError(f"revivals needs t_max*Lambda/pi <= {MAX_SIMULATE_ROWS}, got {rows:.6g}")
     schedule = revival_schedule(params, cfg.t_max)
-    lam = math.sqrt(params.lambda_sq)
     print(f"# revival schedule up to t = {_fmt(cfg.t_max)} (spacing pi/Lambda = {_fmt(math.pi / lam)})",
           file=stream)
     print("# kind  n  time  residual", file=stream)
@@ -289,14 +291,6 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
     params = cfg.params()
     budget = AssemblyBudget(dims=(cfg.nc, cfg.nv), series_tol=cfg.series_tol)
     failures: List[str] = []
-    try:
-        dim = default_dim(params)
-    except RegimeError:  # default_dim needs omega2 < omega1
-        print(f"note: default_dim is undefined at omega2 >= omega1; dims ({cfg.nc}, {cfg.nv}) "
-              "are unchecked", file=sys.stderr)
-    else:
-        if min(cfg.nc, cfg.nv) < dim:
-            print(f"note: dims ({cfg.nc}, {cfg.nv}) are below default_dim = {dim}", file=sys.stderr)
 
     def report(label: str, tol: float, check: Callable[[], float]) -> None:
         try:

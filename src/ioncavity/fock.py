@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -71,8 +70,6 @@ from .observables import (
     displacement_trajectory,
     lossless_spec,
     mode_spec,
-    nbar_max,
-    steady_squeeze,
 )
 from .params import CouplingParams
 
@@ -85,7 +82,6 @@ __all__ = [
     "squeeze_op",
     "jacobi_poly",
     "r_operator",
-    "default_dim",
     "assemble_joint_density",
     "reduced_density",
     "lossless_ket",
@@ -205,37 +201,19 @@ def ladder(N: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
 
 
-def displacement_op(alpha: complex, N: int, *, stacklevel: int = 2) -> np.ndarray:
-    """D(alpha) = exp(alpha ad - alpha* a) via scaling-and-squaring expm.
-
-    Warns when the coverage heuristic |alpha|^2 + 4|alpha| < N fails;
-    unitarity should then only be trusted in the occupied block.  The
-    warning names the line ``stacklevel`` frames up, as ``warnings.warn``.
-    """
+def displacement_op(alpha: complex, N: int) -> np.ndarray:
+    """D(alpha) = exp(alpha ad - alpha* a) via scaling-and-squaring expm."""
     from scipy.linalg import expm
 
     a = ladder(N)
-    mag = abs(alpha)
-    if mag * mag + 4.0 * mag >= N:
-        warnings.warn(
-            f"displacement amplitude |alpha|={mag:.3g} poorly covered by N={N}",
-            stacklevel=stacklevel,
-        )
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
-def squeeze_op(xi: float, N: int, *, stacklevel: int = 2) -> np.ndarray:
+def squeeze_op(xi: float, N: int) -> np.ndarray:
     """S(xi) = exp((xi/2)(a^2 - ad^2)), a complex128 matrix whose imaginary
-    part is zero for real xi (``_frame`` keeps its real part).
-
-    Warns, naming the line ``stacklevel`` frames up, when 4 e^{2|xi|} > N.
-    """
+    part is zero for real xi (``_frame`` keeps its real part)."""
     from scipy.linalg import expm
 
-    if 4.0 * math.exp(2.0 * abs(xi)) > N:
-        warnings.warn(
-            f"squeeze parameter |xi|={abs(xi):.3g} poorly covered by N={N}", stacklevel=stacklevel
-        )
     a = ladder(N)
     a2 = a @ a
     return expm(0.5 * xi * (a2 - a2.conj().T))
@@ -290,13 +268,12 @@ def jacobi_poly(m, k, l, x: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _frame(w: complex, xi: float, N: int, stacklevel: int) -> np.ndarray:
-    """D(w) S(xi) on N levels; S(xi) alone, as a real matrix, when w = 0.  A
-    coverage warning names the line ``stacklevel`` frames up from here."""
-    S = squeeze_op(xi, N, stacklevel=stacklevel + 1)
+def _frame(w: complex, xi: float, N: int) -> np.ndarray:
+    """D(w) S(xi) on N levels; S(xi) alone, as a real matrix, when w = 0."""
+    S = squeeze_op(xi, N)
     if w == 0:
         return np.ascontiguousarray(S.real)
-    return displacement_op(w, N, stacklevel=stacklevel + 1) @ S
+    return displacement_op(w, N) @ S
 
 
 def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
@@ -345,17 +322,6 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
     return _dense(_r_diagonals(m + n, n_bar, N))[n]
-
-
-def default_dim(params: CouplingParams) -> int:
-    """Truncation heuristic N = max(16, ceil(8 (nbar_max + 1) e^{2 |xi_bar|})).
-
-    Sized so squeezed-thermal tails of the vacuum-start solution fall below
-    1e-10; only defined for omega1 > omega2.
-    """
-    nb = nbar_max(params)
-    xb = abs(steady_squeeze(params))
-    return max(16, math.ceil(8.0 * (nb + 1.0) * math.exp(2.0 * xb)))
 
 
 def _level_tables(sigma: float):
@@ -480,7 +446,7 @@ def assemble_joint_density(
     u, v = displacement_trajectory(params, alpha, beta, t)
     # without displacement both frames are real, and then so is every buffer
     X = _joint_core(spec_c, spec_v, budget, complex if u or v else float)
-    rho = _conjugate(X, _frame(u, spec_c.xi, Nc, 3), _frame(v, spec_v.xi, Nv, 3))
+    rho = _conjugate(X, _frame(u, spec_c.xi, Nc), _frame(v, spec_v.xi, Nv))
     return FockDensity(entries=rho, dims=(Nc, Nv))
 
 
@@ -495,7 +461,7 @@ def reduced_density(
     """
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
-    U = _frame(u if mode == "c" else v, spec.xi, N, 3)
+    U = _frame(u if mode == "c" else v, spec.xi, N)
     return FockDensity(entries=(U * _r_diagonals(0, spec.n_bar, N)[0]) @ U.conj().T, dims=(N,))
 
 
@@ -523,7 +489,7 @@ def lossless_ket(
     psi = np.zeros((Nc, Nv), dtype=complex)
     psi[k, k] = (sign * math.sqrt(nb / (nb + 1.0))) ** k / math.sqrt(nb + 1.0)
     # (U_c (x) U_v) acts on the (Nc, Nv) amplitude matrix as U_c psi U_v^T
-    Uc, Uv = _frame(spec.u0, -spec.xi0, Nc, 3), _frame(spec.v0, spec.xi0, Nv, 3)
+    Uc, Uv = _frame(spec.u0, -spec.xi0, Nc), _frame(spec.v0, spec.xi0, Nv)
     return (Uc @ psi @ Uv.T).ravel()
 
 

@@ -60,6 +60,10 @@ __all__ = ["evolve_trajectory"]
 #: |tr rho - 1| or max |rho - rho^dag| beyond this at a checkpoint aborts a trajectory
 TRACE_DRIFT_TOL = 1e-8
 
+#: evolve_trajectory refuses a step that needs more substeps than this (see ``_taylor_expm``);
+#: validate's CI runs need at most 16
+MAX_SUBSTEPS = 1000
+
 #: theta_m of Al-Mohy & Higham's Table 3.1 at u = 2^-53, for m = 5, 10, ..., 55
 _THETA = dict(zip(range(5, 60, 5), (2.4e-3, 0.14, 0.64, 1.4, 2.4, 3.5, 4.7, 6.0, 7.2, 8.5, 9.9)))
 
@@ -177,6 +181,8 @@ def evolve_trajectory(
     rho(t_k) = exp(L (t_k - t_{k-1})) rho(t_{k-1}), each real part of rho0 on
     its own; the densities are float64 when rho0's imaginary part is zero.
     The trace drift and the Hermiticity error are checked at every checkpoint.
+    A step that needs more than MAX_SUBSTEPS substeps, or a non-finite
+    number of them, is refused before any is taken.
     """
     if not rho0.joint:
         raise ValueError("evolve_trajectory needs a two-mode density")
@@ -184,6 +190,12 @@ def evolve_trajectory(
     if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
     apply, mu, norm1 = _kernel(params, rho0.dims)
+    for t0, t in zip([0.0, *times], times):
+        # the fewest substeps of any degree m; inf or nan once the norm overflows
+        s = (t - t0) * norm1 / _THETA[55] if t > t0 else 0.0
+        if not s <= MAX_SUBSTEPS:
+            raise IntegrationError(f"propagator step of {t - t0:.6g} needs {s:.3g} substeps > "
+                                   f"{MAX_SUBSTEPS} at {_where(params, rho0.dims, t)}")
     X = rho0.entries
     rho = X if X.imag.any() else X.real
     parts = _parts(X)

@@ -83,4 +83,4 @@ def q_operator(m: int, n: int, n_bar: float, xi: float, N: int) -> np.ndarray:
     """Q^{m,n}(n_bar, xi) = sum_k C_k^{m,n}(-xi) S(xi) R^{m+n-k,k}(n_bar) S(xi)^dag."""
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    return _q_level(m + n, n_bar, xi, squeeze_op(xi, N, stacklevel=3))[m]
+    return _q_level(m + n, n_bar, xi, squeeze_op(xi, N))[m]

@@ -97,6 +97,19 @@ class TestRevivals:
         assert main(["revivals", *_point_flags(1.0, 0.6, 4.0)]) == EXIT_NO_REVIVALS
         assert "no revivals" in capsys.readouterr().err
 
+    def test_refuses_lists_past_the_row_cap(self, capsys, monkeypatch):
+        # at (1, 0.6, 0.4) and t_max = 20 each list holds about 20 sqrt(0.63)/pi
+        # = 5.05 rows: refused under a cap of 5 before any list is built
+        monkeypatch.setattr(cli, "MAX_SIMULATE_ROWS", 5)
+        monkeypatch.setattr(cli, "revival_schedule", None)
+        argv = ["revivals", *_point_flags(1.0, 0.6, 0.4), "--t_max", "20"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("error: invalid configuration: revivals needs "
+                                           "t_max*Lambda/pi <= 5, got 5.05301\n")
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_SIMULATE_ROWS", 6)
+        assert main(argv) == EXIT_OK
+
     def test_oscillatory_lists_both_kinds(self, capsys):
         assert main(["revivals", *_point_flags(1.0, 0.6, 0.4), "--t_max", "20"]) == EXIT_OK
         kinds = [line.split()[0] for line in capsys.readouterr().out.splitlines()
@@ -106,7 +119,7 @@ class TestRevivals:
 
 
 class TestValidate:
-    # N = 10 lies below default_dim = 16.  At validate's default
+    # N = 10 lies below the validate benchmark's N = 16.  At validate's default
     # omega2/omega1 = 0.3 the basis edge alone puts the t = 1 joint trace
     # distance at 1.0e-4 (gamma = 0.4) and 1.6e-4 (gamma = 0), over TD_TOL;
     # at 0.2 it is 1.1e-5 and 1.8e-5.
@@ -188,21 +201,24 @@ class TestValidate:
         from_file = capsys.readouterr()
         assert main(["validate", "--nc", "8", "--nv", "8", "--times", "0.5"]) == EXIT_OK
         assert capsys.readouterr() == from_file
-        assert "default_dim = 16" in from_file.err
 
-    def test_basis_below_default_dim_noted_on_stderr(self, capsys):
-        # default_dim is 16 at validate's default omega2/omega1 = 0.3
-        main(["validate", "--nc", "10", "--nv", "10", "--times", "0.5"])
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "dims (10, 10)" in err and "default_dim = 16" in err
-        main(["validate", "--nc", "16", "--nv", "16", "--times", "0.5"])
+    # truncation shows in the checks' own lines, at omega2 < omega1 and at
+    # equal coupling alike; nothing guesses at the basis on stderr
+    def test_stderr_left_empty_at_defaults(self, capsys):
+        assert main(["validate", "--times", "0.5"]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_unchecked_basis_noted_at_omega2_ge_omega1(self, capsys):
-        # default_dim is undefined there, so the chosen dims are not checked
+    def test_stderr_left_empty_at_equal_coupling(self, capsys):
         assert main(["validate", "--omega2", "1", "--times", "0.1"]) == EXIT_OK
-        assert capsys.readouterr().err == (
-            "note: default_dim is undefined at omega2 >= omega1; dims (15, 15) are unchecked\n")
+        assert capsys.readouterr().err == ""
+
+    def test_step_past_the_substep_cap_aborts(self, capsys):
+        # gamma = 1e300 would need about 4.5e299 propagator substeps
+        argv = ["validate", "--gamma", "1e300", "--nc", "4", "--nv", "4", "--times", "1"]
+        assert main(argv) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert out.startswith("validation aborted: propagator step of 1 needs 4.")
+        assert out.count("\n") == 1 and "substeps > 1000 at (omega1, omega2, gamma)" in out
 
     def test_config_setting_dt_int_loads(self, tmp_path, capsys):
         config = tmp_path / "run.json"

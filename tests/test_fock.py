@@ -12,7 +12,6 @@ reduced states are pinned against them.
 
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,6 @@ from ioncavity import (
     ValidityError,
     assemble_joint_density,
     classify_regime,
-    default_dim,
     displacement_op,
     displacement_trajectory,
     evolve_trajectory,
@@ -104,10 +102,6 @@ class TestDisplacement:
         D2 = displacement_op(-(0.7 + 0.2j), 24)
         np.testing.assert_allclose(D1 @ D2, np.eye(24), atol=1e-8)
 
-    def test_coverage_warning(self):
-        with pytest.warns(UserWarning):
-            displacement_op(3.0, 8)
-
 
 class TestSqueeze:
     def test_identity_at_zero(self):
@@ -131,24 +125,6 @@ class TestSqueeze:
         occupied = slice(0, 20)
         np.testing.assert_allclose((S1 @ S2)[occupied, occupied],
                                    np.eye(40)[occupied, occupied], atol=1e-8)
-
-    def test_coverage_warning(self):
-        with pytest.warns(UserWarning):
-            squeeze_op(1.5, 8)
-
-
-class TestCoverageWarningLocation:
-    """A coverage warning raised through a public builder names its caller's line."""
-
-    @pytest.mark.parametrize("build", [
-        lambda: assemble_joint_density(OSC, 1.0, 1.0, 0.0, AssemblyBudget(dims=(4, 4))),
-        lambda: reduced_density(OSC, 1.0, "c", 1.0, 0.0, 4),
-        lambda: lossless_ket(classify_regime(1.0, 0.6, 0.0), 1.0, 0.0, 0.5, (4, 4)),
-    ], ids=["assemble_joint_density", "reduced_density", "lossless_ket"])
-    def test_names_the_caller(self, build):
-        with pytest.warns(UserWarning, match="poorly covered") as record:
-            build()
-        assert [w.filename for w in record] == [__file__] * len(record)
 
 
 class TestThermal:
@@ -679,10 +655,8 @@ class TestReducedDensity:
         p = classify_regime(*point)
         for mode in "cv":
             spec = mode_spec(p, t, mode)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # coverage is not under test
-                got = reduced_density(p, t, mode, 0.0, 0.0, N).entries
-                want = q_operator(0, 0, spec.n_bar, spec.xi, N)
+            got = reduced_density(p, t, mode, 0.0, 0.0, N).entries
+            want = q_operator(0, 0, spec.n_bar, spec.xi, N)
             assert np.array_equal(got, want), (point, t, N, mode)
 
     def test_cavity_vacuum_revival(self):
@@ -875,9 +849,3 @@ class TestQuadStats:
             for field in ("var_xc", "var_pc", "var_xv", "var_pv",
                           "mean_xc", "mean_pc", "mean_xv", "mean_pv"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-6)
-
-
-class TestDefaultDim:
-    def test_floor_and_growth(self):
-        assert default_dim(OSC3) == 16
-        assert default_dim(OSC) == max(16, math.ceil(8 * 1.125 * 4.0))

@@ -10,6 +10,7 @@ propagator is compared at the ``validate`` workload's point.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from ioncavity import (
     IntegrationError,
     assemble_joint_density,
     classify_regime,
-    default_dim,
     displacement_op,
     displacement_trajectory,
     evolve_trajectory,
@@ -241,7 +241,7 @@ class TestOneNorm:
         # every application of the generator kernel in one step h = 1 on the
         # validate basis: the Taylor terms alone, with no products spent on
         # estimating norms
-        N = default_dim(OSC3)
+        N = 16
         norm1 = lindblad._kernel(OSC3, (N, N))[2]
         calls = count_kernel_calls(monkeypatch)
         evolve_trajectory(OSC3, vacuum_joint(N, N), [1.0])
@@ -321,9 +321,9 @@ class TestEvolve:
             np.testing.assert_allclose(rho.entries.ravel(), want, rtol=0, atol=1e-12)
 
     def test_validate_states_match_rk4(self):
-        # the lossy validate workload: omega2/omega1 = 0.3 on its default_dim
-        # basis N = 16, from vacuum, against RK4 at that workload's dt
-        N = default_dim(OSC3)
+        # the lossy validate workload: omega2/omega1 = 0.3 on its basis
+        # N = 16, from vacuum, against RK4 at that workload's dt
+        N = 16
         times = [0.5, 1.0, 2.0]
         rho0 = vacuum_joint(N, N)
         exact = evolve_trajectory(OSC3, rho0, times)
@@ -362,10 +362,10 @@ class TestEvolve:
     def test_first_moments_match_closed_form(self):
         # At OSC (omega2/omega1 = 0.6) the miss against the exact moments is
         # the population leaking past the basis edge: it needs N >~ 25 for
-        # 1e-6.  OSC3 at default_dim keeps the top levels below 1e-8, so
+        # 1e-6.  OSC3 at N = 16 keeps the top levels below 1e-8, so
         # this checks the closed form, not the truncation.
         alpha, beta = 0.4, 0.3j
-        Nc = Nv = default_dim(OSC3)
+        Nc = Nv = 16
         times = [0.5, 1.0, 2.0]
         states = evolve_trajectory(OSC3, coherent_joint(alpha, beta, Nc, Nv), times)
         a = np.kron(ladder(Nc), np.eye(Nv))
@@ -418,6 +418,28 @@ class TestFailures:
         assert "(omega1, omega2, gamma) = (1, 0, 0.4)" in msg
         assert "dims = (4, 4)" in msg and "t = 1" in msg
 
+    def test_step_past_the_substep_cap(self, monkeypatch):
+        # gamma = 1e300 puts h ||L - mu I||_1 / theta_55 at 4.5e299 for h = 1:
+        # refused before the kernel runs once
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(IntegrationError) as exc:
+            evolve_trajectory(classify_regime(1.0, 0.3, 1e300), vacuum_joint(4, 4), [0.0, 1.0])
+        msg = str(exc.value)
+        assert re.search(r"needs 4\.\d+e\+299 substeps > 1000 at ", msg)
+        assert "(omega1, omega2, gamma) = (1, 0.3, 1e+300)" in msg
+        assert "dims = (4, 4)" in msg and "t = 1" in msg
+        assert calls["apply"] == 0
+
+    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
+    @pytest.mark.parametrize("N, s", [(4, "inf"), (16, "nan")])
+    def test_step_with_non_finite_substeps(self, N, s):
+        # gamma = 1e308 overflows the 1-norm to inf, or to inf - inf = nan once
+        # mu = -(gamma/2)(N - 1) overflows too; a checkpoint at t = 0 takes no step
+        p, rho0 = classify_regime(1.0, 0.3, 1e308), vacuum_joint(N, N)
+        assert np.array_equal(evolve_trajectory(p, rho0, [0.0])[0].entries, rho0.entries)
+        with pytest.raises(IntegrationError, match=f"needs {s} substeps > 1000 at .* t = 0.5$"):
+            evolve_trajectory(p, rho0, [0.5, 1.0])
+
 
 class TestPureStates:
     """Pure states at gamma = 0, propagated as psi psi^dag by the one propagator."""
@@ -439,9 +461,9 @@ class TestPureStates:
     def test_full_period_return(self):
         # the exact dynamics return after 2 pi/L0 (a'' = -L0^2 a); at
         # omega2/omega1 = 0.6 the basis edge limits the overlap to 1 - 3e-4
-        # at N = 14, so the check runs at 0.3 on its default_dim basis
+        # at N = 14, so the check runs at 0.3 on N = 16
         lam0 = math.sqrt(LOSSLESS3.lambda0_sq)
-        N = default_dim(LOSSLESS3)
+        N = 16
         psi0 = lossless_ket(LOSSLESS3, 0.2, 0.1j, 0.0, (N, N))
         rho = evolve_trajectory(LOSSLESS3, pure_joint(psi0, (N, N)), [2 * math.pi / lam0])[-1]
         overlap = math.sqrt(np.vdot(psi0, rho.entries @ psi0).real)
@@ -449,7 +471,7 @@ class TestPureStates:
 
     def test_matches_rk4_ket(self):
         # the lossless validate workload: checkpoint to checkpoint on N = 16
-        N = default_dim(LOSSLESS3)
+        N = 16
         psi_rk4 = lossless_ket(LOSSLESS3, 0.0, 0.0, 0.0, (N, N))
         times = (0.5, 1.0, 2.0)
         states = evolve_trajectory(LOSSLESS3, pure_joint(psi_rk4, (N, N)), times)

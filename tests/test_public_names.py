@@ -22,7 +22,7 @@ def test_package_lists_exactly_the_module_names():
 
 
 @pytest.mark.parametrize("name", ["FockOperator", "FockKet", "quad_stats_single", "thermal_state",
-                                  "c_coefficient", "q_operator"])
+                                  "c_coefficient", "q_operator", "default_dim"])
 def test_removed_names_are_gone(name):
     assert not hasattr(ioncavity, name)
     assert not hasattr(fock, name)
@@ -39,13 +39,18 @@ def test_density_has_no_hermiticity_error():
 
 
 def test_removed_options_are_refused():
-    # the series cutoff is read from the level norms only, and the trace
-    # tolerance of validate() is fixed
+    # the series cutoff is read from the level norms only, the trace
+    # tolerance of validate() is fixed, and the operators raise no warning
+    # whose frame a stacklevel would pick
     with pytest.raises(TypeError):
         ioncavity.AssemblyBudget(dims=(8, 8), mn_cutoff=4)
     rho = ioncavity.FockDensity(entries=np.eye(2) / 2, dims=(2,))
     with pytest.raises(TypeError):
         rho.validate(tol_trace=1e-8)
+    with pytest.raises(TypeError):
+        ioncavity.displacement_op(0.1, 8, stacklevel=2)
+    with pytest.raises(TypeError):
+        ioncavity.squeeze_op(0.1, 8, stacklevel=2)
 
 
 def test_operators_and_kets_are_arrays():
