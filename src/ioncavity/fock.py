@@ -157,9 +157,9 @@ class FockDensity:
         (``_eigenvalue_below_tol``) invariants."""
         shifted = np.conjugate(self.entries.T, order="C")  # one D x D buffer serves both checks
         np.subtract(self.entries, shifted, out=shifted)
-        if (herm := float(np.abs(shifted).max())) > 1e-10:
+        if not (herm := float(np.abs(shifted).max())) <= 1e-10:  # not <=, so a nan fails too
             raise ValidityError(f"density not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-        if abs((tr := self.trace()) - 1.0) > TOL_TRACE:
+        if not abs((tr := self.trace()) - 1.0) <= TOL_TRACE:
             raise ValidityError(f"trace {tr} deviates from 1 by more than {TOL_TRACE}")
         shifted *= -0.5
         shifted += self.entries  # the Hermitian part rho - (rho - rho^dag)/2, in place

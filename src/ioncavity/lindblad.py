@@ -21,14 +21,13 @@ mu = tr L / D^2,
 and for real X with X^T = sign X (sign = +1 or -1), X M^T = sign (M X)^T: one
 real sparse product, plus sign times its transpose, plus the jump as a level
 shift, with a result exactly (anti)symmetric like X.  L maps each such class
-into itself, so any complex X splits into at most four real parts that evolve
-on their own: the symmetric and antisymmetric parts of Re X and of Im X.  A
-Hermitian X is Re-symmetric plus i Im-antisymmetric; its anti-Hermitian part
-is the other two.  An exactly zero part is skipped, as exp(L t) 0 = 0, so a
-real Hermitian start (every vacuum start) propagates one real matrix and a
-complex Hermitian start two.  The anti-Hermitian parts are propagated only
-beyond TRACE_DRIFT_TOL, so that such a start is reported at its first
-checkpoint.
+into itself, so a Hermitian rho evolves as two real matrices on their own: its
+symmetric real part (Re rho + Re rho^T)/2 with sign +1, and its antisymmetric
+imaginary part (Im rho - Im rho^T)/2 with sign -1.  The imaginary part is
+skipped while it is zero, as exp(L t) 0 = 0, so a real start (every vacuum
+start) propagates one real matrix and a complex start two.  A start whose
+Hermiticity error max |rho - rho^dag| exceeds TRACE_DRIFT_TOL is refused
+before any step; a smaller one, such as the rounding of np.outer, is dropped.
 
 exp(h L) v is Algorithm 3.2 of Al-Mohy & Higham, "Computing the action of the
 matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011), at u = 2^-53: s
@@ -47,7 +46,7 @@ does not load it.  Only ``evolve_trajectory`` is public.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .params import CouplingParams
 
 __all__ = ["evolve_trajectory"]
 
-#: |tr rho - 1| or max |rho - rho^dag| beyond this at a checkpoint aborts a trajectory
+#: max |rho - rho^dag| beyond this refuses a start; it or |tr rho - 1| aborts at a checkpoint
 TRACE_DRIFT_TOL = 1e-8
 
 #: evolve_trajectory refuses a step that needs more substeps than this (see ``_taylor_expm``);
@@ -114,30 +113,6 @@ def _kernel(params: CouplingParams, dims: Sequence[int]):
     return apply, mu, float(cols.max())
 
 
-def _parts(X: np.ndarray) -> list:
-    """The nonzero real parts (sign, imag, P) of X: P^T = sign P, and X is the
-    sum of the P, each times 1j where imag.  Hermitian parts have
-    (sign > 0) != imag."""
-    parts = []
-    for imag, R in ((False, X.real), (True, X.imag)):
-        for sign in (1, -1):
-            P = 0.5 * (R + R.T if sign > 0 else R - R.T)
-            if P.any():
-                parts.append((sign, imag, P))
-    return parts
-
-
-def _join(parts: list, shape: Tuple[int, int]) -> np.ndarray:
-    """The matrix whose ``_parts`` these are: real when no part is imaginary."""
-    X = np.zeros(shape, dtype=complex if any(imag for _, imag, _ in parts) else float)
-    for _, imag, P in parts:
-        if imag:
-            X.imag += P
-        else:
-            X.real += P
-    return X
-
-
 def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.ndarray:
     """exp(h (A + mu I)) v, where apply(x) = A x and norm1 >= ||A||_1 (Al-Mohy & Higham, Alg. 3.2)."""
     m = min(_THETA, key=lambda m: m * math.ceil(h * norm1 / _THETA[m]))
@@ -162,11 +137,11 @@ def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.
 
 def _check_state(rho: np.ndarray, params: CouplingParams, dims: Sequence[int], t: float) -> None:
     drift = abs(float(np.trace(rho).real) - 1.0)
-    if drift > TRACE_DRIFT_TOL:
+    if not drift <= TRACE_DRIFT_TOL:  # not <=, so a nan fails too
         raise IntegrationError(f"propagator trace drift |tr rho - 1| = {drift:.3e} > "
                                f"{TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
     herm = float(np.abs(rho - rho.conj().T).max())
-    if herm > TRACE_DRIFT_TOL:
+    if not herm <= TRACE_DRIFT_TOL:
         raise IntegrationError(f"propagator Hermiticity error max |rho - rho^dag| = {herm:.3e} > "
                                f"{TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
 
@@ -178,38 +153,43 @@ def evolve_trajectory(
 ) -> list[FockDensity]:
     """Evolve rho0 through a nondecreasing list of checkpoint times.
 
-    rho(t_k) = exp(L (t_k - t_{k-1})) rho(t_{k-1}), each real part of rho0 on
-    its own; the densities are float64 when rho0's imaginary part is zero.
-    The trace drift and the Hermiticity error are checked at every checkpoint.
-    A step that needs more than MAX_SUBSTEPS substeps, or a non-finite
-    number of them, is refused before any is taken.
+    rho(t_k) = exp(L (t_k - t_{k-1})) rho(t_{k-1}), as the real matrices
+    (Re rho0 + Re rho0^T)/2 and, unless zero, (Im rho0 - Im rho0^T)/2; the
+    densities are float64 when the latter is zero.  The Hermiticity error
+    max |rho - rho^dag| is checked at the start, where it refuses rho0, and
+    with the trace drift at every checkpoint.  A step that needs more than
+    MAX_SUBSTEPS substeps, or a non-finite number of them, is refused before
+    any is taken.
     """
     if not rho0.joint:
         raise ValueError("evolve_trajectory needs a two-mode density")
     times = list(times)
     if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
-    apply, mu, norm1 = _kernel(params, rho0.dims)
+    X = rho0.entries
+    herm = float(np.abs(X - X.conj().T).max())
+    if not herm <= TRACE_DRIFT_TOL:
+        raise IntegrationError(f"start Hermiticity error max |rho - rho^dag| = {herm:.3e} > "
+                               f"{TRACE_DRIFT_TOL} at {_where(params, rho0.dims, 0.0)}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
+        apply, mu, norm1 = _kernel(params, rho0.dims)
     for t0, t in zip([0.0, *times], times):
         # the fewest substeps of any degree m; inf or nan once the norm overflows
         s = (t - t0) * norm1 / _THETA[55] if t > t0 else 0.0
         if not s <= MAX_SUBSTEPS:
             raise IntegrationError(f"propagator step of {t - t0:.6g} needs {s:.3g} substeps > "
                                    f"{MAX_SUBSTEPS} at {_where(params, rho0.dims, t)}")
-    X = rho0.entries
     rho = X if X.imag.any() else X.real
-    parts = _parts(X)
-    if 0.5 * np.abs(X - X.conj().T).max() <= TRACE_DRIFT_TOL:  # keep the Hermitian parts only
-        parts = [(sign, imag, P) for sign, imag, P in parts if (sign > 0) != imag]
+    re, im = 0.5 * (X.real + X.real.T), 0.5 * (X.imag - X.imag.T)
 
     out: list[FockDensity] = []
     t_prev = 0.0
     for t in times:
         if t > t_prev:
-            parts = [(sign, imag, _taylor_expm(lambda x, sign=sign: apply(x, sign), P,
-                                                t - t_prev, mu, norm1))
-                     for sign, imag, P in parts]
-            rho = _join(parts, X.shape)
+            rho = re = _taylor_expm(lambda x: apply(x, 1), re, t - t_prev, mu, norm1)
+            if im.any():  # exp(L h) 0 = 0, so a zero part is skipped
+                im = _taylor_expm(lambda x: apply(x, -1), im, t - t_prev, mu, norm1)
+                rho = re + 1j * im
         _check_state(rho, params, rho0.dims, t)
         t_prev = t
         out.append(FockDensity(entries=rho.copy(), dims=rho0.dims))

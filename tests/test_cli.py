@@ -220,6 +220,16 @@ class TestValidate:
         assert out.startswith("validation aborted: propagator step of 1 needs 4.")
         assert out.count("\n") == 1 and "substeps > 1000 at (omega1, omega2, gamma)" in out
 
+    @pytest.mark.parametrize("N", ["4", "16"])
+    def test_overflowing_gamma_refused_quietly(self, N):
+        # gamma = 1e308 overflows the propagator's 1-norm; the refusal is the
+        # one line on stdout, with no numpy warning on stderr
+        done = _run_fresh("-m", "ioncavity.cli", "validate", "--gamma", "1e308",
+                          "--nc", N, "--nv", N, "--times", "1")
+        assert done.returncode == EXIT_VALIDATION
+        assert done.stderr == ""
+        assert done.stdout.startswith("validation aborted: propagator step of 1 needs ")
+
     def test_config_setting_dt_int_loads(self, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"omega2": 0.2, "gamma": 0.4, "nc": 10, "nv": 10,
@@ -315,12 +325,18 @@ class TestConfigFileTypes:
         assert main(["revivals", "--config", str(config)]) == EXIT_OK
 
 
-def _fresh_python(code):
-    """The last line that ``python -c code`` prints, run in a fresh interpreter."""
+def _run_fresh(*args):
+    """``python *args`` run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ioncavity.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def _fresh_python(code):
+    """The last line that ``python -c code`` prints, run in a fresh interpreter."""
+    done = _run_fresh("-c", code)
+    done.check_returncode()
     return done.stdout.splitlines()[-1]
 
 

@@ -798,6 +798,14 @@ class TestValidatePositivity:
             rho.validate()
 
 
+class TestValidateNonFinite:
+    def test_nan_refused(self):
+        # a nan compares false with any bound, so the tests are written not <=
+        rho = FockDensity(entries=np.diag([0.25, math.nan, 0.25, 0.25]), dims=(2, 2))
+        with pytest.raises(ValidityError, match=r"not Hermitian: .* = nan$"):
+            rho.validate()
+
+
 class TestValidateCholesky:
     """validate() factorizes in place with LAPACK potrf on a trace-1 matrix."""
 

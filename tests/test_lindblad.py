@@ -87,12 +87,12 @@ def dense_liouvillian(params, dims):
 
 
 def generator(params, rho):
-    """L(rho) from the propagator's own kernel: apply summed over the real
-    (anti)symmetric parts of rho, plus mu rho."""
+    """L(rho) from the propagator's own kernel: apply on the symmetric and
+    antisymmetric parts of Re rho and of Im rho, plus mu rho."""
     apply, mu, _ = lindblad._kernel(params, rho.dims)
     X = rho.entries
-    return lindblad._join([(sign, imag, apply(P, sign)) for sign, imag, P in lindblad._parts(X)],
-                          X.shape) + mu * X
+    return mu * X + sum(c * apply(0.5 * (R + sign * R.T), sign)
+                        for c, R in ((1, X.real), (1j, X.imag)) for sign in (1, -1))
 
 
 def trace_distance(x, y):
@@ -295,6 +295,14 @@ class TestRealParts:
         assert calls[1] > 0 and calls[-1] > 0
         assert rho.entries.dtype == np.complex128
 
+    def test_complex_start_stays_exactly_hermitian(self):
+        # the two parts keep their symmetry exactly, so every propagated state
+        # is Hermitian to the last bit, which _check_state measures
+        states = evolve_trajectory(OSC3, coherent_joint(0.2 + 0.3j, -0.4j, 6, 6), [0.5, 1.0, 2.0])
+        for rho in states:
+            assert rho.entries.dtype == np.complex128
+            assert (rho.entries == rho.entries.conj().T).all()
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self):
@@ -399,15 +407,37 @@ class TestEvolve:
 class TestFailures:
     """Every propagator failure names the parameter point, dims, t and check."""
 
-    def test_non_hermitian_start(self):
+    def test_non_hermitian_start(self, monkeypatch):
+        # refused at t = 0, before the kernel runs once
         rho0 = vacuum_joint(4, 5)
         rho0.entries[0, 1] = 1e-3
+        calls = count_kernel_calls(monkeypatch)
         with pytest.raises(IntegrationError) as exc:
             evolve_trajectory(OSC, rho0, [0.25, 0.5])
         msg = str(exc.value)
         assert "Hermiticity" in msg
         assert "(omega1, omega2, gamma) = (1, 0.6, 0.4)" in msg
-        assert "dims = (4, 5)" in msg and "t = 0.25" in msg
+        assert msg.endswith("dims = (4, 5), t = 0")
+        assert calls["apply"] == 0
+
+    def test_nan_start(self, monkeypatch):
+        # a nan compares false with any bound, so the start check is written not <=
+        rho0 = vacuum_joint(4, 4)
+        rho0.entries[1, 1] = math.nan
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(IntegrationError, match=r"Hermiticity error .* = nan > .* t = 0$"):
+            evolve_trajectory(OSC, rho0, [0.5])
+        assert calls["apply"] == 0
+
+    @pytest.mark.parametrize("at, check", [((1, 1), "trace drift"), ((0, 1), "Hermiticity")],
+                             ids=["diagonal", "off-diagonal"])
+    def test_nan_state_fails_its_checkpoint(self, at, check):
+        # a nan on the diagonal makes the trace nan, and one off it the
+        # Hermiticity error: each fails its test
+        rho = np.diag([0.5, 0.5, 0.0, 0.0])
+        rho[at] = rho[at[::-1]] = math.nan
+        with pytest.raises(IntegrationError, match=f"{check} .* = nan > .* t = 1$"):
+            lindblad._check_state(rho, OSC, (2, 2), 1.0)
 
     def test_trace_drift(self):
         rho0 = FockDensity(entries=1.1 * vacuum_joint(4, 4).entries, dims=(4, 4))
@@ -430,7 +460,6 @@ class TestFailures:
         assert "dims = (4, 4)" in msg and "t = 1" in msg
         assert calls["apply"] == 0
 
-    @pytest.mark.filterwarnings("ignore:(overflow|invalid value) encountered:RuntimeWarning")
     @pytest.mark.parametrize("N, s", [(4, "inf"), (16, "nan")])
     def test_step_with_non_finite_substeps(self, N, s):
         # gamma = 1e308 overflows the 1-norm to inf, or to inf - inf = nan once
