@@ -9,9 +9,16 @@ Rates from the command line or config file are normalized internally so
 that omega1 = 1; all times are then in units of omega1 t.  Config files are
 flat JSON objects whose keys are the RunConfig field names; command-line
 flags override file values.  CSV output is UTF-8 with LF line endings and
-15 significant digits, written to a temporary file and renamed on success
-so no partial files are left behind; the file gets the mode a plain open()
-would give: an existing file keeps its own, a new one 0666 less the umask.
+15 significant digits, the bytes ``np.savetxt(..., fmt="%.15g")`` writes,
+formatted in blocks of ``CSV_BLOCK_ROWS`` rows (one ``%`` per block, so no
+per-row Python loop and no whole-table string).  They go to a temporary file
+that is renamed on success so no partial files are left behind; the file gets
+the mode a plain open() would give: an existing file keeps its own, a new one
+0666 less the umask.
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the process; parsing leaves it unchanged, so calls share no
+state through it.
 
 The subcommands hold no physics.  ``simulate`` makes one ``quad_variances``
 and one ``envelope`` call over its whole time grid and maps both modes'
@@ -35,7 +42,7 @@ this regime.
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import json
 import math
 import os
@@ -43,7 +50,7 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +101,9 @@ FID_DEFICIT_TOL = 1e-6
 QUAD_TOL = 1e-4
 
 CSV_HEADER = "t,var_xc,var_pc,var_xv,var_pv,nbar_c,nbar_v,xi_c,xi_v,f,g,h"
+
+#: rows formatted by one % in _write_csv; bounds the text held in memory at once
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,7 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     # mkstemp makes the file 0600; give it the mode open(path, "w") would: an
     # existing file's own, else 0666 less the umask
@@ -178,7 +188,7 @@ def _write_atomic(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
@@ -188,9 +198,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: str, table: np.ndarray) -> None:
-    buf = io.StringIO()
-    np.savetxt(buf, table, fmt="%.15g", delimiter=",", header=header, comments="")
-    _write_atomic(path, buf.getvalue())
+    """Write ``table`` as np.savetxt(path, table, fmt="%.15g", delimiter=",",
+    header=header, comments="") would, one block of rows per % operation."""
+    row = ",".join(["%.15g"] * table.shape[1]) + "\n"
+
+    def chunks():
+        yield header + "\n"
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            yield row * len(block) % tuple(block.ravel().tolist())
+
+    _write_atomic(path, chunks())
 
 
 #: the JSON values a config file may give each RunConfig field type (never a bool)
@@ -337,7 +355,8 @@ def cmd_sweep_ratio(cfg: RunConfig, times: Sequence[float]) -> int:
     if not cfg.out_path:
         raise ConfigError("sweep-ratio needs out_path (--out_path or config key)")
     ratios = [k / 100.0 for k in range(10, 151)]  # ratio grid [0.1, 1.5] in exact 0.01 steps
-    var_xv = [quad_variances(classify_regime(1.0, r, cfg.gamma), times).var_xv for r in ratios]
+    ts = np.asarray(times, dtype=float)
+    var_xv = [quad_variances(classify_regime(1.0, r, cfg.gamma), ts).var_xv for r in ratios]
     header = "ratio," + ",".join(f"var_xv_t{t:g}" for t in times)
     _write_csv(cfg.out_path, header, np.column_stack([ratios, var_xv]))
     return EXIT_OK
@@ -353,6 +372,7 @@ def _parse_times(text: str) -> List[float]:
     return times
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ioncavity",

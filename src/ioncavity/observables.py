@@ -234,10 +234,11 @@ def quad_variances(
     the means are sqrt(2) Re/Im of the displacement trajectory (u, v).  The
     variances are the module's closed forms in s and w; omega2 = 0 gives
     the vacuum values 1/2, and at equal coupling Var P_c = Var X_v = 1/2
-    exactly.
+    exactly.  Means and variances come from one ``_damped_parts``
+    evaluation.
     """
-    u, v = displacement_trajectory(params, alpha, beta, t)
-    _, s, _, w = _damped_parts(params, t)
+    f, s, h, w = _damped_parts(params, t)
+    u, v = _displacements(params, alpha, beta, f, s, h)
     variances = _variances(params, s, w)
     means = (math.sqrt(2.0) * x for x in (np.real(u), np.imag(u), np.real(v), np.imag(v)))
     return QuadTuple(*(_shaped(x, t) for x in (*variances, *means)))
@@ -267,12 +268,18 @@ def displacement_trajectory(
     scalar t, complex arrays otherwise.
     """
     f, s, h, _ = _damped_parts(params, t)
+    u, v = _displacements(params, alpha, beta, f, s, h)
+    return _shaped(u, t), _shaped(v, t)
+
+
+def _displacements(params: CouplingParams, alpha: complex, beta: complex, f, s, h) -> Tuple:
+    """(u, v) of :func:`displacement_trajectory` from the envelope parts f, s and h."""
     g = params.omega2 * s
     qg = params.omega1 * s
     alpha, beta = complex(alpha), complex(beta)
     u = alpha * h + (beta * qg + beta.conjugate() * g)
     v = (-alpha * qg + alpha.conjugate() * g) + beta * f
-    return _shaped(u, t), _shaped(v, t)
+    return u, v
 
 
 def lossless_spec(

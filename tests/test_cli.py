@@ -8,6 +8,8 @@ n_bar = sqrt(Var X Var P) - 1/2 and xi = (1/4) ln(Var P / Var X).
 ``validate`` is checked for its report layout, which scripts parse.
 """
 
+import argparse
+import io
 import json
 import math
 import os
@@ -374,3 +376,61 @@ def test_csv_mode_follows_umask(tmp_path, umask):
             assert out.stat().st_mode & 0o777 == 0o600
     finally:
         os.umask(old)
+
+
+# the values whose %.15g text is the least regular: signed zero, the non-finite
+# values, the smallest subnormal, extreme exponents and a value past 15 digits
+CSV_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300, 1 / 3, 2.0**53]
+
+
+@pytest.mark.parametrize("rows", [1, cli.CSV_BLOCK_ROWS, cli.CSV_BLOCK_ROWS + 1,
+                                  2 * cli.CSV_BLOCK_ROWS + 17],
+                         ids=["one_row", "one_block", "block_plus_one", "two_blocks_and_part"])
+def test_csv_bytes_match_savetxt(tmp_path, rows):
+    # the values cycle through the table row by row, so each row holds them in a shifted order
+    table = np.resize(CSV_VALUES, (rows, 12))
+    header = "a,b,c,d,e,f,g,h,i,j,k,l"
+    cli._write_csv(str(tmp_path / "out.csv"), header, table)
+    want = io.BytesIO()
+    np.savetxt(want, table, fmt="%.15g", delimiter=",", header=header, comments="")
+    assert (tmp_path / "out.csv").read_bytes() == want.getvalue()
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and calls share no state through it."""
+
+    def test_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["revivals"]) == EXIT_OK
+        first = len(built)  # 0 when an earlier call in this process built it
+        assert main(["revivals", "--t_max", "10"]) == EXIT_OK
+        assert len(built) == first
+
+    def test_defaults_survive_earlier_flags(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda cfg, times: seen.append((cfg, times)) or 0)
+        monkeypatch.setattr(cli, "cmd_sweep_ratio", lambda cfg, times: seen.append((cfg, times)) or 0)
+        assert main(["simulate", "--omega2", "0.5", "--out_path", str(tmp_path / "sim.csv")]) == 0
+        assert main(["validate", "--times", "0.5"]) == 0
+        assert main(["sweep-ratio", "--out_path", str(tmp_path / "sweep.csv")]) == 0
+        (validate_cfg, validate_times), (sweep_cfg, sweep_times) = seen
+        assert validate_cfg.omega2 == cli.VALIDATE_OMEGA2 and validate_times == [0.5]
+        assert sweep_cfg.omega2 == 0.6 and sweep_times == [1.0, 5.0, 10.0]
+
+    def test_second_simulate_matches_a_fresh_process(self, tmp_path):
+        first = ["simulate", "--omega2", "0.9", "--gamma", "3", "--alpha_im", "0.4",
+                 "--t_max", "7", "--out_path", str(tmp_path / "first.csv")]
+        second = ["simulate", "--beta_re", "0.2", "--t_max", "2", "--t_step", "0.03",
+                  "--out_path", str(tmp_path / "second.csv")]
+        assert main(first) == EXIT_OK and main(second) == EXIT_OK
+        fresh = tmp_path / "fresh.csv"
+        done = _run_fresh("-m", "ioncavity.cli", *second[:-1], str(fresh))
+        assert done.returncode == EXIT_OK
+        assert (tmp_path / "second.csv").read_bytes() == fresh.read_bytes()

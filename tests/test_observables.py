@@ -34,6 +34,7 @@ from ioncavity import (
     revival_schedule,
     steady_squeeze,
 )
+import ioncavity.observables as observables
 from ioncavity.observables import squeezed_thermal
 from ioncavity.params import _damped_parts
 
@@ -224,11 +225,11 @@ class TestNbarMax:
         lossless = classify_regime(1.0, 0.6, 0.0)
         lam = math.sqrt(lossless.lambda_sq)
         ts = np.linspace(1e-4, 4 * math.pi / lam, 45000)
-        grid_max = max(mode_spec(lossless, t, "c").n_bar for t in ts)
+        grid_max = mode_spec(lossless, ts, "c").n_bar.max()
         assert grid_max == pytest.approx(0.125, abs=1e-6)
         lam = math.sqrt(OSC.lambda_sq)
         ts = np.linspace(1e-4, 4 * math.pi / lam, 4000)
-        damped_max = max(mode_spec(OSC, t, "c").n_bar for t in ts)
+        damped_max = mode_spec(OSC, ts, "c").n_bar.max()
         assert damped_max <= 0.125 + 1e-9
 
 
@@ -342,6 +343,28 @@ class TestQuadVariances:
         p = classify_regime(1.0, 0.0, 0.4)
         q = quad_variances(p, 3.0)
         assert (q.var_xc, q.var_pc, q.var_xv, q.var_pv) == (0.5, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("point", [(1.0, 0.6, 0.4), (1.0, 0.6, 4.0), (1.0, 0.0, 0.4)],
+                             ids=["oscillatory", "overdamped", "omega2_zero"])
+    @pytest.mark.parametrize("t", [2.3, np.linspace(0.0, 8.0, 41)], ids=["scalar", "array"])
+    def test_one_envelope_evaluation(self, monkeypatch, point, t):
+        # means and variances share one _damped_parts call, and the means keep
+        # displacement_trajectory's bits
+        p = classify_regime(*point)
+        alpha, beta = 0.3 - 0.4j, -0.2 + 0.1j
+        u, v = displacement_trajectory(p, alpha, beta, t)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _damped_parts(*args)
+
+        monkeypatch.setattr(observables, "_damped_parts", counted)
+        q = quad_variances(p, t, alpha, beta)
+        assert len(calls) == 1
+        want = [math.sqrt(2.0) * part(x) for x in (u, v) for part in (np.real, np.imag)]
+        got = [q.mean_xc, q.mean_pc, q.mean_xv, q.mean_pv]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestNearEqualCouplingPrecision:
