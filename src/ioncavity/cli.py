@@ -65,8 +65,8 @@ from .errors import (
 from .fock import (
     AssemblyBudget,
     FockDensity,
+    _frame,
     assemble_joint_density,
-    displacement_op,
     lossless_ket,
     partial_trace,
     quad_stats,
@@ -171,10 +171,6 @@ class RunConfig:
         self.params()
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     # mkstemp makes the file 0600; give it the mode open(path, "w") would: an
@@ -272,20 +268,23 @@ def cmd_revivals(cfg: RunConfig, stream=None) -> int:
     if rows > MAX_SIMULATE_ROWS:
         raise ConfigError(f"revivals needs t_max*Lambda/pi <= {MAX_SIMULATE_ROWS}, got {rows:.6g}")
     schedule = revival_schedule(params, cfg.t_max)
-    print(f"# revival schedule up to t = {_fmt(cfg.t_max)} (spacing pi/Lambda = {_fmt(math.pi / lam)})",
+    print(f"# revival schedule up to t = {cfg.t_max:.15g} (spacing pi/Lambda = {math.pi / lam:.15g})",
           file=stream)
     print("# kind  n  time  residual", file=stream)
     for kind, taus, residuals in (
         ("motion", schedule.tau_motion, envelope(params, schedule.tau_motion).f),
         ("cavity", schedule.tau_cavity, envelope(params, schedule.tau_cavity).g),
     ):
-        for n, (tau, res) in enumerate(zip(taus, np.abs(residuals))):
-            print(f"{kind}  {n}  {_fmt(tau)}  {res:.3e}", file=stream)
+        values = [kind, 0, 0.0, 0.0] * len(taus)  # each line's fields, for one % per list
+        values[1::4], values[2::4], values[3::4] = range(len(taus)), taus, np.abs(residuals).tolist()
+        stream.write("%s  %d  %.15g  %.3e\n" * len(taus) % tuple(values))
     return EXIT_OK
 
 
 def _coherent_joint(alpha: complex, beta: complex, nc: int, nv: int) -> FockDensity:
-    psi = np.kron(displacement_op(alpha, nc)[:, 0], displacement_op(beta, nv)[:, 0])
+    """|alpha>|beta>: the exact coherent columns on (nc, nv) levels, normalized there."""
+    psi = np.kron(_frame(alpha, 0.0, nc)[:, 0], _frame(beta, 0.0, nv)[:, 0])
+    psi /= np.linalg.norm(psi)
     return FockDensity(entries=np.outer(psi, psi.conj()), dims=(nc, nv))
 
 
@@ -324,7 +323,6 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
 
     a, b = cfg.alpha, cfg.beta
     try:
-        # D(0) = expm(0) is exactly the identity, so a vacuum start is exact too
         oracle_states = evolve_trajectory(params, _coherent_joint(a, b, cfg.nc, cfg.nv), times)
         for t, rho in zip(times, oracle_states):
             report(f"t={t:g} joint trace distance", TD_TOL, lambda: trace_distance(

@@ -1,6 +1,6 @@
 """Dense truncated-Fock-space operator algebra.
 
-Ladder, displacement and squeeze operators; the R^{m,n} operator family
+The ladder operator; the R^{m,n} operator family
 that expands the exact joint density operator; assembly of that density
 operator, with a series cutoff read from its level norms; partial traces,
 state metrics and quadrature statistics measured from matrices.
@@ -30,7 +30,8 @@ spreads them into matrices, and ``r_operator`` is one of them.
 together: scalars give a Python float, and any bad element raises the
 scalar ValueError.  Its sum is a Jacobi polynomial in 1 - 2x, run up the
 stable forward three-term recurrence for every entry at once, so array and
-scalar calls agree.  One builder, ``_frame``, gives every D(w) S(xi).
+scalar calls agree.  One builder, ``_frame``, gives every D(w) S(xi): its exact
+N x N corner, so the states built from it miss their weight past N levels.
 
 The paper writes the joint density as the series
 sum_{m,n} (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n}, each Q^{m,n} a sum of
@@ -48,9 +49,9 @@ the diagonal tables and stops at its measured level norms;
 reduced state is the L = 0 term, where C_0^{0,0} = 1: U R^{0,0} U^dag, with
 R^{0,0} the thermal diagonal.
 
-scipy.linalg is imported where it is called: ``expm`` in ``displacement_op``
-and ``squeeze_op``, LAPACK's ``potrf`` in the positivity test.  Importing the
-package loads numpy only, so the closed-form subcommands never load scipy.
+scipy.linalg is imported where it is called, for LAPACK's ``potrf`` in the
+positivity test only.  Importing the package loads numpy only, so the
+closed-form subcommands never load scipy.
 """
 
 from __future__ import annotations
@@ -78,8 +79,6 @@ __all__ = [
     "AssemblyBudget",
     "StateMetrics",
     "ladder",
-    "displacement_op",
-    "squeeze_op",
     "jacobi_poly",
     "r_operator",
     "assemble_joint_density",
@@ -119,9 +118,9 @@ class FockDensity:
 
     @property
     def trace_deficit(self) -> float:
-        """|1 - tr rho|, measured.  It sees the loss of a series cutoff or of a
-        weight cut off at N levels, but not basis truncation: a squeeze or
-        displacement exponentiated on the truncated basis keeps the trace."""
+        """|1 - tr rho|, measured.  It sees the loss of a series cutoff and of
+        basis truncation: the frames are exact corners of D(w) S(xi), so the
+        weight they carry past the truncated levels is missing from the trace."""
         return abs(1.0 - self.trace())
 
     def trace(self) -> float:
@@ -201,24 +200,6 @@ def ladder(N: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, N)), 1).astype(complex)
 
 
-def displacement_op(alpha: complex, N: int) -> np.ndarray:
-    """D(alpha) = exp(alpha ad - alpha* a) via scaling-and-squaring expm."""
-    from scipy.linalg import expm
-
-    a = ladder(N)
-    return expm(alpha * a.conj().T - np.conj(alpha) * a)
-
-
-def squeeze_op(xi: float, N: int) -> np.ndarray:
-    """S(xi) = exp((xi/2)(a^2 - ad^2)), a complex128 matrix whose imaginary
-    part is zero for real xi (``_frame`` keeps its real part)."""
-    from scipy.linalg import expm
-
-    a = ladder(N)
-    a2 = a @ a
-    return expm(0.5 * xi * (a2 - a2.conj().T))
-
-
 @functools.lru_cache(maxsize=None)
 def _log_factorials(bits: int) -> np.ndarray:
     """Read-only table of log(k!) for k < 2**bits, from math.lgamma."""
@@ -269,11 +250,24 @@ def jacobi_poly(m, k, l, x: float):
 
 
 def _frame(w: complex, xi: float, N: int) -> np.ndarray:
-    """D(w) S(xi) on N levels; S(xi) alone, as a real matrix, when w = 0."""
-    S = squeeze_op(xi, N)
-    if w == 0:
-        return np.ascontiguousarray(S.real)
-    return displacement_op(w, N) @ S
+    """G[m, n] = <m| D(w) S(xi) |n>, m, n < N: the exact corner, not unitary; real when w = 0.
+
+    The raising-only recurrence of a one-mode Gaussian unitary (Miatto & Quesada,
+    Quantum 4, 366 (2020)), c = cosh xi, tau = tanh xi: G[0, 0] = exp(-|w|^2/2 -
+    tau w*^2/2)/sqrt(c); sqrt(n+1) G[0, n+1] = tau sqrt(n) G[0, n-1] - (w*/c) G[0, n];
+    sqrt(m+1) G[m+1, n] = (w + tau w*) G[m, n] - tau sqrt(m) G[m-1, n] + sqrt(n) G[m, n-1]/c.
+    """
+    w = complex(w) if w else 0.0
+    c, tau = math.cosh(xi), math.tanh(xi)
+    wc, b0 = w.conjugate(), w + tau * w.conjugate()
+    r = np.sqrt(np.arange(N + 0.0))
+    G = np.zeros((N, N + 1), dtype=type(w))  # G[m, n + 1]; the zero column 0 is n = -1
+    G[0, 1] = np.exp(-0.5 * abs(w) ** 2 - 0.5 * tau * wc * wc) / math.sqrt(c)
+    for n in range(N - 1):
+        G[0, n + 2] = (tau * r[n] * G[0, n] - wc / c * G[0, n + 1]) / r[n + 1]
+    for m in range(N - 1):  # at m = 0, row -1 is still zero, and r[0] = 0 multiplies it
+        G[m + 1, 1:] = (b0 * G[m, 1:] - tau * r[m] * G[m - 1, 1:] + r / c * G[m, :-1]) / r[m + 1]
+    return G[:, 1:]
 
 
 def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
@@ -366,8 +360,8 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
     It stops at the first level L >= 1 whose norm n_L, extrapolated
     geometrically at the ratio q = n_L/n_{L-1} < 1, bounds the tail
     n_L q/(1 - q) below ``series_tol``.  n_L is exact (``_level_norm``), and
-    it is the norm of the conjugated level too, as the frame is unitary on
-    the truncated basis.
+    it bounds the norm of the conjugated level: the frame is a corner of a
+    unitary, so a contraction.
     """
     zeta, (Nc, Nv) = spec_c.zeta, budget.dims
     az = abs(zeta)
@@ -438,7 +432,8 @@ def assemble_joint_density(
     D_c S_c (x) D_v S_v (``_conjugate``).  Serves every regime: at
     omega2 = 0, f g = 0 leaves the single product term, and at equal
     coupling the mode-v parameters stay finite.  Its ``trace_deficit`` is
-    the loss of the series cutoff only.
+    the loss of the series cutoff plus the weight the exact frames move past
+    the truncated levels of each mode.
     """
     spec_c = mode_spec(params, t, "c")
     spec_v = mode_spec(params, t, "v")
@@ -456,8 +451,9 @@ def reduced_density(
     """Reduced state of one mode, D(w) S(xi) R^{0,0}(n_bar) S(xi)^dag D(w)^dag:
     the L = 0 term of the joint series.
 
-    w is u(t) for the cavity and v(t) for the motion.  The thermal weights
-    cut off at N levels leave a trace deficit of (n_bar/(n_bar+1))^N.
+    w is u(t) for the cavity and v(t) for the motion.  The trace deficit is
+    1 - sum_{k<N} p_k ||U|k>||^2 for the thermal weights p_k and the frame's exact
+    corner U: the thermal tail (n_bar/(n_bar+1))^N plus what U moves past N levels.
     """
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
@@ -472,8 +468,9 @@ def lossless_ket(
     joint ket (cavity index major, like ``FockDensity``).
 
     Applies D_c(u0) S_c(-xi0) (x) D_v(v0) S_v(xi0) to the two-mode-squeezed
-    sum over |k>_c |k>_v with thermal-like weights in n_bar0; the truncated
-    sum leaves 1 - ||psi||^2 = (n_bar0/(n_bar0+1))^{min(dims)}.
+    sum over |k>_c |k>_v with thermal-like weights in n_bar0.  1 - ||psi||^2 is the
+    Schmidt tail (n_bar0/(n_bar0+1))^{min(dims)} plus the weight the frames' exact
+    corners move past the truncated levels.
 
     The pair-creation direction alternates every half cycle of 2 L0 t, so
     the Schmidt weights carry sign(sin(2 L0 t))^k; with positive weights

@@ -222,6 +222,18 @@ class TestValidate:
         assert out.startswith("validation aborted: propagator step of 1 needs 4.")
         assert out.count("\n") == 1 and "substeps > 1000 at (omega1, omega2, gamma)" in out
 
+    def test_coherent_start_on_a_small_basis_runs_its_checks(self, capsys):
+        # the exact coherent columns miss 7.6e-8 of the start past 6 levels, above the
+        # propagator's trace-drift bound; normalized on its basis, the start still
+        # runs, and each check reports the truncation in its own line
+        argv = ["validate", "--alpha_re", "0.4", "--alpha_im", "0.2", "--beta_im", "0.3",
+                "--nc", "6", "--nv", "6", "--times", "0.5"]
+        assert main(argv) == EXIT_VALIDATION
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [f"t=0.5 {check}" for check in (
+            "joint trace distance", "mode-c fidelity deficit", "mode-v fidelity deficit",
+            "quadrature delta")]
+
     @pytest.mark.parametrize("N", ["4", "16"])
     def test_overflowing_gamma_refused_quietly(self, N):
         # gamma = 1e308 overflows the propagator's 1-norm; the refusal is the
@@ -354,11 +366,13 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert _fresh_python("import sys; sys.modules['scipy'] = None; from ioncavity.cli import main; "
                          f"print([main(argv) for argv in {runs!r}])") == "[0, 0, 0]"
     assert (tmp_path / "sim.csv").exists() and (tmp_path / "sweep.csv").exists()
-    # from a cold start the lazy expm (both frames) and potrf (validate) sites run, and the
-    # R tables of the assembly run their own recurrence, without scipy.special
-    assemble = ("from ioncavity import *; assemble_joint_density(classify_regime(1.0, 0.3, 0.4), "
-                "1.0, 0.3, 0.2j, AssemblyBudget(dims=(8, 8))).validate()")
-    assert _fresh_python(f"import sys; {assemble}; print('scipy.linalg' in sys.modules, "
+    # from a cold start the assembly runs on numpy alone: its frames and R tables are
+    # recurrences; only validate()'s potrf loads scipy.linalg, and never scipy.special.
+    # On 8 levels the exact frames leave a deficit of 2.0e-6, past TOL_TRACE; on 10, 8.8e-8
+    assemble = ("from ioncavity import *; rho = assemble_joint_density(classify_regime(1.0, 0.3, 0.4), "
+                "1.0, 0.3, 0.2j, AssemblyBudget(dims=(10, 10)))")
+    assert _fresh_python(f"import sys; {assemble}; print({loaded})") == "[]"
+    assert _fresh_python(f"import sys; {assemble}; rho.validate(); print('scipy.linalg' in sys.modules, "
                          "'scipy.special' in sys.modules)") == "True False"
 
 

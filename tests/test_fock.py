@@ -24,7 +24,6 @@ from ioncavity import (
     ValidityError,
     assemble_joint_density,
     classify_regime,
-    displacement_op,
     displacement_trajectory,
     evolve_trajectory,
     jacobi_poly,
@@ -40,12 +39,11 @@ from ioncavity import (
     revival_schedule,
     state_metrics,
     steady_squeeze,
-    squeeze_op,
     trace_distance,
 )
 from ioncavity import fock
-from ioncavity.fock import _level_norm, _level_tables, _r_diagonals
-from series_oracle import _q_level, c_coefficient, q_operator
+from ioncavity.fock import _frame, _level_norm, _level_tables, _r_diagonals
+from series_oracle import _q_level, c_coefficient, exact_frame, q_operator
 from superop_oracle import raise_superop
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -86,42 +84,58 @@ class TestLadder:
             ladder(1)
 
 
+class TestFrame:
+    """``_frame`` is the exact N x N corner of D(w) S(xi)."""
+
+    @pytest.mark.parametrize("N", [2, 16, 26])
+    @pytest.mark.parametrize("xi", [-0.45, 0.0, 0.4])
+    @pytest.mark.parametrize("w", [0.0, 0.5j, 0.2 + 0.3j, -0.7 + 0.1j])
+    def test_matches_padded_crop(self, w, xi, N):
+        # the reference pads expm by 100 levels: on N levels alone it is unitary, and
+        # misses the corner by up to 0.6
+        G = _frame(w, xi, N)
+        assert G.dtype == (np.float64 if w == 0 else np.complex128)
+        assert np.abs(G - exact_frame(w, xi, N)).max() <= 1e-13
+
+
 class TestDisplacement:
     def test_identity_at_zero(self):
-        np.testing.assert_allclose(displacement_op(0.0, 8), np.eye(8), atol=1e-14)
+        np.testing.assert_allclose(_frame(0.0, 0.0, 8), np.eye(8), atol=1e-14)
 
     def test_coherent_occupation(self):
         N = 32
-        D = displacement_op(1.0, N)
+        D = _frame(1.0, 0.0, N)
         psi = D[:, 0]
         n = np.arange(N)
         assert (np.abs(psi) ** 2 @ n) == pytest.approx(1.0, abs=1e-8)
 
     def test_inverse(self):
-        D1 = displacement_op(0.7 + 0.2j, 24)
-        D2 = displacement_op(-(0.7 + 0.2j), 24)
-        np.testing.assert_allclose(D1 @ D2, np.eye(24), atol=1e-8)
+        # a corner is not unitary: the product runs over 40 levels, cropped to 24
+        D1 = _frame(0.7 + 0.2j, 0.0, 40)
+        D2 = _frame(-(0.7 + 0.2j), 0.0, 40)
+        np.testing.assert_allclose((D1 @ D2)[:24, :24], np.eye(24), atol=1e-8)
 
 
 class TestSqueeze:
     def test_identity_at_zero(self):
-        np.testing.assert_allclose(squeeze_op(0.0, 8), np.eye(8), atol=1e-14)
+        np.testing.assert_allclose(_frame(0.0, 0.0, 8), np.eye(8), atol=1e-14)
 
     def test_real_matrix(self):
-        S = squeeze_op(0.4, 20)
-        assert np.abs(S.imag).max() < 1e-14
+        S = _frame(0.0, 0.4, 20)
+        assert S.dtype == np.float64
 
     def test_squeezed_vacuum_variance(self):
         N, xi = 40, 0.5
-        S = squeeze_op(xi, N)
+        S = _frame(0.0, xi, N)
         rho = np.outer(S[:, 0], S[:, 0].conj())
         _, _, vx, vp = quad_stats(FockDensity(entries=rho, dims=(N,)))
         assert vx == pytest.approx(0.5 * math.exp(-2 * xi), abs=1e-6)
         assert vp == pytest.approx(0.5 * math.exp(2 * xi), abs=1e-6)
 
     def test_inverse(self):
-        S1 = squeeze_op(0.5, 40)
-        S2 = squeeze_op(-0.5, 40)
+        # a corner is not unitary: the product runs over 100 levels (40 leave 0.39)
+        S1 = _frame(0.0, 0.5, 100)
+        S2 = _frame(0.0, -0.5, 100)
         occupied = slice(0, 20)
         np.testing.assert_allclose((S1 @ S2)[occupied, occupied],
                                    np.eye(40)[occupied, occupied], atol=1e-8)
@@ -155,13 +169,31 @@ class TestTraceDeficit:
             assert state.trace_deficit == abs(1.0 - state.trace())
 
     def test_reduced_density_is_the_thermal_tail(self):
-        # the squeeze and displacement keep the trace, so only the thermal
-        # weights cut off at N levels are missing
+        # the thermal weights p_k cut off at N levels, each carried through the
+        # frame's exact corner U, which moves part of it past N levels too:
+        # 1 - sum_k p_k ||U|k>||^2, from the converged crop of the frame
         growing, N = classify_regime(1.0, 1.3, 0.4), 12
-        for mode in "cv":
-            nb = mode_spec(growing, 1.0, mode).n_bar
+        for mode, w in zip("cv", displacement_trajectory(growing, 0.3, 0.2j, 1.0)):
+            spec = mode_spec(growing, 1.0, mode)
+            p = np.diag(r_operator(0, 0, spec.n_bar, N))
+            want = 1.0 - p @ (np.abs(exact_frame(w, spec.xi, N)) ** 2).sum(0)
+            assert want > 10 * (spec.n_bar / (spec.n_bar + 1.0)) ** N  # the frame's loss shows
             rho = reduced_density(growing, 1.0, mode, 0.3, 0.2j, N)
-            assert rho.trace_deficit == pytest.approx((nb / (nb + 1.0)) ** N, rel=1e-10)
+            assert rho.trace_deficit == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5j, 0.3)], ids=["vacuum", "coherent"])
+    def test_assembly_sees_basis_truncation(self, alpha, beta):
+        # at (1, 0.3, 0.4), t = 2 on 10 levels per mode, the deficit is the weight the
+        # exact state holds past the block: that of the 10-level crop of a state
+        # propagated on 20 levels, from the same start
+        N, big, t = 10, 20, 2.0
+        rho = assemble_joint_density(OSC3, t, alpha, beta, AssemblyBudget(dims=(N, N)))
+        psi = np.kron(_frame(alpha, 0.0, big)[:, 0], _frame(beta, 0.0, big)[:, 0])
+        start = FockDensity(entries=np.outer(psi, psi.conj()), dims=(big, big))
+        wide = evolve_trajectory(OSC3, start, [t])[-1].entries.reshape(big, big, big, big)
+        crop = np.einsum("ijij->", wide[:N, :N, :N, :N]).real
+        assert rho.trace_deficit > 1e-6
+        assert abs(rho.trace_deficit - (1.0 - crop)) <= 1e-9
 
 
 class TestJacobiPoly:
@@ -410,7 +442,7 @@ class TestRaiseSuperop:
 class TestQOperator:
     def test_ground_is_squeezed_thermal(self):
         nb, xi, N = 0.4, -0.3, 40
-        S = squeeze_op(xi, N)
+        S = exact_frame(0.0, xi, N)
         want = S @ thermal(nb, N).entries @ S.conj().T
         np.testing.assert_allclose(q_operator(0, 0, nb, xi, N), want, atol=1e-10)
 
@@ -421,9 +453,11 @@ class TestQOperator:
                                            r_operator(m, n, 0.5, 30), atol=1e-10)
 
     def test_traces(self):
+        # the exact corner of S(xi) carries part of each Q past N levels: 2.6e-8 of
+        # the trace at N = 48, 7.4e-11 at N = 64
         for m in range(7):
             for n in range(7 - m):
-                tr = np.trace(q_operator(m, n, 0.6, 0.4, 48))
+                tr = np.trace(q_operator(m, n, 0.6, 0.4, 64))
                 want = 1.0 if m == n == 0 else 0.0
                 assert abs(tr - want) < 1e-8
 
@@ -479,16 +513,22 @@ class TestLevelTables:
         assert np.abs(T[np.ix_(ks, ks)] - want).max() <= 1e-12 * np.abs(T).max()
 
     def test_level_norm_is_the_kron_norm(self):
-        # the Frobenius norm of zeta^L sum_m Q_c^{m,L-m} (x) Q_v^{m,L-m}, from the tables
+        # the Frobenius norm of zeta^L sum_m Q_c^{m,L-m} (x) Q_v^{m,L-m}, from the tables,
+        # before the frames; the exact corners of S(xi) are contractions, so the
+        # conjugated level's norm lies below it
         N, L = 7, 4
         spec_c, spec_v = mode_spec(OSC3, 1.2, "c"), mode_spec(OSC3, 1.2, "v")
-        level = spec_c.zeta**L * sum(
-            np.kron(q_operator(m, L - m, spec_c.n_bar, spec_c.xi, N),
-                    q_operator(m, L - m, spec_v.n_bar, spec_v.xi, N)) for m in range(L + 1))
+
+        def level(Uc, Uv):
+            return spec_c.zeta**L * sum(np.kron(qc, qv) for qc, qv in zip(
+                _q_level(L, spec_c.n_bar, spec_c.xi, Uc), _q_level(L, spec_v.n_bar, spec_v.xi, Uv)))
+
         T = next(itertools.islice(_level_tables(spec_c.xi + spec_v.xi), L, None))
         got = _level_norm(spec_c.zeta**L * T, _r_diagonals(L, spec_c.n_bar, N),
                           _r_diagonals(L, spec_v.n_bar, N))
-        assert got == pytest.approx(np.linalg.norm(level), rel=1e-12)
+        assert got == pytest.approx(np.linalg.norm(level(np.eye(N), np.eye(N))), rel=1e-12)
+        framed = level(exact_frame(0.0, spec_c.xi, N), exact_frame(0.0, spec_v.xi, N))
+        assert np.linalg.norm(framed) <= got
 
     def test_diagonals_hold_every_r_operator(self):
         N, L = 7, 5
@@ -510,7 +550,8 @@ class TestAssembly:
         assert rho.trace_deficit < 1e-12
 
     def test_density_invariants(self):
-        budget = AssemblyBudget(dims=(12, 12))
+        # the exact frames leave a deficit of 8.0e-8 at t = 1.5 on 12 levels, 8.0e-10 on 15
+        budget = AssemblyBudget(dims=(15, 15))
         for t in (0.5, 1.5, 3.0):
             rho = assemble_joint_density(OSC3, t, 0.0, 0.0, budget)
             rho.validate()
@@ -533,21 +574,20 @@ class TestAssembly:
 
     @staticmethod
     def check_defining_series(dims):
-        # (D_c (x) D_v)(sum zeta^{m+n} Q_c^{m,n} (x) Q_v^{m,n})(D_c (x) D_v)^dag, term by
-        # term with kron: the default budget agrees with the series summed to M = 40
+        # sum zeta^{m+n} Q_c^{m,n} (x) Q_v^{m,n}, each Q conjugated by its mode's exact
+        # corner of D(w) S(xi), term by term with kron: the default budget agrees with
+        # the series summed to M = 40
         (Nc, Nv), t = dims, 1.2
         spec_c, spec_v = mode_spec(OSC3, t, "c"), mode_spec(OSC3, t, "v")
-        Sc, Sv = squeeze_op(spec_c.xi, Nc), squeeze_op(spec_v.xi, Nv)
-        series = sum(
-            spec_c.zeta**L * sum(np.kron(qc, qv) for qc, qv in zip(
-                _q_level(L, spec_c.n_bar, spec_c.xi, Sc),
-                _q_level(L, spec_v.n_bar, spec_v.xi, Sv)))
-            for L in range(41)
-        )
         for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
             u, v = displacement_trajectory(OSC3, alpha, beta, t)
-            D = np.kron(displacement_op(u, Nc), displacement_op(v, Nv))
-            want = D @ series @ D.conj().T
+            Uc, Uv = exact_frame(u, spec_c.xi, Nc), exact_frame(v, spec_v.xi, Nv)
+            want = sum(
+                spec_c.zeta**L * sum(np.kron(qc, qv) for qc, qv in zip(
+                    _q_level(L, spec_c.n_bar, spec_c.xi, Uc),
+                    _q_level(L, spec_v.n_bar, spec_v.xi, Uv)))
+                for L in range(41)
+            )
             want = 0.5 * (want + want.conj().T)
             rho = assemble_joint_density(OSC3, t, alpha, beta, AssemblyBudget(dims=dims))
             assert np.abs(rho.entries - want).max() <= 1e-13
@@ -592,12 +632,13 @@ class TestAssembly:
         assert len(seen) - 1 == 20
 
     def test_no_parametric_drive_is_coherent_product(self):
-        # omega2 = 0: f g = 0 leaves one product term, the projector on D(u)|0> (x) D(v)|0>
+        # omega2 = 0: f g = 0 leaves one product term, the projector on D(u)|0> (x) D(v)|0>,
+        # cut off at N levels
         p, N, alpha, beta = classify_regime(1.0, 0.0, 0.4), 12, 0.4 + 0.3j, 0.2 - 0.1j
         for t in (0.5, 1.3, 4.0):
             rho = assemble_joint_density(p, t, alpha, beta, AssemblyBudget(dims=(N, N)))
             u, v = displacement_trajectory(p, alpha, beta, t)
-            psi = np.kron(displacement_op(u, N)[:, 0], displacement_op(v, N)[:, 0])
+            psi = np.kron(exact_frame(u, 0.0, N)[:, 0], exact_frame(v, 0.0, N)[:, 0])
             assert np.abs(rho.entries - np.outer(psi, psi.conj())).max() < 1e-14
 
     def test_equal_coupling_is_continuous(self):
@@ -633,7 +674,9 @@ class TestAssembly:
 
 class TestDecorrelation:
     def test_product_at_revivals_entangled_between(self):
-        budget = AssemblyBudget(dims=(13, 13))
+        # at tau_0 the block misses 2.2e-4 of the state on 13 levels, and rho - rho_c (x) rho_v
+        # reads 1.1e-4; on 26 levels it reads 1.6e-7
+        budget = AssemblyBudget(dims=(26, 26))
         mid = 0.5 * (0.0 + TAU_0)  # midway between tau'_0 = 0 and tau_0
         for t, bound, above in ((TAU_0, 1e-6, False), (TAU_PRIME_1, 1e-6, False),
                                 (mid, 1e-3, True)):
@@ -650,14 +693,16 @@ class TestReducedDensity:
         ((1.0, 0.0, 0.4), 4.0, 15), ((1.0, 1.0, 0.4), 0.0, 8),
     ])
     def test_vacuum_start_is_the_defining_l0_term(self, point, t, N):
-        # from vacuum the frame is S(xi) alone, and the state is Q^{0,0} exactly,
-        # bit for bit, as the defining series builds it
+        # from vacuum the frame is S(xi) alone, and the state is Q^{0,0} exactly, bit
+        # for bit, as the defining series builds it on the same frame; on the converged
+        # crop of S(xi) it agrees to rounding
         p = classify_regime(*point)
         for mode in "cv":
             spec = mode_spec(p, t, mode)
             got = reduced_density(p, t, mode, 0.0, 0.0, N).entries
-            want = q_operator(0, 0, spec.n_bar, spec.xi, N)
+            want = _q_level(0, spec.n_bar, spec.xi, _frame(0.0, spec.xi, N))[0]
             assert np.array_equal(got, want), (point, t, N, mode)
+            assert np.abs(got - q_operator(0, 0, spec.n_bar, spec.xi, N)).max() <= 1e-14
 
     def test_cavity_vacuum_revival(self):
         rho = reduced_density(OSC, TAU_PRIME_1, "c", 0.0, 0.4j, 12)
@@ -665,21 +710,22 @@ class TestReducedDensity:
         assert state_metrics(rho, vac).fidelity > 1 - 1e-10
 
     def test_motion_squeezed_vacuum_revival(self):
-        N = 24
+        # both states miss their weight past N levels, 9e-7 at N = 24, so N = 34
+        N = 34
         xi_bar = steady_squeeze(OSC)
-        S = squeeze_op(xi_bar, N)
+        S = exact_frame(0.0, xi_bar, N)
         target = FockDensity(entries=np.outer(S[:, 0], S[:, 0].conj()), dims=(N,))
         for beta in (0.0, 0.5 + 0.2j):
             rho = reduced_density(OSC, TAU_0, "v", 0.0, beta, N)
             assert state_metrics(rho, target).fidelity > 1 - 1e-8
 
     def test_steady_state(self):
-        N = 24
+        N = 34  # as in the revival test above
         t = 50.0 / OSC.gamma
         vac = vacuum_density(N)
         rho_c = reduced_density(OSC, t, "c", 0.0, 0.0, N)
         assert state_metrics(rho_c, vac).fidelity > 1 - 1e-8
-        S = squeeze_op(steady_squeeze(OSC), N)
+        S = exact_frame(0.0, steady_squeeze(OSC), N)
         target = FockDensity(entries=np.outer(S[:, 0], S[:, 0].conj()), dims=(N,))
         rho_v = reduced_density(OSC, t, "v", 0.0, 0.0, N)
         assert state_metrics(rho_v, target).fidelity > 1 - 1e-8
@@ -690,8 +736,8 @@ class TestLosslessKet:
         p = classify_regime(1.0, 0.6, 0.0)
         alpha, beta = 0.3, 0.2j
         ket = lossless_ket(p, alpha, beta, 0.0, (16, 16))
-        want = np.kron(displacement_op(alpha, 16)[:, 0],
-                       displacement_op(beta, 16)[:, 0])
+        want = np.kron(exact_frame(alpha, 0.0, 16)[:, 0],
+                       exact_frame(beta, 0.0, 16)[:, 0])
         assert abs(np.vdot(want, ket)) > 1 - 1e-10
 
     def test_quarter_period_product_state(self):
@@ -699,20 +745,23 @@ class TestLosslessKet:
         lam0 = math.sqrt(p.lambda0_sq)
         alpha, beta = 0.3, 0.2j
         spec = lossless_spec(p, alpha, beta, math.pi / (2 * lam0))
-        ket = lossless_ket(p, alpha, beta, math.pi / (2 * lam0), (20, 20))
+        # both kets miss their weight past N levels: the overlap lacks 2.1e-5 at N = 20
+        N = 40
+        ket = lossless_ket(p, alpha, beta, math.pi / (2 * lam0), (N, N))
         xb = steady_squeeze(p)
-        psi_c = displacement_op(spec.alpha_bar, 20) @ squeeze_op(-xb, 20)[:, 0]
-        psi_v = displacement_op(spec.beta_bar, 20) @ squeeze_op(xb, 20)[:, 0]
+        psi_c = exact_frame(spec.alpha_bar, -xb, N)[:, 0]
+        psi_v = exact_frame(spec.beta_bar, xb, N)[:, 0]
         want = np.kron(psi_c, psi_v)
         assert abs(np.vdot(want, ket)) ** 2 > 1 - 1e-8
 
     def test_norm_deficit(self):
         p = classify_regime(1.0, 0.6, 0.0)
         lam0 = math.sqrt(p.lambda0_sq)
+        # the frames S(-+xi0) move 7.3e-8 of the norm past 18 levels, 2.2e-9 past 22
         t = math.pi / (4 * lam0)  # n_bar0 maximal
-        ket = lossless_ket(p, 0.0, 0.0, t, (18, 18))
+        ket = lossless_ket(p, 0.0, 0.0, t, (22, 22))
         spec = lossless_spec(p, 0.0, 0.0, t)
-        want = (spec.n_bar0 / (spec.n_bar0 + 1.0)) ** 18
+        want = (spec.n_bar0 / (spec.n_bar0 + 1.0)) ** 22
         assert abs(np.linalg.norm(ket) ** 2 - (1.0 - want)) < 1e-8
 
     def test_rejects_lossy_params(self):
@@ -745,7 +794,8 @@ class TestPartialTraceAndMetrics:
         assert partial_trace(rho, "c").trace() == pytest.approx(rho.trace(), abs=1e-12)
 
     def test_self_fidelity(self):
-        rho = reduced_density(OSC, 1.0, "c", 0.2, 0.1j, 14)
+        # the self-fidelity is (tr rho)^2: 1 - 8.0e-7 on 14 levels, 1 - 7.3e-11 on 24
+        rho = reduced_density(OSC, 1.0, "c", 0.2, 0.1j, 24)
         m = state_metrics(rho, rho)
         assert m.fidelity == pytest.approx(1.0, abs=1e-10)
         assert m.trace_distance < 1e-10
@@ -842,7 +892,7 @@ class TestQuadStats:
 
     def test_squeezed_thermal(self):
         nb, xi, N = 0.4, 0.35, 40
-        S = squeeze_op(xi, N)
+        S = _frame(0.0, xi, N)
         rho = FockDensity(entries=S @ thermal(nb, N).entries @ S.conj().T, dims=(N,))
         _, _, vx, vp = quad_stats(rho)
         assert vx == pytest.approx((nb + 0.5) * math.exp(-2 * xi), abs=1e-8)

@@ -22,7 +22,6 @@ from ioncavity import (
     IntegrationError,
     assemble_joint_density,
     classify_regime,
-    displacement_op,
     displacement_trajectory,
     evolve_trajectory,
     ladder,
@@ -30,6 +29,7 @@ from ioncavity import (
     lossless_ket,
     state_metrics,
 )
+from ioncavity.fock import _frame
 from rk4_oracle import RK4Config, dense_hamiltonian, make_rhs, rk4_evolve, rk4_ket, rk4_trajectory
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -50,8 +50,9 @@ def vacuum_joint(Nc, Nv):
 
 
 def coherent_joint(alpha, beta, Nc, Nv):
-    psi = np.kron(displacement_op(alpha, Nc)[:, 0],
-                  displacement_op(beta, Nv)[:, 0])
+    # the exact coherent columns, normalized on the truncated basis as the CLI's start
+    psi = np.kron(_frame(alpha, 0.0, Nc)[:, 0], _frame(beta, 0.0, Nv)[:, 0])
+    psi /= np.linalg.norm(psi)
     return FockDensity(entries=np.outer(psi, psi.conj()), dims=(Nc, Nv))
 
 
