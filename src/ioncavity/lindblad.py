@@ -18,16 +18,28 @@ mu = tr L / D^2,
 
     L(X) - mu X = M X + X M^T + gamma a X a^T,   M = K - (gamma/2) n - (mu/2) I,
 
-and for real X with X^T = sign X (sign = +1 or -1), X M^T = sign (M X)^T: one
-real sparse product, plus sign times its transpose, plus the jump as a level
-shift, with a result exactly (anti)symmetric like X.  L maps each such class
-into itself, so a Hermitian rho evolves as two real matrices on their own: its
-symmetric real part (Re rho + Re rho^T)/2 with sign +1, and its antisymmetric
-imaginary part (Im rho - Im rho^T)/2 with sign -1.  The imaginary part is
-skipped while it is zero, as exp(L t) 0 = 0, so a real start (every vacuum
-start) propagates one real matrix and a complex start two.  A start whose
-Hermiticity error max |rho - rho^dag| exceeds TRACE_DRIFT_TOL is refused
-before any step; a smaller one, such as the rounding of np.outer, is dropped.
+and for real X with X^T = sign X (sign = +1 or -1), X M^T = sign (M X)^T.  L
+maps each such class into itself, so a Hermitian rho evolves as two real
+matrices on their own: its symmetric real part (Re rho + Re rho^T)/2 with
+sign +1, and its antisymmetric imaginary part (Im rho - Im rho^T)/2 with
+sign -1.
+
+K and n keep the parity of n_c + n_v, and the jump a X a^T flips it on both
+sides.  With E and O the states of even and odd n_c + n_v, L therefore maps
+the diagonal sector (the blocks X_EE and X_OO) and the off sector (X_EO and
+X_OE = sign X_EO^T) each into itself.  Each part is propagated as one flat
+buffer of the sectors that are nonzero at the start, with X_OE not stored; a
+zero sector, like a zero imaginary part, is skipped, as exp(L t) 0 = 0.  A
+vacuum start lives in the diagonal sector of the real part, so it propagates
+X_EE and X_OO alone, half of rho; a complex start propagates at most three
+quarters of rho per part.  E and O each list their states in increasing
+row-major order, so the blocks M_E and M_O keep the order of M's own sums,
+and the jump is one slice of the partner block times the level weights
+gamma sqrt((i + 1)(k + 1)): a diagonal block's result is exactly
+(anti)symmetric like X, and a propagated rho exactly Hermitian.  A start
+whose Hermiticity error max |rho - rho^dag| or trace drift |tr rho - 1|
+exceeds TRACE_DRIFT_TOL is refused before any step; a smaller Hermiticity
+error, such as the rounding of np.outer, is dropped.
 
 exp(h L) v is Algorithm 3.2 of Al-Mohy & Higham, "Computing the action of the
 matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011), at u = 2^-53: s
@@ -46,6 +58,7 @@ does not load it.  Only ``evolve_trajectory`` is public.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -85,9 +98,55 @@ def _k_matrix(params: CouplingParams, dims: Sequence[int]):
     return K.tocsr()
 
 
+def _parity_order(dims: Sequence[int]):
+    """The row-major indices of the states with n_c + n_v even (E), then odd (O), each increasing."""
+    Nc, Nv = dims
+    odd = np.add.outer(np.arange(Nc), np.arange(Nv)).ravel() % 2
+    return np.flatnonzero(odd == 0), np.flatnonzero(odd)
+
+
+def _pieces(v: np.ndarray, nE: int, nO: int):
+    """Views (R, X_EE, X_OO, X_EO) of a flat buffer of the diagonal sector (X_EE, X_OO), the
+    off sector (X_EO) or both: the E rows R = [X_EE | X_EO] of the sectors it holds, then X_OO
+    if it holds the diagonal one, and None for a block it does not hold.  The three sizes
+    differ, as nE nO < nE^2 + nO^2."""
+    diag, off = v.size != nE * nO, v.size != nE * nE + nO * nO
+    w = nE * diag + nO * off
+    R = v[:nE * w].reshape(nE, w)
+    return (R, R[:, :nE] if diag else None, v[nE * w:].reshape(nO, nO) if diag else None,
+            R[:, w - nO:] if off else None)
+
+
+def _pack(X: np.ndarray, E: np.ndarray, O: np.ndarray):
+    """The flat buffer of the nonzero sectors of a real X with X^T = sign X, or None if X = 0."""
+    EE, OO, EO = X[np.ix_(E, E)], X[np.ix_(O, O)], X[np.ix_(E, O)]
+    diag, off = EE.any() or OO.any(), EO.any()
+    if not (diag or off):
+        return None
+    R = np.hstack([p for p, live in ((EE, diag), (EO, off)) if live])
+    return np.concatenate([R.ravel(), OO.ravel()] if diag else [R.ravel()])
+
+
+def _unpack(v: np.ndarray, sign: int, E: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """The real D x D matrix of a flat buffer, with X_OE = sign X_EO^T and absent sectors zero."""
+    _, EE, OO, EO = _pieces(v, E.size, O.size)
+    X = np.zeros((E.size + O.size,) * 2)
+    if EE is not None:
+        X[np.ix_(E, E)], X[np.ix_(O, O)] = EE, OO
+    if EO is not None:
+        X[np.ix_(E, O)], X[np.ix_(O, E)] = EO, sign * EO.T
+    return X
+
+
 def _kernel(params: CouplingParams, dims: Sequence[int]):
-    """apply(X, sign) = L(X) - mu X for real X with X^T = sign X, mu = tr L / D^2,
-    and ||L - mu I||_1."""
+    """apply(v, sign, out=None) = L(X) - mu X, mu = tr L / D^2, and ||L - mu I||_1.
+
+    X is real with X^T = sign X and v the flat buffer of its sectors (see
+    ``_pieces``); the result is the buffer of the same sectors, written into
+    out when it is given.  Per block, with M_E and M_O the blocks of M:
+    (M X + X M^T)_EE = P + sign P^T for P = M_E X_EE, likewise on O, and
+    (M X + X M^T)_EO = M_E X_EO + (M_O X_EO^T)^T.
+    """
     import scipy.sparse as sp
 
     K = _k_matrix(params, dims)
@@ -97,32 +156,55 @@ def _kernel(params: CouplingParams, dims: Sequence[int]):
     kmax = np.asarray(abs(K).sum(axis=0)).reshape(Nc, Nv).max(axis=1)[:, None]
     cols = kmax + kmax.T + g * np.sqrt(lv[:, None] * lv) + np.abs(0.5 * g * (lv[:, None] + lv) + mu)
     M = (K - sp.diags(np.repeat(0.5 * (g * lv + mu), Nv))).tocsr()
-    # on the (Nc, Nv, Nc, Nv) view, g a X a^T moves X[i+1, j, k+1, l] to
-    # [i, j, k, l] with weight g sqrt((i+1)(k+1))
-    jump = g * np.sqrt(lv[1:, None, None, None] * lv[None, None, 1:, None])
-    adj, hop = np.empty(M.shape), np.empty((Nc - 1, Nv, Nc - 1, Nv))
+    E, O = _parity_order(dims)
+    nE, nO = E.size, O.size
+    ME, MO = M[E][:, E], M[O][:, O]  # M keeps the parity, so these blocks are all of it
+    # a moves cavity level i + 1 to i.  Each block lists level 0 first, and its level-(i + 1)
+    # states, past the partner block's sE or sO level-0 states, are the level-i states of the
+    # partner in the same order: (a X a^T)_EE[:hE, :hE] = w X_OO[sO:, sO:], with the weight
+    # w = g sqrt((i + 1)(k + 1)) of the destination levels i, k
+    sE, sO = (Nv + 1) // 2, Nv // 2
+    hE, hO = nO - sO, nE - sE
+    lE, lO = E[:hE] // Nv + 1.0, O[:hO] // Nv + 1.0
+    wEE, wOO, wEO = (g * np.sqrt(l[:, None] * r) for l, r in ((lE, lE), (lO, lO), (lE, lO)))
+    hopE, hopO, hopEO = np.empty(wEE.shape), np.empty(wOO.shape), np.empty(wEO.shape)
 
-    def apply(X: np.ndarray, sign: int) -> np.ndarray:
-        Y = M @ X
-        Y += np.multiply(Y.T, sign, out=adj)  # X M^T = sign (M X)^T
-        if g:
-            X4, Y4 = X.reshape(Nc, Nv, Nc, Nv), Y.reshape(Nc, Nv, Nc, Nv)
-            Y4[:-1, :, :-1] += np.multiply(jump, X4[1:, :, 1:], out=hop)
-        return Y
+    def apply(v: np.ndarray, sign: int, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(v) if out is None else out
+        R, EE, OO, EO = _pieces(v, nE, nO)
+        _, YEE, YOO, YEO = _pieces(out, nE, nO)
+        PR = ME @ R  # M_E X_EE and M_E X_EO in one product
+        # X M^T = sign (M X)^T on a diagonal block, and an antisymmetric one is P - P^T exactly
+        add = np.add if sign > 0 else np.subtract
+        if EE is not None:
+            P, PO = PR[:, :nE], MO @ OO
+            add(P, P.T, out=YEE)
+            add(PO, PO.T, out=YOO)
+            if g:  # the jump fills each diagonal block from its partner
+                YEE[:hE, :hE] += np.multiply(wEE, OO[sO:, sO:], out=hopE)
+                YOO[:hO, :hO] += np.multiply(wOO, EE[sE:, sE:], out=hopO)
+        if EO is not None:
+            # X_EO M_O^T = (M_O X_EO^T)^T, and (a X a^T)_EO = w X_OE[sO:, sE:] with X_OE = sign X_EO^T
+            np.add(PR[:, -nO:], (MO @ EO.T).T, out=YEO)
+            if g:
+                add(YEO[:hE, :hO], np.multiply(wEO, EO[sE:, sO:].T, out=hopEO), out=YEO[:hE, :hO])
+        return out
 
     return apply, mu, float(cols.max())
 
 
 def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.ndarray:
-    """exp(h (A + mu I)) v, where apply(x) = A x and norm1 >= ||A||_1 (Al-Mohy & Higham, Alg. 3.2)."""
+    """exp(h (A + mu I)) v, where apply(x, out=y) writes A x into y and returns it and
+    norm1 >= ||A||_1 (Al-Mohy & Higham, Alg. 3.2)."""
     m = min(_THETA, key=lambda m: m * math.ceil(h * norm1 / _THETA[m]))
     s = max(1, math.ceil(h * norm1 / _THETA[m]))
     eta, mag = math.exp(h * mu / s), np.empty(v.shape)
+    terms = np.empty(v.shape), np.empty(v.shape)  # apply writes each term over the one before last
     for _ in range(s):
         f = v.copy()
         c = bound = np.abs(v, out=mag).max()
         for j in range(1, m + 1):
-            v = apply(v)
+            v = apply(v, out=terms[j % 2])
             v *= h / (s * j)
             f += v
             c, c_prev = np.abs(v, out=mag).max(), c
@@ -135,15 +217,16 @@ def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.
     return v
 
 
+def _require(err: float, what: str, params: CouplingParams, dims: Sequence[int], t: float) -> None:
+    if not err <= TRACE_DRIFT_TOL:  # not <=, so a nan fails too
+        raise IntegrationError(f"{what} = {err:.3e} > {TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
+
+
 def _check_state(rho: np.ndarray, params: CouplingParams, dims: Sequence[int], t: float) -> None:
-    drift = abs(float(np.trace(rho).real) - 1.0)
-    if not drift <= TRACE_DRIFT_TOL:  # not <=, so a nan fails too
-        raise IntegrationError(f"propagator trace drift |tr rho - 1| = {drift:.3e} > "
-                               f"{TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
-    herm = float(np.abs(rho - rho.conj().T).max())
-    if not herm <= TRACE_DRIFT_TOL:
-        raise IntegrationError(f"propagator Hermiticity error max |rho - rho^dag| = {herm:.3e} > "
-                               f"{TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
+    _require(abs(float(np.trace(rho).real) - 1.0), "propagator trace drift |tr rho - 1|",
+             params, dims, t)
+    _require(float(np.abs(rho - rho.conj().T).max()),
+             "propagator Hermiticity error max |rho - rho^dag|", params, dims, t)
 
 
 def evolve_trajectory(
@@ -154,43 +237,50 @@ def evolve_trajectory(
     """Evolve rho0 through a nondecreasing list of checkpoint times.
 
     rho(t_k) = exp(L (t_k - t_{k-1})) rho(t_{k-1}), as the real matrices
-    (Re rho0 + Re rho0^T)/2 and, unless zero, (Im rho0 - Im rho0^T)/2; the
-    densities are float64 when the latter is zero.  The Hermiticity error
-    max |rho - rho^dag| is checked at the start, where it refuses rho0, and
-    with the trace drift at every checkpoint.  A step that needs more than
-    MAX_SUBSTEPS substeps, or a non-finite number of them, is refused before
-    any is taken.
+    (Re rho0 + Re rho0^T)/2 and (Im rho0 - Im rho0^T)/2, each held as one flat
+    buffer of the parity sectors that are nonzero in rho0: the diagonal one
+    (X_EE, X_OO) and the off one (X_EO).  A zero part or sector stays zero
+    and is not propagated, so a vacuum start evolves X_EE and X_OO of the
+    real part alone; the densities are float64 when the imaginary part is
+    zero.  The Hermiticity error max |rho - rho^dag| and then the trace
+    drift |tr rho - 1| are checked at the start, where they refuse rho0
+    before any step, and the trace drift and the Hermiticity error at every
+    checkpoint.  A step that needs more than MAX_SUBSTEPS substeps, or a
+    non-finite number of them, is refused before any is taken.
     """
     if not rho0.joint:
         raise ValueError("evolve_trajectory needs a two-mode density")
     times = list(times)
     if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
-    X = rho0.entries
-    herm = float(np.abs(X - X.conj().T).max())
-    if not herm <= TRACE_DRIFT_TOL:
-        raise IntegrationError(f"start Hermiticity error max |rho - rho^dag| = {herm:.3e} > "
-                               f"{TRACE_DRIFT_TOL} at {_where(params, rho0.dims, 0.0)}")
+    X, dims = rho0.entries, rho0.dims
+    _require(float(np.abs(X - X.conj().T).max()), "start Hermiticity error max |rho - rho^dag|",
+             params, dims, 0.0)
+    _require(abs(float(np.trace(X).real) - 1.0), "start trace drift |tr rho - 1|", params, dims, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
-        apply, mu, norm1 = _kernel(params, rho0.dims)
+        apply, mu, norm1 = _kernel(params, dims)
     for t0, t in zip([0.0, *times], times):
         # the fewest substeps of any degree m; inf or nan once the norm overflows
         s = (t - t0) * norm1 / _THETA[55] if t > t0 else 0.0
         if not s <= MAX_SUBSTEPS:
             raise IntegrationError(f"propagator step of {t - t0:.6g} needs {s:.3g} substeps > "
-                                   f"{MAX_SUBSTEPS} at {_where(params, rho0.dims, t)}")
+                                   f"{MAX_SUBSTEPS} at {_where(params, dims, t)}")
     rho = X if X.imag.any() else X.real
-    re, im = 0.5 * (X.real + X.real.T), 0.5 * (X.imag - X.imag.T)
+    E, O = _parity_order(dims)
+    # exp(L h) 0 = 0, so a zero part or sector is dropped; the real part's trace is 1
+    parts = {sign: v for sign, R in ((1, X.real), (-1, X.imag))
+             if (v := _pack(0.5 * (R + sign * R.T), E, O)) is not None}
 
     out: list[FockDensity] = []
     t_prev = 0.0
     for t in times:
         if t > t_prev:
-            rho = re = _taylor_expm(lambda x: apply(x, 1), re, t - t_prev, mu, norm1)
-            if im.any():  # exp(L h) 0 = 0, so a zero part is skipped
-                im = _taylor_expm(lambda x: apply(x, -1), im, t - t_prev, mu, norm1)
-                rho = re + 1j * im
-        _check_state(rho, params, rho0.dims, t)
+            parts = {sign: _taylor_expm(partial(apply, sign=sign), v, t - t_prev, mu, norm1)
+                     for sign, v in parts.items()}
+            rho = _unpack(parts[1], 1, E, O)
+            if -1 in parts:
+                rho = rho + 1j * _unpack(parts[-1], -1, E, O)
+        _check_state(rho, params, dims, t)
         t_prev = t
-        out.append(FockDensity(entries=rho.copy(), dims=rho0.dims))
+        out.append(FockDensity(entries=rho.copy(), dims=dims))
     return out

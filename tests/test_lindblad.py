@@ -89,11 +89,18 @@ def dense_liouvillian(params, dims):
 
 def generator(params, rho):
     """L(rho) from the propagator's own kernel: apply on the symmetric and
-    antisymmetric parts of Re rho and of Im rho, plus mu rho."""
+    antisymmetric parts of Re rho and of Im rho, each packed into the flat
+    buffer of its nonzero parity sectors, plus mu rho."""
     apply, mu, _ = lindblad._kernel(params, rho.dims)
+    E, O = lindblad._parity_order(rho.dims)
     X = rho.entries
-    return mu * X + sum(c * apply(0.5 * (R + sign * R.T), sign)
-                        for c, R in ((1, X.real), (1j, X.imag)) for sign in (1, -1))
+    out = mu * X
+    for c, R in ((1, X.real), (1j, X.imag)):
+        for sign in (1, -1):
+            v = lindblad._pack(0.5 * (R + sign * R.T), E, O)
+            if v is not None:
+                out = out + c * lindblad._unpack(apply(v, sign), sign, E, O)
+    return out
 
 
 def trace_distance(x, y):
@@ -108,17 +115,19 @@ def pure_joint(psi, dims):
 
 def count_kernel_calls(monkeypatch):
     """Count applications of lindblad's generator kernel, in total ("apply")
-    and by the sign of the (anti)symmetric part they act on (1 and -1)."""
-    calls = {"apply": 0, 1: 0, -1: 0}
+    and by the sign of the (anti)symmetric part they act on (1 and -1), and
+    collect the sizes of the flat buffers it is applied to ("sizes")."""
+    calls = {"apply": 0, 1: 0, -1: 0, "sizes": set()}
     kernel = lindblad._kernel
 
     def counting_kernel(params, dims):
         apply, mu, norm1 = kernel(params, dims)
 
-        def counted(X, sign):
+        def counted(v, sign, out=None):
             calls["apply"] += 1
             calls[sign] += 1
-            return apply(X, sign)
+            calls["sizes"].add(v.size)
+            return apply(v, sign, out)
 
         return counted, mu, norm1
 
@@ -214,14 +223,20 @@ class TestGenerator:
     def test_kernel_output_exactly_keeps_symmetry(self, name, sign):
         # the propagator relies on it: X M^T is taken as sign (M X)^T, so a
         # symmetric input stays exactly symmetric and an antisymmetric one
-        # exactly antisymmetric
+        # exactly antisymmetric; the off sector holds X_EO alone, so the
+        # diagonal blocks X_EE and X_OO carry the check
         params, dims = POINTS[name], (5, 6)
         apply = lindblad._kernel(params, dims)[0]
+        E, O = lindblad._parity_order(dims)
         R = np.random.default_rng(13).normal(size=(30, 30))
-        X = R + sign * R.T
+        v = lindblad._pack(R + sign * R.T, E, O)
+        assert v.size == E.size ** 2 + E.size * O.size + O.size ** 2  # both sectors
         for _ in range(3):
-            X = apply(X, sign)
-            assert X.dtype == np.float64
+            v = apply(v, sign)
+            assert v.dtype == np.float64
+            _, EE, OO, _ = lindblad._pieces(v, E.size, O.size)
+            assert np.abs(EE - sign * EE.T).max() == 0 and np.abs(OO - sign * OO.T).max() == 0
+            X = lindblad._unpack(v, sign, E, O)
             assert np.abs(X - sign * X.T).max() == 0
 
 
@@ -305,6 +320,43 @@ class TestRealParts:
             assert (rho.entries == rho.entries.conj().T).all()
 
 
+class TestParitySectors:
+    """L keeps the diagonal sector (X_EE, X_OO) and the off sector (X_EO) apart,
+    and only the sectors that are nonzero at the start are propagated."""
+
+    @pytest.mark.parametrize("name", ["OSC3", "LOSSLESS"])
+    @pytest.mark.parametrize("dims", [(4, 4), (5, 5), (4, 7)])
+    def test_vacuum_start_never_holds_the_off_sector(self, name, dims, monkeypatch):
+        # every kernel application gets the diagonal sector of the real part
+        # alone, and every state is exactly zero between the parities
+        E, O = lindblad._parity_order(dims)
+        calls = count_kernel_calls(monkeypatch)
+        states = evolve_trajectory(POINTS[name], vacuum_joint(*dims), [0.5, 1.0, 2.0])
+        assert calls[1] > 0 and calls[-1] == 0
+        assert calls["sizes"] == {E.size ** 2 + O.size ** 2}
+        for rho in states:
+            assert not rho.entries[np.ix_(E, O)].any() and not rho.entries[np.ix_(O, E)].any()
+
+    @pytest.mark.parametrize("name", ["OSC3", "LOSSLESS"])
+    def test_complex_coherent_start_matches_dense_expm(self, name, monkeypatch):
+        # (0.2 + 0.3i, -0.4i) on (5, 5): both parts hold both sectors, on
+        # parity blocks of 13 and 12 states
+        params, dims = POINTS[name], (5, 5)
+        rho0 = coherent_joint(0.2 + 0.3j, -0.4j, *dims)
+        calls = count_kernel_calls(monkeypatch)
+        times = [0.5, 1.0, 2.0]
+        states = evolve_trajectory(params, rho0, times)
+        assert calls[1] > 0 and calls[-1] > 0
+        assert calls["sizes"] == {13 * 13 + 13 * 12 + 12 * 12}
+        step = scipy.linalg.expm(0.5 * dense_liouvillian(params, dims).real)
+        want, done = rho0.entries.ravel(), 0.0
+        for t, rho in zip(times, states):
+            while done < t:
+                want, done = step @ want, done + 0.5
+            assert (rho.entries == rho.entries.conj().T).all()
+            np.testing.assert_allclose(rho.entries.ravel(), want, rtol=0, atol=1e-12)
+
+
 class TestEvolve:
     def test_zero_time_is_identity(self):
         rho = coherent_joint(0.2, 0.1, 6, 6)
@@ -312,8 +364,9 @@ class TestEvolve:
         np.testing.assert_array_equal(out.entries, rho.entries)
 
     @pytest.mark.parametrize("name", POINTS)
-    @pytest.mark.parametrize("dims", [(4, 4), (5, 6)])
+    @pytest.mark.parametrize("dims", [(4, 4), (5, 6), (5, 5)])
     def test_matches_dense_expm(self, name, dims):
+        # (5, 5) has 13 even and 12 odd states, so the parity blocks differ in size
         params = POINTS[name]
         rho0 = random_density(np.random.default_rng(9), *dims)
         times = [0.5, 1.0, 2.0]
@@ -440,14 +493,35 @@ class TestFailures:
         with pytest.raises(IntegrationError, match=f"{check} .* = nan > .* t = 1$"):
             lindblad._check_state(rho, OSC, (2, 2), 1.0)
 
-    def test_trace_drift(self):
-        rho0 = FockDensity(entries=1.1 * vacuum_joint(4, 4).entries, dims=(4, 4))
+    def test_trace_drift(self, monkeypatch):
+        # a kernel whose shift mu is 0.1 too large scales rho by e^{0.1 t}, so
+        # a normalized start drifts and its first checkpoint is refused
+        kernel = lindblad._kernel
+
+        def shifted_kernel(params, dims):
+            apply, mu, norm1 = kernel(params, dims)
+            return apply, mu + 0.1, norm1
+
+        monkeypatch.setattr(lindblad, "_kernel", shifted_kernel)
         with pytest.raises(IntegrationError) as exc:
-            evolve_trajectory(BEAMSPLIT, rho0, [1.0])
+            evolve_trajectory(BEAMSPLIT, vacuum_joint(4, 4), [1.0])
         msg = str(exc.value)
         assert "trace drift" in msg
         assert "(omega1, omega2, gamma) = (1, 0, 0.4)" in msg
         assert "dims = (4, 4)" in msg and "t = 1" in msg
+
+    def test_unnormalized_start(self, monkeypatch):
+        # tr rho0 = 1 - 1e-7 is the start's fault, not the propagator's: it is
+        # refused at t = 0, before the kernel runs once
+        rho0 = FockDensity(entries=(1 - 1e-7) * vacuum_joint(4, 5).entries, dims=(4, 5))
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(IntegrationError) as exc:
+            evolve_trajectory(OSC, rho0, [0.25, 0.5])
+        msg = str(exc.value)
+        assert msg.startswith("start trace drift |tr rho - 1| = 1.000e-07 > 1e-08 at ")
+        assert "(omega1, omega2, gamma) = (1, 0.6, 0.4)" in msg
+        assert msg.endswith("dims = (4, 5), t = 0")
+        assert calls["apply"] == 0
 
     def test_step_past_the_substep_cap(self, monkeypatch):
         # gamma = 1e300 puts h ||L - mu I||_1 / theta_55 at 4.5e299 for h = 1:
