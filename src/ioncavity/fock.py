@@ -23,13 +23,13 @@ closed form acquires a factor (-1)^n, applied here so the two code paths
 agree identically.  The per-mode sign cancels in the joint products, so the
 assembled density operator is independent of this bookkeeping.
 
-The family has one builder per level L = m+n.  ``_r_diagonals`` holds every
-R^{L-k,k} by its one diagonal, from one ``jacobi_poly`` call; ``_dense``
-spreads them into matrices, and ``r_operator`` is one of them.
-``jacobi_poly`` takes ints or int arrays for every index, broadcast
-together: scalars give a Python float, and any bad element raises the
-scalar ValueError.  Its sum is a Jacobi polynomial in 1 - 2x, run up the
-stable forward three-term recurrence for every entry at once, so array and
+One builder, ``_r_tables``, gives every R^{L-k,k} of a block of levels L = m+n
+by its one diagonal, from one ``jacobi_poly`` call; ``_dense`` spreads a level
+into matrices, and ``r_operator`` is one of them.  ``jacobi_poly`` takes ints
+or int arrays for every index, broadcast together: scalars give a Python float,
+and any bad element raises the scalar ValueError.  Its sum is a Jacobi
+polynomial in 1 - 2x, run up the stable forward three-term recurrence once per
+pair of Jacobi parameters and read off at each entry's degree, so array and
 scalar calls agree.  One builder, ``_frame``, gives every D(w) S(xi): its exact
 N x N corner, so the states built from it miss their weight past N levels.
 
@@ -219,8 +219,8 @@ def jacobi_poly(m, k, l, x: float):
 
     where p_n = P_n^{(a,b)}/binom(n+a, n) comes from the forward three-term
     recurrence (DLMF 18.9) in difference form: p_0 = 1, p_j = p_{j-1} + d_j,
-    d_j = A_j p_{j-1} + B_j d_{j-1}.  A and B are zero past each entry's n,
-    so one loop over the degrees serves every entry.
+    d_j = A_j p_{j-1} + B_j d_{j-1}.  A and B depend on (a, b) and j alone, so the
+    recurrence runs once per distinct (a, b), and each entry reads its p_n from its history.
     """
     m, k, l = np.broadcast_arrays(np.asarray(m), np.asarray(k), np.asarray(l))
     if (m < 0).any() or (k < 0).any():
@@ -232,20 +232,23 @@ def jacobi_poly(m, k, l, x: float):
     if (m < k - l).any():
         raise ValueError("need m >= k - l")
     lp, a, b = np.maximum(l, 0), np.abs(l), m - k + l
-    n = k - lp
+    n, width = k - lp, int(b.max(initial=0)) + 1
+    keys, pair = np.unique(a * width + b, return_inverse=True)
+    pa, pb, top = keys // width, keys % width, np.zeros(keys.shape, dtype=n.dtype)
+    np.maximum.at(top, pair, n)
     # degree j = i + 1 from row i: t = 2i + a + b, and B_1 = 0 (i = 0, where t may be 0)
-    i = np.arange(n.max(initial=0)).reshape((-1,) + (1,) * n.ndim)
-    t, den = 2 * i + a + b, (i + a + 1) * (i + a + b + 1)
-    live = i < n
+    i = np.arange(top.max(initial=0))[:, None]
+    t, den = 2 * i + pa + pb, (i + pa + 1) * (i + pa + pb + 1)
+    live = i < top  # each pair stops at the largest n of its entries
     A = np.where(live, -x * (t + 1) * (t + 2) / den, 0.0)
-    B = np.where(live, i * (i + b) * (t + 2) / (den * np.maximum(t, 1)), 0.0)
-    p, d = np.ones(n.shape), np.zeros(n.shape)
-    for Aj, Bj in zip(A, B):
-        d = Aj * p + Bj * d
-        p += d
+    B = np.where(live, i * (i + pb) * (t + 2) / (den * np.maximum(t, 1)), 0.0)
+    p, d = np.ones((len(i) + 1, keys.size)), np.zeros(keys.size)
+    for j, (Aj, Bj) in enumerate(zip(A, B)):
+        d = Aj * p[j] + Bj * d
+        np.add(p[j], d, out=p[j + 1])
     lf = _log_factorials(int((m + lp).max(initial=0)).bit_length())
     sign = np.where((l < 0) & (a % 2 == 1), -1.0, 1.0)
-    out = sign * x**lp * np.exp(lf[m + lp] - lf[n] - lf[a]) * p
+    out = sign * x**lp * np.exp(lf[m + lp] - lf[n] - lf[a]) * p[n, pair.reshape(n.shape)]
     return float(out) if out.ndim == 0 else out
 
 
@@ -270,29 +273,31 @@ def _frame(w: complex, xi: float, N: int) -> np.ndarray:
     return G[:, 1:]
 
 
-def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
-    """(L+1, N) table of R^{L-k,k}(n_bar) on N levels, k = 0..L, by diagonals.
+def _r_tables(L0: int, L1: int, n_bar: float, N: int) -> list:
+    """(L+1, N) tables of R^{L-k,k}(n_bar) on N levels, k = 0..L, by diagonals, L0 <= L < L1.
 
-    R^{L-k,k} lies on the diagonal row - col = L - 2k; row k of the table
+    R^{L-k,k} lies on the diagonal row - col = L - 2k; row k of a table
     holds its entries at min(row, col) = c, zero where max(row, col) >= N.
     Rows k <= L/2, where m = L - k >= k, come from one ``jacobi_poly`` call
-    over (k, c) (see ``r_operator``); the others are (-1)^L times their
-    mirror L - k, by the adjoint rule.
+    over every level's (k, c) with row < N (see ``r_operator``); the others
+    are (-1)^L times their mirror L - k, by the adjoint rule.
     """
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
-    s, c = np.arange(L // 2 + 1)[:, None], np.arange(N)
+    L, s, c = np.arange(L0, L1)[:, None, None], np.arange((L1 + 1) // 2)[:, None], np.arange(N)
+    i, s, c = np.nonzero((2 * s <= L) & (c + L - 2 * s < N))
+    L = i + L0
     m, row = L - s, c + L - 2 * s
-    lf = _log_factorials((N + L).bit_length())
+    lf = _log_factorials((N + L1).bit_length())
     mag = 0.5 * (lf[s] + lf[c] - lf[m] - lf[row]) - (m + 1) * math.log(n_bar + 1.0)
     vals = np.where(s % 2, -1.0, 1.0) * np.exp(mag) * jacobi_poly(m, c, c - s, n_bar / (n_bar + 1.0))
-    half = np.where(row < N, vals, 0.0)
-    mirror = half[: (L + 1) // 2][::-1]
-    return np.concatenate([half, -mirror if L % 2 else mirror])
+    out = np.zeros((L1 - L0, L1, N))
+    out[i, s, c], out[i, m, c] = vals, np.where(L % 2, -vals, vals)  # row L - s by the adjoint rule
+    return [r[: L + 1] for L, r in enumerate(out, L0)]
 
 
 def _dense(r: np.ndarray) -> np.ndarray:
-    """(L+1, N, N) operators from the (L+1, N) diagonal table of ``_r_diagonals``."""
+    """(L+1, N, N) operators from an (L+1, N) diagonal table of ``_r_tables``."""
     L, N = r.shape[0] - 1, r.shape[1]
     k, c = np.nonzero(r)
     d = L - 2 * k
@@ -309,13 +314,13 @@ def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
         (-1)^n sqrt(n! k!/(m! (k+m-n)!)) (n_bar+1)^{-(m+1)}
                P_m^{k,k-n}(n_bar/(n_bar+1))   at |k+m-n><k| ,
 
-    row n of ``_r_diagonals(m+n, ...)``, on ``jacobi_poly``'s domain m >= n;
+    row n of the level-(m+n) table of ``_r_tables``, on ``jacobi_poly``'s domain m >= n;
     for m < n it is (-1)^{m+n} times r_operator(n, m) transposed.  R^{0,0} is
     the thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.  A real matrix.
     """
     if m < 0 or n < 0:
         raise ValueError("need m, n >= 0")
-    return _dense(_r_diagonals(m + n, n_bar, N))[n]
+    return _dense(_r_tables(m + n, m + n + 1, n_bar, N)[0])[n]
 
 
 def _level_tables(sigma: float):
@@ -370,11 +375,12 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
             f"assembly refused: |f g| = {az:.6g} >= 1, the operator series has "
             "no geometric tail bound at this time"
         )
-    rc_levels, v_levels, norm = [], [], 0.0
+    rc_levels, rv_levels, v_levels, norm = [], [], [], 0.0
     for L, T in enumerate(_level_tables(spec_c.xi + spec_v.xi)):
-        rc, rv = _r_diagonals(L, spec_c.n_bar, Nc), _r_diagonals(L, spec_v.n_bar, Nv)
-        zT = zeta**L * T
-        rc_levels.append(rc)
+        if L == len(rc_levels):  # the R tables come in blocks: 16 levels, then double the levels held
+            for levels, spec, N in ((rc_levels, spec_c, Nc), (rv_levels, spec_v, Nv)):
+                levels += _r_tables(L, min(max(2 * L, 16), MAX_MN_CUTOFF + 1), spec.n_bar, N)
+        rc, rv, zT = rc_levels[L], rv_levels[L], zeta**L * T
         # mode-v factor of each (L, k): sum_k' zT[k, k'] R_v^{L-k',k'}, dense
         v_levels.append((zT @ _dense(rv).reshape(L + 1, -1)).reshape(L + 1, Nv, Nv))
         prev, norm = norm, _level_norm(zT, rc, rv)
@@ -386,7 +392,7 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
                 f"assembly needs m+n > {MAX_MN_CUTOFF} terms (|f g| = {az:.4f}); "
                 "refusing direct summation at this parameter point"
             )
-    M = len(rc_levels) - 1
+    M = L
     # the block of X on the diagonal i - i' = d of mode c is one product over the
     # levels L = |d|, |d| + 2, ... <= M, at k = (L - d)/2
     X = np.zeros((Nc, Nv, Nc, Nv), dtype=dtype)
@@ -458,7 +464,7 @@ def reduced_density(
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
     U = _frame(u if mode == "c" else v, spec.xi, N)
-    return FockDensity(entries=(U * _r_diagonals(0, spec.n_bar, N)[0]) @ U.conj().T, dims=(N,))
+    return FockDensity(entries=(U * _r_tables(0, 1, spec.n_bar, N)[0][0]) @ U.conj().T, dims=(N,))
 
 
 def lossless_ket(

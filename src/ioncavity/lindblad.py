@@ -92,10 +92,14 @@ def _k_matrix(params: CouplingParams, dims: Sequence[int]):
     Nc, Nv = dims
     if Nc < 2 or Nv < 2:
         raise ValueError("each mode needs at least 2 levels")
-    a = sp.kron(sp.diags(np.sqrt(np.arange(1.0, Nc)), 1), sp.identity(Nv), format="csr")
-    b = sp.kron(sp.identity(Nc), sp.diags(np.sqrt(np.arange(1.0, Nv)), 1), format="csr")
-    K = params.omega1 * (a.T @ b - a @ b.T) + params.omega2 * (a.T @ b.T - a @ b)
-    return K.tocsr()
+    # lo, hi: the states at cavity levels p, p + 1; ad b, a bd, ad bd and a b each take cols to rows
+    lo, hi = (np.arange((Nc - 1) * Nv).reshape(Nc - 1, Nv) + s for s in (0, Nv))
+    rows = np.stack([hi[:, :-1], lo[:, 1:], hi[:, 1:], lo[:, :-1]]).ravel()
+    cols = np.stack([lo[:, 1:], hi[:, :-1], lo[:, :-1], hi[:, 1:]]).ravel()
+    w = np.sqrt(np.arange(1.0, Nc))[:, None] * np.sqrt(np.arange(1.0, Nv))  # at the lower levels p, q
+    vals = np.multiply.outer([params.omega1, -params.omega1, params.omega2, -params.omega2], w).ravel()
+    keep = vals != 0  # a zero omega2 adds no entries
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(Nc * Nv, Nc * Nv))
 
 
 def _parity_order(dims: Sequence[int]):

@@ -17,7 +17,9 @@ suite).  R^{m,n} carries the per-mode sign (-1)^n of its superoperator
 anchoring (see ``ioncavity.fock``); it cancels in the joint products, so the
 assembled density operator is independent of this bookkeeping.
 
-``_q_level`` builds every Q^{m,L-m} of one level L from one
+``_r_diagonals`` is the per-level oracle of fock's R tables, which come in
+blocks of levels: one level, from one ``jacobi_poly`` call over every (k, c)
+of its half.  ``_q_level`` builds every Q^{m,L-m} of one level L from one
 ``_r_diagonals`` table and one ``c_coefficient`` call, conjugated by S(xi),
 or by D(w) S(xi) to carry a coherent displacement along; ``q_operator`` is
 one of them.  Its frames come from ``exact_frame``: the N x N corner of
@@ -36,7 +38,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ioncavity.fock import _dense, _log_factorials, _r_diagonals
+from ioncavity.fock import _dense, _log_factorials, jacobi_poly
 
 #: levels past N on which ``exact_frame`` exponentiates: against 200 of them, 40 leave
 #: the corner 2.1e-6 off at (w, xi, N) = (0.8, 0.5, 26), 64 leave 3.0e-15
@@ -53,6 +55,27 @@ def exact_frame(w: complex, xi: float, N: int) -> np.ndarray:
     if w:
         U = expm(w * a.T - np.conj(w) * a) @ U
     return U[:N, :N]
+
+
+def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
+    """(L+1, N) table of R^{L-k,k}(n_bar) on N levels, k = 0..L, by diagonals.
+
+    R^{L-k,k} lies on the diagonal row - col = L - 2k; row k of the table
+    holds its entries at min(row, col) = c, zero where max(row, col) >= N.
+    Rows k <= L/2, where m = L - k >= k, come from one ``jacobi_poly`` call
+    over (k, c) (see ``ioncavity.fock.r_operator``); the others are (-1)^L
+    times their mirror L - k, by the adjoint rule.
+    """
+    if n_bar < 0:
+        raise ValueError("n_bar must be >= 0")
+    s, c = np.arange(L // 2 + 1)[:, None], np.arange(N)
+    m, row = L - s, c + L - 2 * s
+    lf = _log_factorials((N + L).bit_length())
+    mag = 0.5 * (lf[s] + lf[c] - lf[m] - lf[row]) - (m + 1) * math.log(n_bar + 1.0)
+    vals = np.where(s % 2, -1.0, 1.0) * np.exp(mag) * jacobi_poly(m, c, c - s, n_bar / (n_bar + 1.0))
+    half = np.where(row < N, vals, 0.0)
+    mirror = half[: (L + 1) // 2][::-1]
+    return np.concatenate([half, -mirror if L % 2 else mirror])
 
 
 def _term_sum(terms: np.ndarray):

@@ -42,8 +42,8 @@ from ioncavity import (
     trace_distance,
 )
 from ioncavity import fock
-from ioncavity.fock import _frame, _level_norm, _level_tables, _r_diagonals
-from series_oracle import _q_level, c_coefficient, exact_frame, q_operator
+from ioncavity.fock import _frame, _level_norm, _level_tables, _r_tables
+from series_oracle import _q_level, _r_diagonals, c_coefficient, exact_frame, q_operator
 from superop_oracle import raise_superop
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -334,6 +334,20 @@ class TestCoefficientsExact:
             want = [[jacobi_poly(L - ss, cc, cc - ss, 0.45) for cc in range(9)] for ss in range(L // 2 + 1)]
             np.testing.assert_array_max_ulp(got, np.array(want), maxulp=2)
 
+    def test_array_call_is_exactly_the_scalar_calls(self):
+        # entries that share the Jacobi parameters (a, b) = (|l|, m - k + l) at the
+        # degrees n = min(k, k - l) = 0..8 read one recurrence's history; each equals
+        # its own scalar call exactly, l < 0, n = 0 and x = 0 among them
+        a, b, n = np.meshgrid(np.arange(6), np.arange(6), np.arange(9), indexing="ij")
+        for l in (a, -a):
+            k = n + np.maximum(l, 0)
+            m = b + k - l
+            for x in (0.0, 0.3, 0.8125):
+                got = jacobi_poly(m, k, l, x)
+                want = [jacobi_poly(*map(int, e), x) for e in zip(m.flat, k.flat, l.flat)]
+                assert got.shape == m.shape
+                np.testing.assert_array_equal(got.ravel(), np.array(want))
+
     def test_scalars_are_python_floats(self):
         assert type(jacobi_poly(2, 3, 1, 0.3)) is float
         assert type(jacobi_poly(2, np.int64(3), 1, 0.3)) is float
@@ -404,7 +418,8 @@ class TestROperator:
         # level's largest entry at L = 60, nb = 0.6
         N, f = 20, math.factorial
         x = Fraction(nb / (nb + 1.0))
-        got, want = _r_diagonals(L, nb, N)[: L // 2 + 1], np.zeros((L // 2 + 1, N))
+        # level L read off the last of a block of levels
+        got, want = _r_tables(L - 7, L + 1, nb, N)[-1][: L // 2 + 1], np.zeros((L // 2 + 1, N))
         for s, c in itertools.product(range(L // 2 + 1), range(N)):
             m, row = L - s, c + L - 2 * s
             if row < N:
@@ -414,6 +429,21 @@ class TestROperator:
                 pref = math.sqrt(Fraction(f(s) * f(c), f(m) * f(row))) * (nb + 1.0) ** -(m + 1)
                 want[s, c] = (-1) ** s * pref * float(series)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestRTables:
+    @pytest.mark.parametrize("N", [2, 7, 26, 40])
+    @pytest.mark.parametrize("nb", [0.0, 0.01, 0.4, 3.0])
+    def test_blocks_match_per_level_oracle(self, nb, N):
+        # the assembly's blocks of levels 0-15, 16-31 and 32-60, and each level on
+        # its own: every table equals the per-level oracle's, to the bit
+        blocks = _r_tables(0, 16, nb, N) + _r_tables(16, 32, nb, N) + _r_tables(32, 61, nb, N)
+        assert len(blocks) == 61
+        for L in range(61):
+            want = _r_diagonals(L, nb, N)
+            for got in (blocks[L], _r_tables(L, L + 1, nb, N)[0]):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 class TestRaiseSuperop:
@@ -524,15 +554,15 @@ class TestLevelTables:
                 _q_level(L, spec_c.n_bar, spec_c.xi, Uc), _q_level(L, spec_v.n_bar, spec_v.xi, Uv)))
 
         T = next(itertools.islice(_level_tables(spec_c.xi + spec_v.xi), L, None))
-        got = _level_norm(spec_c.zeta**L * T, _r_diagonals(L, spec_c.n_bar, N),
-                          _r_diagonals(L, spec_v.n_bar, N))
+        got = _level_norm(spec_c.zeta**L * T, _r_tables(L, L + 1, spec_c.n_bar, N)[0],
+                          _r_tables(L, L + 1, spec_v.n_bar, N)[0])
         assert got == pytest.approx(np.linalg.norm(level(np.eye(N), np.eye(N))), rel=1e-12)
         framed = level(exact_frame(0.0, spec_c.xi, N), exact_frame(0.0, spec_v.xi, N))
         assert np.linalg.norm(framed) <= got
 
     def test_diagonals_hold_every_r_operator(self):
         N, L = 7, 5
-        r = _r_diagonals(L, 0.4, N)
+        r = _r_tables(L, L + 1, 0.4, N)[0]
         for k in range(L + 1):
             d = L - 2 * k
             np.testing.assert_array_equal(np.diag(r_operator(L - k, k, 0.4, N), -d),
@@ -594,7 +624,8 @@ class TestAssembly:
 
     def test_no_coefficient_calls(self, monkeypatch):
         # the level tables are closed forms, so fock holds no C coefficient, and the
-        # R diagonals take one jacobi_poly call per level and mode
+        # R tables take one jacobi_poly call per mode and block of levels: the 19
+        # levels here span the first block (16 levels) and the second
         assert not hasattr(fock, "c_coefficient")
         calls, levels = [], []
         jacobi_poly = fock.jacobi_poly
@@ -603,8 +634,27 @@ class TestAssembly:
         monkeypatch.setattr(fock, "_level_norm",
                             lambda *args: levels.append(args) or _level_norm(*args))
         for alpha, beta in ((0.0, 0.0), (0.3, 0.2j)):
+            calls.clear()
+            levels.clear()
             assemble_joint_density(OSC3, 1.2, alpha, beta, AssemblyBudget(dims=(12, 12)))
-        assert len(levels) > 2 and len(calls) == 2 * len(levels)
+            assert len(levels) == 19 and len(calls) == 4
+
+    def test_blocks_match_per_level_tables(self, monkeypatch):
+        # (1, 0.5, 0) at t = 1 on 26 levels sums 39 levels, across the block boundaries
+        # at 16 and 32; the per-level oracle tables, patched in, give the same X and rho
+        p, N, t = classify_regime(1.0, 0.5, 0.0), 26, 1.0
+        spec_c, spec_v = mode_spec(p, t, "c"), mode_spec(p, t, "v")
+        budget, levels = AssemblyBudget(dims=(N, N)), []
+        monkeypatch.setattr(fock, "_level_norm",
+                            lambda *args: levels.append(args) or _level_norm(*args))
+        X = fock._joint_core(spec_c, spec_v, budget, float)
+        assert len(levels) == 39
+        rho = assemble_joint_density(p, t, 0.3j, 0.2, budget)
+        monkeypatch.setattr(fock, "_r_tables", lambda L0, L1, nb, N: [
+            _r_diagonals(L, nb, N) for L in range(L0, L1)])
+        np.testing.assert_array_equal(fock._joint_core(spec_c, spec_v, budget, float), X)
+        np.testing.assert_array_equal(assemble_joint_density(p, t, 0.3j, 0.2, budget).entries,
+                                      rho.entries)
 
     @pytest.mark.parametrize("point", [(1.0, 0.5, 0.4), (1.0, 0.5, 0.0)])
     def test_level_norm_cutoff_keeps_positivity(self, point):

@@ -160,6 +160,22 @@ class TestHamiltonian:
         H = self.hamiltonian(OSC, (5, 6))
         np.testing.assert_allclose(H, dense_hamiltonian(OSC, (5, 6)), atol=1e-15)
 
+    @pytest.mark.parametrize("point", [(1.0, 0.3, 0.4), (1.0, 0.6, 0.0), (0.7, 0.2, 1.0), (1.0, 0.0, 0.4)])
+    @pytest.mark.parametrize("dims", [(5, 5), (16, 16), (4, 7), (3, 2)])
+    def test_matches_sparse_kron_form(self, point, dims):
+        # K placed from index arrays against the sparse kron products a = a_c (x) 1,
+        # b = 1 (x) a_v: the same entries to the bit, the same stored entries (none at a
+        # zero omega2), in sorted CSR
+        import scipy.sparse as sp
+
+        params, (Nc, Nv) = classify_regime(*point), dims
+        a = sp.kron(sp.diags(np.sqrt(np.arange(1.0, Nc)), 1), sp.identity(Nv), format="csr")
+        b = sp.kron(sp.identity(Nc), sp.diags(np.sqrt(np.arange(1.0, Nv)), 1), format="csr")
+        want = (params.omega1 * (a.T @ b - a @ b.T) + params.omega2 * (a.T @ b.T - a @ b)).tocsr()
+        K = lindblad._k_matrix(params, dims)
+        assert K.format == "csr" and K.has_sorted_indices and K.nnz == want.nnz
+        np.testing.assert_array_equal(K.toarray(), want.toarray())
+
 
 class TestRhs:
     def test_matches_dense_oracle(self):
