@@ -23,7 +23,7 @@ state through it.
 The subcommands hold no physics.  ``simulate`` makes one ``quad_variances``
 and one ``envelope`` call over its whole time grid and maps both modes'
 variances to (n_bar, xi) with ``squeezed_thermal``; ``sweep-ratio`` makes one
-call per ratio over all its times; ``revivals`` one ``envelope`` call per
+call over its whole ratio grid and times; ``revivals`` one ``envelope`` call per
 revival list.  Only ``validate`` loops over its checkpoints: one propagator
 run serves them all, and at each one it prints a line per check.  A formula
 validity guard tripped inside a check (a non-PSD assembled density, say), or
@@ -353,8 +353,7 @@ def cmd_sweep_ratio(cfg: RunConfig, times: Sequence[float]) -> int:
     if not cfg.out_path:
         raise ConfigError("sweep-ratio needs out_path (--out_path or config key)")
     ratios = [k / 100.0 for k in range(10, 151)]  # ratio grid [0.1, 1.5] in exact 0.01 steps
-    ts = np.asarray(times, dtype=float)
-    var_xv = [quad_variances(classify_regime(1.0, r, cfg.gamma), ts).var_xv for r in ratios]
+    var_xv = quad_variances([classify_regime(1.0, r, cfg.gamma) for r in ratios], times).var_xv
     header = "ratio," + ",".join(f"var_xv_t{t:g}" for t in times)
     _write_csv(cfg.out_path, header, np.column_stack([ratios, var_xv]))
     return EXIT_OK

@@ -464,7 +464,9 @@ def reduced_density(
     spec = mode_spec(params, t, mode)
     u, v = displacement_trajectory(params, alpha, beta, t)
     U = _frame(u if mode == "c" else v, spec.xi, N)
-    return FockDensity(entries=(U * _r_tables(0, 1, spec.n_bar, N)[0][0]) @ U.conj().T, dims=(N,))
+    nb = spec.n_bar  # R^{0,0}: the thermal diagonal, the values of _r_tables(0, 1, nb, N)[0][0]
+    p = np.exp(-math.log(nb + 1.0)) * (nb / (nb + 1.0)) ** np.arange(N)
+    return FockDensity(entries=(U * p) @ U.conj().T, dims=(N,))
 
 
 def lossless_ket(

@@ -22,20 +22,22 @@ weight zeta = f g of the joint expansion.
 Array contract: :func:`squeezed_thermal`, :func:`mode_spec`,
 :func:`quad_variances` and :func:`displacement_trajectory` take a scalar t
 or an ndarray of times through one body.  A scalar gives Python floats
-(complex for the displacements); an array gives arrays of its shape.  The envelope parts
-come from ``params._damped_parts``, the one place that branches on L^2.
+(complex for the displacements); an array gives arrays of its shape.
+:func:`quad_variances` also takes a sequence of R CouplingParams, and each
+field then gains a leading axis of length R.  The envelope parts come from
+``params._damped_parts``, the one place that branches on L^2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import RegimeError, ValidityError
-from .params import ArrayLike, CouplingParams, Regime, _damped_parts, _shaped, envelope
+from .params import ArrayLike, CouplingParams, Regime, _damped_parts, _rates, _shaped, envelope
 
 __all__ = [
     "ModeSpec",
@@ -155,7 +157,7 @@ def mode_spec(params: CouplingParams, t: ArrayLike, mode: str) -> ModeSpec:
     if mode not in ("c", "v"):
         raise ValueError(f"mode must be 'c' or 'v', got {mode!r}")
     f, s, _, w = _damped_parts(params, t)
-    variances = _variances(params, s, w)
+    variances = _variances(params.omega1, params.omega2, s, w)
     var_x, var_p = variances[:2] if mode == "c" else variances[2:]
     n_bar, xi = squeezed_thermal(var_x, var_p, params, t, mode)
     return ModeSpec(n_bar=n_bar, xi=xi, zeta=_shaped(f * (params.omega2 * s), t))
@@ -226,7 +228,8 @@ def revival_schedule(params: CouplingParams, horizon: float) -> RevivalSchedule:
 
 
 def quad_variances(
-    params: CouplingParams, t: ArrayLike, alpha: complex = 0j, beta: complex = 0j
+    params: Union[CouplingParams, Sequence[CouplingParams]], t: ArrayLike,
+    alpha: complex = 0j, beta: complex = 0j,
 ) -> QuadTuple:
     """Quadrature variances and means of both modes at time(s) t.
 
@@ -235,18 +238,18 @@ def quad_variances(
     variances are the module's closed forms in s and w; omega2 = 0 gives
     the vacuum values 1/2, and at equal coupling Var P_c = Var X_v = 1/2
     exactly.  Means and variances come from one ``_damped_parts``
-    evaluation.
+    evaluation, also over a sequence of R CouplingParams (fields (R, *t.shape)).
     """
     f, s, h, w = _damped_parts(params, t)
-    u, v = _displacements(params, alpha, beta, f, s, h)
-    variances = _variances(params, s, w)
+    o1, o2 = _rates(params, np.ndim(t))[:2]
+    u, v = _displacements(o1, o2, alpha, beta, f, s, h)
+    variances = _variances(o1, o2, s, w)
     means = (math.sqrt(2.0) * x for x in (np.real(u), np.imag(u), np.real(v), np.imag(v)))
-    return QuadTuple(*(_shaped(x, t) for x in (*variances, *means)))
+    return QuadTuple(*(_shaped(x, f) for x in (*variances, *means)))
 
 
-def _variances(params: CouplingParams, s, w) -> Tuple:
-    """(Var X_c, Var P_c, Var X_v, Var P_v) from the envelope parts s and w."""
-    o1, o2 = params.omega1, params.omega2
+def _variances(o1, o2, s, w) -> Tuple:
+    """(Var X_c, Var P_c, Var X_v, Var P_v) from the rates and the envelope parts s and w."""
     return (
         0.5 + (o1 + o2) * o2 * s * s,
         0.5 - (o1 - o2) * o2 * s * s,
@@ -268,14 +271,14 @@ def displacement_trajectory(
     scalar t, complex arrays otherwise.
     """
     f, s, h, _ = _damped_parts(params, t)
-    u, v = _displacements(params, alpha, beta, f, s, h)
+    u, v = _displacements(params.omega1, params.omega2, alpha, beta, f, s, h)
     return _shaped(u, t), _shaped(v, t)
 
 
-def _displacements(params: CouplingParams, alpha: complex, beta: complex, f, s, h) -> Tuple:
-    """(u, v) of :func:`displacement_trajectory` from the envelope parts f, s and h."""
-    g = params.omega2 * s
-    qg = params.omega1 * s
+def _displacements(o1, o2, alpha: complex, beta: complex, f, s, h) -> Tuple:
+    """(u, v) of :func:`displacement_trajectory` from the rates and the envelope parts f, s and h."""
+    g = o2 * s
+    qg = o1 * s
     alpha, beta = complex(alpha), complex(beta)
     u = alpha * h + (beta * qg + beta.conjugate() * g)
     v = (-alpha * qg + alpha.conjugate() * g) + beta * f

@@ -23,9 +23,10 @@ which every envelope of the package is evaluated:
   limit, e.g. f = (1 + gamma t/4) e^{-gamma t/4}.
 
 Once exp(-gamma t/4) underflows, the exact steady-state values (0, 0, 0)
-are returned.  The helper takes a scalar or an array of times; public
-functions return Python floats for a scalar and arrays of the same shape
-otherwise.
+are returned.  The helper takes a scalar or an array of times, and one
+CouplingParams or a sequence of them (the branch is then taken per element);
+public functions return Python floats for a scalar and arrays of the same
+shape otherwise.
 
 Besides f, h and the damped sine ratio s = g/omega2, ``_damped_parts``
 returns the motion weight w = (1 - f^2)/L0^2 with L0^2 = omega1^2 - omega2^2.
@@ -194,16 +195,28 @@ def _exprel(x: np.ndarray) -> np.ndarray:
     return np.where(zero, 1.0, np.expm1(x) / x)
 
 
-def _damped_parts(params: CouplingParams, t: ArrayLike):
-    """Return (f, s, h, w) as arrays of the shape of ``t >= 0``.
+def _rates(params, ndim: int) -> tuple:
+    """(omega1, omega2, gamma, L^2, L0^2) as floats, or over R CouplingParams as (R, 1, ...) arrays."""
+    if isinstance(params, CouplingParams):
+        return params.omega1, params.omega2, params.gamma, params.lambda_sq, params.lambda0_sq
+    table = np.array([(p.omega1, p.omega2, p.gamma, p.lambda_sq, p.lambda0_sq) for p in params])
+    return tuple(table.reshape(-1, 5).T.reshape(5, -1, *(1,) * ndim))
+
+
+def _damped_parts(params, t: ArrayLike):
+    """Return (f, s, h, w) as arrays of the shape of ``t >= 0``, after a leading
+    axis over ``params`` when it is a sequence of CouplingParams.
 
     s = sin(L t) e^{-gamma t/4} / L is the damped sine ratio (g = omega2 s)
     and w = (1 - f^2)/L0^2 the motion weight (see the module docstring).
-    This is the one place that branches on L^2.  Overdamped, the rate
-    |L| - gamma/4 = -L0^2 / (|L| + gamma/4) and the weight
-    1 - r = 1 - gamma/(4|L|) = -4 L0^2 / (|L| (4|L| + gamma)) are formed
-    from L0^2, so they do not cancel near equal coupling; f and h are e-
-    plus a multiple of (e+ - e-), which keeps (1, 1) exact at t = 0.
+    This is the one place that branches on L^2, per element: a branch that
+    holds every element runs on the full arrays, else on those its mask picks;
+    either way each value is bit for bit that of its CouplingParams alone.
+
+    Overdamped, the rate |L| - gamma/4 = -L0^2 / (|L| + gamma/4) and the
+    weight 1 - r = 1 - gamma/(4|L|) = -4 L0^2 / (|L| (4|L| + gamma)) are
+    formed from L0^2, so they do not cancel near equal coupling; f and h are
+    e- plus a multiple of (e+ - e-), which keeps (1, 1) exact at t = 0.
 
     int_s = (1 - f)/L0^2 is formed without dividing by an L0^2 that can be
     zero.  Overdamped, with fast = |L| + gamma/4 and slow = L0^2/fast,
@@ -211,52 +224,60 @@ def _damped_parts(params: CouplingParams, t: ArrayLike):
     Otherwise 1 - f = -expm1(-gamma t/4) + e^{-gamma t/4} (2 sin^2(L t/2) -
     (gamma/4) sin(L t)/L) is divided by the branch's own L0^2 = L^2 + gamma^2/16,
     which is gamma^2/16 when degenerate; its limit at gamma = 0 is t^2/2.
-
-    Scalars run as one-element arrays, so they take the same numpy kernels
-    as arrays.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     shape = t.shape
-    t = np.atleast_1d(t)
-    o1, g = params.omega1, params.gamma
-    lam_sq = params.lambda_sq
+    t = np.atleast_1d(t)  # scalars take the same numpy kernels as arrays
+    o1, _, g, lam_sq, lam0_sq = _rates(params, t.ndim)
+    over, osc = lam_sq < -DEGENERATE_ATOL * o1 * o1, lam_sq > DEGENERATE_ATOL * o1 * o1
+    if isinstance(params, CouplingParams):
+        held = [(Regime.OVERDAMPED if over else Regime.OSCILLATORY if osc else Regime.DEGENERATE, None)]
+    else:
+        shape = over.shape[:1] + shape
+        held = [(branch, mask.ravel()) for branch, mask in ((Regime.OVERDAMPED, over),
+                (Regime.OSCILLATORY, osc), (Regime.DEGENERATE, ~(over | osc))) if mask.any()]
+    if len(held) == 1:
+        parts = _branch_parts(held[0][0], g, lam_sq, lam0_sq, t)
+    else:
+        parts = np.empty((5, *np.broadcast_shapes(over.shape, t.shape)))
+        for branch, i in held:
+            for out, x in zip(parts, _branch_parts(branch, g[i], lam_sq[i], lam0_sq[i], t)):
+                out[i] = x
+    f, s, h, int_s, one_minus_f = parts
+    w = int_s * (2.0 - one_minus_f)
+    return tuple(x.reshape(shape) for x in (f, s, h, w))
 
-    if lam_sq < -DEGENERATE_ATOL * o1 * o1:
-        lam = math.sqrt(-lam_sq)
+
+def _branch_parts(branch: Regime, g, lam_sq, lam0_sq, t) -> tuple:
+    """(f, s, h, int_s, 1 - f) of one branch on L^2 (see ``_damped_parts``)."""
+    if branch is Regime.OVERDAMPED:
+        lam = np.sqrt(-lam_sq)
         fast = lam + g / 4.0
-        slow = params.lambda0_sq / fast
+        slow = lam0_sq / fast
         em = np.exp(-fast * t)
         d = np.exp(-slow * t) - em
         one_plus_r = 1.0 + g / (4.0 * lam)
-        one_minus_r = -4.0 * params.lambda0_sq / (lam * (4.0 * lam + g))
-        f = em + 0.5 * one_plus_r * d
-        s = d / (2.0 * lam)
-        h = em + 0.5 * one_minus_r * d
+        one_minus_r = -4.0 * lam0_sq / (lam * (4.0 * lam + g))
         int_s = (0.5 * one_plus_r * (t / fast) * _exprel(-slow * t)
                  + 2.0 * np.expm1(-fast * t) / (lam * (4.0 * lam + g)))
-        one_minus_f = int_s * params.lambda0_sq
+        return em + 0.5 * one_plus_r * d, d / (2.0 * lam), em + 0.5 * one_minus_r * d, int_s, int_s * lam0_sq
+    if branch is Regime.OSCILLATORY:
+        lam = np.sqrt(lam_sq)
+        c, s = np.cos(lam * t), np.sin(lam * t) / lam
+        vers = 2.0 * np.sin(0.5 * lam * t) ** 2  # 1 - cos(L t) without cancellation
     else:
-        if lam_sq > DEGENERATE_ATOL * o1 * o1:
-            lam = math.sqrt(lam_sq)
-            c, s = np.cos(lam * t), np.sin(lam * t) / lam
-            vers = 2.0 * np.sin(0.5 * lam * t) ** 2  # 1 - cos(L t) without cancellation
-            lam0_sq = params.lambda0_sq
-        else:
-            c, s, vers = np.ones_like(t), t, np.zeros_like(t)
-            lam0_sq = g * g / 16.0
-        damp = np.exp(-g * t / 4.0)
-        f = (c + (g / 4.0) * s) * damp
-        h = (c - (g / 4.0) * s) * damp
-        one_minus_f = -np.expm1(-g * t / 4.0) + damp * (vers - (g / 4.0) * s)
-        int_s = one_minus_f / lam0_sq if lam0_sq > 0 else 0.5 * t * t
-        s = s * damp
-        dead = g * t / 4.0 > _UNDERFLOW_EXPONENT
-        f, s, h = (np.where(dead, 0.0, x) for x in (f, s, h))
-
-    w = int_s * (2.0 - one_minus_f)
-    return tuple(x.reshape(shape) for x in (f, s, h, w))
+        c, s, vers = np.ones_like(t), t, np.zeros_like(t)
+        lam0_sq = g * g / 16.0
+    damp = np.exp(-g * t / 4.0)
+    f = (c + (g / 4.0) * s) * damp
+    h = (c - (g / 4.0) * s) * damp
+    one_minus_f = -np.expm1(-g * t / 4.0) + damp * (vers - (g / 4.0) * s)
+    int_s = (one_minus_f / lam0_sq if branch is Regime.OSCILLATORY  # where L0^2 >= L^2 > 0
+             else np.where(lam0_sq > 0, one_minus_f / np.where(lam0_sq > 0, lam0_sq, 1.0), 0.5 * t * t))
+    dead = g * t / 4.0 > _UNDERFLOW_EXPONENT
+    return (*(np.where(dead, 0.0, x) for x in (f, s * damp, h)), int_s, one_minus_f)
 
 
 def envelope(params: CouplingParams, t: ArrayLike) -> EnvelopeValues:

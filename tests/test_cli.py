@@ -22,7 +22,7 @@ import pytest
 import scipy.linalg
 
 import ioncavity
-from ioncavity import cli, lossless_ket
+from ioncavity import cli, lossless_ket, quad_variances
 from ioncavity.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, EXIT_VALIDATION, main
 from ioncavity.params import classify_regime
 from rk4_oracle import dense_hamiltonian
@@ -92,6 +92,22 @@ class TestSweepRatio:
         assert list(row[1:]) == [0.5, 0.5, 0.5]
         want = [V[2, 2] for V in covariance_oracle(classify_regime(1.0, 1.0, 0.4), times)]
         assert row[1:] == pytest.approx(want, rel=TOL)
+
+    @pytest.mark.parametrize("times", [[1.0, 5.0, 10.0], [k / 5 for k in range(1, 51)]],
+                             ids=["default_times", "benchmark_times"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.4, 4.0])
+    def test_csv_bytes_match_the_per_ratio_loop(self, tmp_path, gamma, times):
+        # one quad_variances call over the ratio grid writes the bytes that one
+        # call per ratio, through the same CSV writer, writes
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep-ratio", "--gamma", repr(gamma), "--times", ",".join(map(repr, times)),
+                "--out_path", str(out)]
+        assert main(argv) == EXIT_OK
+        ratios = [k / 100.0 for k in range(10, 151)]
+        loop = [quad_variances(classify_regime(1.0, r, gamma), np.asarray(times)).var_xv for r in ratios]
+        header = "ratio," + ",".join(f"var_xv_t{t:g}" for t in times)
+        cli._write_csv(str(tmp_path / "loop.csv"), header, np.column_stack([ratios, loop]))
+        assert out.read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 class TestRevivals:

@@ -43,6 +43,7 @@ from ioncavity import (
 )
 from ioncavity import fock
 from ioncavity.fock import _frame, _level_norm, _level_tables, _r_tables
+from ioncavity.observables import ModeSpec
 from series_oracle import _q_level, _r_diagonals, c_coefficient, exact_frame, q_operator
 from superop_oracle import raise_superop
 
@@ -444,6 +445,18 @@ class TestRTables:
             for got in (blocks[L], _r_tables(L, L + 1, nb, N)[0]):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("N", [2, 7, 16, 26, 60])
+    @pytest.mark.parametrize("nb", [0.0, 1e-12, 0.01, 0.37, 1.0, 3.3, 17.0])
+    def test_reduced_density_holds_the_level_zero_table(self, monkeypatch, nb, N):
+        # reduced_density writes R^{0,0} as the thermal diagonal nb^k/(nb + 1)^{k+1}
+        # in closed form: to the bit the level-0 table of _r_tables, between its frames
+        monkeypatch.setattr(fock, "mode_spec", lambda *_: ModeSpec(n_bar=nb, xi=0.3, zeta=0.0))
+        p, alpha, beta = classify_regime(1.0, 0.5, 0.4), 0.2 - 0.1j, 0.3j
+        for mode, w in zip("cv", displacement_trajectory(p, alpha, beta, 1.0)):
+            U = _frame(w, 0.3, N)
+            want = (U * _r_tables(0, 1, nb, N)[0][0]) @ U.conj().T
+            np.testing.assert_array_equal(reduced_density(p, 1.0, mode, alpha, beta, N).entries, want)
 
 
 class TestRaiseSuperop:

@@ -35,7 +35,7 @@ from ioncavity import (
     steady_squeeze,
 )
 import ioncavity.observables as observables
-from ioncavity.observables import squeezed_thermal
+from ioncavity.observables import QuadTuple, squeezed_thermal
 from ioncavity.params import _damped_parts
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -534,3 +534,63 @@ class TestArrayContract:
             scalar_specs = [mode_spec(p, t, mode) for t in ts]
             for field in ("n_bar", "xi", "zeta"):
                 self._agree(getattr(spec, field), [getattr(s, field) for s in scalar_specs])
+
+
+#: the ratio grid of sweep-ratio, and the benchmark's sweep times
+SWEEP_RATIOS = [k / 100 for k in range(10, 151)]
+SWEEP_TIMES = np.array([k / 5 for k in range(1, 51)])
+#: the benchmark's regime points in one sequence: oscillatory, overdamped, degenerate,
+#: equal coupling, omega2 = 0, near equal coupling and lossless
+MIXED_POINTS = [(1.0, 0.6, 0.4), (1.0, 0.6, 4.0), (1.0, 0.6, 3.2), (1.0, 1.0, 0.4),
+                (1.0, 0.0, 0.4), (1.0, 0.99999, 2.0), (1.0, 0.6, 0.0)]
+
+
+class TestSequenceOfParams:
+    """quad_variances over a sequence of CouplingParams is, field by field and
+    bit for bit, the stack of the calls with each CouplingParams alone."""
+
+    ALPHA, BETA = 0.3 - 0.4j, 0.1 + 0.28j
+
+    @pytest.mark.parametrize("points", [
+        pytest.param([(1.0, r, 0.0) for r in SWEEP_RATIOS], id="sweep_gamma0"),
+        pytest.param([(1.0, r, 0.4) for r in SWEEP_RATIOS], id="sweep_gamma0.4"),
+        pytest.param([(1.0, r, 4.0) for r in SWEEP_RATIOS], id="sweep_gamma4"),
+        pytest.param(MIXED_POINTS, id="mixed"),
+    ])
+    @pytest.mark.parametrize("t", [2.3, SWEEP_TIMES], ids=["scalar", "array"])
+    def test_matches_per_params_calls(self, points, t):
+        seq = [classify_regime(*p) for p in points]
+        got = quad_variances(seq, t, self.ALPHA, self.BETA)
+        alone = [quad_variances(p, t, self.ALPHA, self.BETA) for p in seq]
+        for field in QuadTuple.__dataclass_fields__:
+            value = getattr(got, field)
+            assert type(value) is np.ndarray and value.shape == (len(seq), *np.shape(t))
+            assert np.array_equal(value, np.array([getattr(q, field) for q in alone])), field
+
+    @pytest.mark.parametrize("point", REGIME_POINTS)
+    def test_single_params_keep_shapes_and_types(self, point):
+        p = classify_regime(*point)
+        for t, shape in ((2.3, None), (SWEEP_TIMES, SWEEP_TIMES.shape),
+                         (SWEEP_TIMES.reshape(5, 10), (5, 10))):
+            q = quad_variances(p, t, self.ALPHA, self.BETA)
+            for field in QuadTuple.__dataclass_fields__:
+                value = getattr(q, field)
+                if shape is None:
+                    assert type(value) is float
+                else:
+                    assert type(value) is np.ndarray and value.shape == shape
+
+    def test_lossless_sweep_across_equal_coupling_matches_oracle(self):
+        # the gamma = 0 sweep's three branches meet at r = 1, where L0^2 = 0 and w = t^2
+        ratios, ts = [0.99, 1.0, 1.01], SWEEP_TIMES[::7]
+        q = quad_variances([classify_regime(1.0, r, 0.0) for r in ratios], ts)
+        for i, r in enumerate(ratios):
+            V = np.array(covariance_oracle(classify_regime(1.0, r, 0.0), ts))
+            for k, field in enumerate(("var_xc", "var_pc", "var_xv", "var_pv")):
+                np.testing.assert_allclose(getattr(q, field)[i], V[:, k, k], rtol=1e-8, atol=1e-8)
+
+    def test_negative_time_raises(self):
+        seq = [classify_regime(*p) for p in MIXED_POINTS]
+        for t in (-1e-300, [0.0, 1.0, -2.0]):
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                quad_variances(seq, t)

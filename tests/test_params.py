@@ -20,6 +20,8 @@ from ioncavity import (
     envelope,
     from_lab_params,
 )
+from ioncavity import params as params_module
+from ioncavity.params import _damped_parts
 
 OSC = classify_regime(1.0, 0.6, 0.4)
 OVER = classify_regime(1.0, 0.99, 0.8)
@@ -272,3 +274,58 @@ class TestEnvelopeIdentity:
             lhs = env.f * env.h + (p.q * p.q - 1.0) * env.g * env.g
             rhs = math.exp(-p.gamma * t / 2.0)
             assert abs(lhs - rhs) < 1e-12 * rhs
+
+
+class TestSequenceBranches:
+    """_damped_parts over a sequence of CouplingParams takes the branch on L^2
+    per element: a branch that holds every element runs once on the full
+    arrays, as for one CouplingParams, and otherwise each held branch runs on
+    the rates its mask picks."""
+
+    RATIOS = [k / 100 for k in range(10, 151)]  # sweep-ratio's grid
+    TS = np.array([k / 5 for k in range(1, 51)])
+
+    @pytest.fixture
+    def branch_calls(self, monkeypatch):
+        calls = []
+        real = params_module._branch_parts
+
+        def counted(branch, g, lam_sq, *rest):
+            # a gathered rate is a copy; on the full arrays the rates are views of one table
+            gathered = np.ndim(g) > 0 and (g.base is None or g.base is not lam_sq.base)
+            calls.append((branch, np.shape(g), gathered))
+            return real(branch, g, lam_sq, *rest)
+
+        monkeypatch.setattr(params_module, "_branch_parts", counted)
+        return calls
+
+    def test_one_params_one_branch(self, branch_calls):
+        for p, branch in ((OSC, Regime.OSCILLATORY), (GROWING, Regime.OVERDAMPED),
+                          (degenerate_params(), Regime.DEGENERATE)):
+            branch_calls.clear()
+            _damped_parts(p, self.TS)
+            assert branch_calls == [(branch, (), False)]
+
+    def test_uniform_sequence_runs_on_the_full_arrays(self, branch_calls):
+        # gamma = 4: L^2 = -omega2^2 < 0 at every ratio
+        f, s, h, w = _damped_parts([classify_regime(1.0, r, 4.0) for r in self.RATIOS], self.TS)
+        assert branch_calls == [(Regime.OVERDAMPED, (141, 1), False)]
+        assert f.shape == s.shape == h.shape == w.shape == (141, 50)
+
+    def test_mixed_sequence_runs_each_branch_on_its_elements(self, branch_calls):
+        # gamma = 0: oscillatory below r = 1, degenerate with L0^2 = 0 at r = 1, overdamped above
+        seq = [classify_regime(1.0, r, 0.0) for r in self.RATIOS]
+        parts = _damped_parts(seq, self.TS)
+        assert branch_calls == [(Regime.OVERDAMPED, (50, 1), True), (Regime.OSCILLATORY, (90, 1), True),
+                                (Regime.DEGENERATE, (1, 1), True)]
+        branch_calls.clear()
+        for i, p in enumerate(seq):
+            for got, want in zip(parts, _damped_parts(p, self.TS)):
+                assert np.array_equal(got[i], want)
+
+    @pytest.mark.parametrize("t", [1.5, [[0.0, 1.0], [2.0, 3.0]]], ids=["scalar", "2d"])
+    def test_leading_axis_over_the_sequence(self, t):
+        seq = [OSC, OVER, EQUAL, GROWING, degenerate_params()]
+        for got, *alone in zip(_damped_parts(seq, t), *(_damped_parts(p, t) for p in seq)):
+            assert got.shape == (len(seq), *np.shape(t))
+            assert np.array_equal(got, np.array(alone))
