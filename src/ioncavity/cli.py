@@ -353,7 +353,13 @@ def cmd_sweep_ratio(cfg: RunConfig, times: Sequence[float]) -> int:
     if not cfg.out_path:
         raise ConfigError("sweep-ratio needs out_path (--out_path or config key)")
     ratios = [k / 100.0 for k in range(10, 151)]  # ratio grid [0.1, 1.5] in exact 0.01 steps
-    var_xv = quad_variances([classify_regime(1.0, r, cfg.gamma) for r in ratios], times).var_xv
+    with np.errstate(over="ignore", invalid="ignore"):  # a variance past the float range is refused below
+        var_xv = quad_variances([classify_regime(1.0, r, cfg.gamma) for r in ratios], times).var_xv
+    bad = ~np.isfinite(var_xv)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValidityError(f"Var X_v = {var_xv[i, j]} is not finite at "
+                            f"(omega1=1.0, omega2={ratios[i]}, gamma={cfg.gamma}, t={times[j]})")
     header = "ratio," + ",".join(f"var_xv_t{t:g}" for t in times)
     _write_csv(cfg.out_path, header, np.column_stack([ratios, var_xv]))
     return EXIT_OK

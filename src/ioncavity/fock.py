@@ -45,9 +45,10 @@ coefficient.  With U = D(w) S(xi) per mode,
 where T_L = C_c^T C_v (the C tables of level L at -xi_c and -xi_v) has a
 closed form in xi_c + xi_v (``_level_tables``).  ``_joint_core`` sums X from
 the diagonal tables and stops at its measured level norms;
-``_conjugate`` applies the frame by one-mode products on each axis.  A
-reduced state is the L = 0 term, where C_0^{0,0} = 1: U R^{0,0} U^dag, with
-R^{0,0} the thermal diagonal.
+``_conjugate`` applies the frame by one-mode products on each axis, and
+leaves rho Hermitian to rounding: each consumer of a density takes the
+Hermitian part it uses.  A reduced state is the L = 0 term, where
+C_0^{0,0} = 1: U R^{0,0} U^dag, with R^{0,0} the thermal diagonal.
 
 scipy.linalg is imported where it is called, for LAPACK's ``potrf`` in the
 positivity test only.  Importing the package loads numpy only, so the
@@ -377,9 +378,9 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
         )
     rc_levels, rv_levels, v_levels, norm = [], [], [], 0.0
     for L, T in enumerate(_level_tables(spec_c.xi + spec_v.xi)):
-        if L == len(rc_levels):  # the R tables come in blocks: 16 levels, then double the levels held
+        if L == len(rc_levels):  # the R tables come in blocks of 16 levels (the last one 13)
             for levels, spec, N in ((rc_levels, spec_c, Nc), (rv_levels, spec_v, Nv)):
-                levels += _r_tables(L, min(max(2 * L, 16), MAX_MN_CUTOFF + 1), spec.n_bar, N)
+                levels += _r_tables(L, min(L + 16, MAX_MN_CUTOFF + 1), spec.n_bar, N)
         rc, rv, zT = rc_levels[L], rv_levels[L], zeta**L * T
         # mode-v factor of each (L, k): sum_k' zT[k, k'] R_v^{L-k',k'}, dense
         v_levels.append((zT @ _dense(rv).reshape(L + 1, -1)).reshape(L + 1, Nv, Nv))
@@ -406,9 +407,9 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
 
 
 def _conjugate(X: np.ndarray, Uc: np.ndarray, Uv: np.ndarray) -> np.ndarray:
-    """Hermitian part of (Uc (x) Uv) X (Uc (x) Uv)^dag for an (Nc, Nv, Nc, Nv)
+    """(Uc (x) Uv) X (Uc (x) Uv)^dag, Hermitian to rounding, for an (Nc, Nv, Nc, Nv)
     tensor X, by one-mode products on each axis in turn, with X as one of the
-    two D x D buffers (it is overwritten)."""
+    two D x D buffers (it is overwritten and returned)."""
     Nc, Nv = Uc.shape[0], Uv.shape[0]
     D = Nc * Nv
     A, B = X.reshape(D, D), np.empty((D, D), dtype=X.dtype)
@@ -416,10 +417,7 @@ def _conjugate(X: np.ndarray, Uc: np.ndarray, Uv: np.ndarray) -> np.ndarray:
     np.matmul(Uv, B.reshape(Nc, Nv, D), out=A.reshape(Nc, Nv, D))
     np.matmul(Uc.conj(), A.reshape(D, Nc, Nv), out=B.reshape(D, Nc, Nv))
     np.matmul(B.reshape(D * Nc, Nv), Uv.conj().T, out=A.reshape(D * Nc, Nv))
-    np.conjugate(A.T, out=B)
-    B += A
-    B *= 0.5
-    return B
+    return A
 
 
 def assemble_joint_density(
@@ -435,7 +433,8 @@ def assemble_joint_density(
     factor conjugated by its mode's D(w) S(xi) (w = u(t), v(t)).  The series
     is summed once in the unconjugated basis (``_joint_core``), which also
     picks the cutoff from the level norms, and conjugated once by
-    D_c S_c (x) D_v S_v (``_conjugate``).  Serves every regime: at
+    D_c S_c (x) D_v S_v (``_conjugate``); rho is Hermitian to rounding, and
+    its consumers take the Hermitian part.  Serves every regime: at
     omega2 = 0, f g = 0 leaves the single product term, and at equal
     coupling the mode-v parameters stay finite.  Its ``trace_deficit`` is
     the loss of the series cutoff plus the weight the exact frames move past

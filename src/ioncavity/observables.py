@@ -238,10 +238,12 @@ def quad_variances(
     variances are the module's closed forms in s and w; omega2 = 0 gives
     the vacuum values 1/2, and at equal coupling Var P_c = Var X_v = 1/2
     exactly.  Means and variances come from one ``_damped_parts``
-    evaluation, also over a sequence of R CouplingParams (fields (R, *t.shape)).
+    evaluation, also over a sequence of R CouplingParams (fields (R, *t.shape)),
+    which is read once: any iterable of CouplingParams serves.
     """
-    f, s, h, w = _damped_parts(params, t)
-    o1, o2 = _rates(params, np.ndim(t))[:2]
+    rates = _rates(params, np.ndim(t))
+    f, s, h, w = _damped_parts(params, t, rates)
+    o1, o2 = rates[:2]
     u, v = _displacements(o1, o2, alpha, beta, f, s, h)
     variances = _variances(o1, o2, s, w)
     means = (math.sqrt(2.0) * x for x in (np.real(u), np.imag(u), np.real(v), np.imag(v)))

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -203,9 +203,11 @@ def _rates(params, ndim: int) -> tuple:
     return tuple(table.reshape(-1, 5).T.reshape(5, -1, *(1,) * ndim))
 
 
-def _damped_parts(params, t: ArrayLike):
+def _damped_parts(params, t: ArrayLike, rates: Optional[tuple] = None):
     """Return (f, s, h, w) as arrays of the shape of ``t >= 0``, after a leading
-    axis over ``params`` when it is a sequence of CouplingParams.
+    axis over ``params`` when it is a sequence of CouplingParams.  ``rates`` is
+    ``_rates(params, np.ndim(t))`` when the caller reads them too: then
+    ``params`` is not iterated, so a generator serves and the table is built once.
 
     s = sin(L t) e^{-gamma t/4} / L is the damped sine ratio (g = omega2 s)
     and w = (1 - f^2)/L0^2 the motion weight (see the module docstring).
@@ -229,8 +231,8 @@ def _damped_parts(params, t: ArrayLike):
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     shape = t.shape
+    o1, _, g, lam_sq, lam0_sq = rates or _rates(params, t.ndim)
     t = np.atleast_1d(t)  # scalars take the same numpy kernels as arrays
-    o1, _, g, lam_sq, lam0_sq = _rates(params, t.ndim)
     over, osc = lam_sq < -DEGENERATE_ATOL * o1 * o1, lam_sq > DEGENERATE_ATOL * o1 * o1
     if isinstance(params, CouplingParams):
         held = [(Regime.OVERDAMPED if over else Regime.OSCILLATORY if osc else Regime.DEGENERATE, None)]

@@ -23,7 +23,8 @@ import scipy.linalg
 
 import ioncavity
 from ioncavity import cli, lossless_ket, quad_variances
-from ioncavity.cli import CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, EXIT_VALIDATION, main
+from ioncavity.cli import (CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, EXIT_VALIDATION,
+                           EXIT_VALIDITY, main)
 from ioncavity.params import classify_regime
 from rk4_oracle import dense_hamiltonian
 from test_observables import covariance_oracle
@@ -108,6 +109,17 @@ class TestSweepRatio:
         header = "ratio," + ",".join(f"var_xv_t{t:g}" for t in times)
         cli._write_csv(str(tmp_path / "loop.csv"), header, np.column_stack([ratios, loop]))
         assert out.read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_non_finite_variance_refused_quietly(self, tmp_path):
+        # at gamma = 3.2, Var X_v grows past the float range by t = 1000 at the 20 ratios
+        # 1.31-1.50: exit 3 naming the first (ratio, t), no file, and no numpy warning
+        out = tmp_path / "sweep.csv"
+        done = _run_fresh("-m", "ioncavity.cli", "sweep-ratio", "--gamma", "3.2",
+                          "--times", "0,1e-3,7,1000", "--out_path", str(out))
+        assert done.returncode == EXIT_VALIDITY
+        assert done.stderr == ("error: formula validity guard: Var X_v = inf is not finite at "
+                               "(omega1=1.0, omega2=1.31, gamma=3.2, t=1000.0)\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRevivals:

@@ -653,21 +653,43 @@ class TestAssembly:
             assert len(levels) == 19 and len(calls) == 4
 
     def test_blocks_match_per_level_tables(self, monkeypatch):
-        # (1, 0.5, 0) at t = 1 on 26 levels sums 39 levels, across the block boundaries
-        # at 16 and 32; the per-level oracle tables, patched in, give the same X and rho
-        p, N, t = classify_regime(1.0, 0.5, 0.0), 26, 1.0
-        spec_c, spec_v = mode_spec(p, t, "c"), mode_spec(p, t, "v")
-        budget, levels = AssemblyBudget(dims=(N, N)), []
-        monkeypatch.setattr(fock, "_level_norm",
-                            lambda *args: levels.append(args) or _level_norm(*args))
-        X = fock._joint_core(spec_c, spec_v, budget, float)
-        assert len(levels) == 39
-        rho = assemble_joint_density(p, t, 0.3j, 0.2, budget)
-        monkeypatch.setattr(fock, "_r_tables", lambda L0, L1, nb, N: [
-            _r_diagonals(L, nb, N) for L in range(L0, L1)])
-        np.testing.assert_array_equal(fock._joint_core(spec_c, spec_v, budget, float), X)
-        np.testing.assert_array_equal(assemble_joint_density(p, t, 0.3j, 0.2, budget).entries,
-                                      rho.entries)
+        # the R tables come in blocks of 16 levels, the last one 13 (levels 48-60). (1, 0.5, 0)
+        # at t = 1 on 26 levels sums 39 levels, across the boundaries at 16 and 32, and
+        # (1, 0.9, 0.4) at t = 0.5 on 15 levels sums 59, into the last block; the per-level
+        # oracle tables, patched in, give the same X and rho
+        r_tables = fock._r_tables
+        for point, t, N, n_levels, blocks in (
+                ((1.0, 0.5, 0.0), 1.0, 26, 39, [(0, 16), (16, 32), (32, 48)]),
+                ((1.0, 0.9, 0.4), 0.5, 15, 59, [(0, 16), (16, 32), (32, 48), (48, 61)])):
+            p = classify_regime(*point)
+            spec_c, spec_v = mode_spec(p, t, "c"), mode_spec(p, t, "v")
+            budget, levels, built = AssemblyBudget(dims=(N, N)), [], []
+            monkeypatch.setattr(fock, "_level_norm",
+                                lambda *args: levels.append(args) or _level_norm(*args))
+            monkeypatch.setattr(fock, "_r_tables",
+                                lambda L0, L1, *rest: built.append((L0, L1)) or r_tables(L0, L1, *rest))
+            X = fock._joint_core(spec_c, spec_v, budget, float)
+            assert len(levels) == n_levels and built == [b for b in blocks for _ in "cv"]
+            rho = assemble_joint_density(p, t, 0.3j, 0.2, budget)
+            monkeypatch.setattr(fock, "_r_tables", lambda L0, L1, nb, N: [
+                _r_diagonals(L, nb, N) for L in range(L0, L1)])
+            np.testing.assert_array_equal(fock._joint_core(spec_c, spec_v, budget, float), X)
+            np.testing.assert_array_equal(assemble_joint_density(p, t, 0.3j, 0.2, budget).entries,
+                                          rho.entries)
+
+    @pytest.mark.parametrize("point, N", [((1.0, 0.3, 0.4), 16), ((1.0, 0.5, 0.4), 26),
+                                          ((1.0, 0.5, 0.0), 26)])
+    def test_hermitian_to_rounding(self, point, N):
+        # rho is the frame product as it comes, not its Hermitian part: at the benchmark's
+        # joint points and times, from vacuum and from a complex coherent start, it is
+        # Hermitian to rounding and validate() passes
+        p, budget = classify_regime(*point), AssemblyBudget(dims=(N, N))
+        for t in (0.5, 1.0, 2.0, 4.0):
+            for alpha, beta in ((0.0, 0.0), (0.3 - 0.4j, -0.25 + 0.1j)):
+                rho = assemble_joint_density(p, t, alpha, beta, budget)
+                r = rho.entries
+                assert np.abs(r - r.conj().T).max() <= 1e-14 * np.abs(r).max()
+                rho.validate()
 
     @pytest.mark.parametrize("point", [(1.0, 0.5, 0.4), (1.0, 0.5, 0.0)])
     def test_level_norm_cutoff_keeps_positivity(self, point):

@@ -580,6 +580,29 @@ class TestSequenceOfParams:
                 else:
                     assert type(value) is np.ndarray and value.shape == shape
 
+    @pytest.mark.parametrize("t", [2.3, SWEEP_TIMES], ids=["scalar", "array"])
+    def test_reads_the_couplings_once(self, monkeypatch, t):
+        # one pass over the couplings into one rate table, so a generator serves as a list
+        # does; one CouplingParams alone reads its rates once too
+        from ioncavity import params as params_module
+        seq = [classify_regime(*p) for p in MIXED_POINTS]
+        want = quad_variances(seq, t, self.ALPHA, self.BETA)
+        singles = [quad_variances(p, t, self.ALPHA, self.BETA) for p in seq]
+        tables, rates = [], params_module._rates
+        counted = lambda *args: tables.append(args) or rates(*args)
+        monkeypatch.setattr(params_module, "_rates", counted)
+        monkeypatch.setattr(observables, "_rates", counted)
+        got = quad_variances((p for p in seq), t, self.ALPHA, self.BETA)
+        assert len(tables) == 1
+        for field in QuadTuple.__dataclass_fields__:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for p, alone in zip(seq, singles):
+            tables.clear()
+            q = quad_variances(p, t, self.ALPHA, self.BETA)
+            assert len(tables) == 1
+            for field in QuadTuple.__dataclass_fields__:
+                assert np.array_equal(getattr(q, field), getattr(alone, field)), field
+
     def test_lossless_sweep_across_equal_coupling_matches_oracle(self):
         # the gamma = 0 sweep's three branches meet at r = 1, where L0^2 = 0 and w = t^2
         ratios, ts = [0.99, 1.0, 1.01], SWEEP_TIMES[::7]
