@@ -8,10 +8,11 @@ X-variance versus omega2/omega1).
 Rates from the command line or config file are normalized internally so
 that omega1 = 1; all times are then in units of omega1 t.  Config files are
 flat JSON objects whose keys are the RunConfig field names; command-line
-flags override file values.  CSV output is UTF-8 with LF line endings and
-15 significant digits, the bytes ``np.savetxt(..., fmt="%.15g")`` writes,
-formatted in blocks of ``CSV_BLOCK_ROWS`` rows (one ``%`` per block, so no
-per-row Python loop and no whole-table string).  They go to a temporary file
+flags override file values; each takes its RunConfig field's type, and a
+negative flag value may be in e-notation.  CSV output is UTF-8 with LF line
+endings and 15 significant digits, the bytes ``np.savetxt(..., fmt="%.15g")``
+writes, formatted in blocks of ``CSV_BLOCK_ROWS`` rows (one ``%`` per block,
+so no per-row Python loop and no whole-table string).  They go to a temporary file
 that is renamed on success so no partial files are left behind; the file gets
 the mode a plain open() would give: an existing file keeps its own, a new one
 0666 less the umask.
@@ -46,10 +47,11 @@ import functools
 import json
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -130,7 +132,8 @@ class RunConfig:
     nv: int = 15
     t_max: float = 25.0
     t_step: float = 0.01
-    dt_int: float = 1e-3
+    dt_int: float = field(default=1e-3,
+                          metadata={"help": "ignored: the exact propagator takes no step size"})
     series_tol: float = 1e-12
     out_path: Optional[str] = None
 
@@ -207,8 +210,9 @@ def _write_csv(path: str, header: str, table: np.ndarray) -> None:
     _write_atomic(path, chunks())
 
 
-#: the JSON values a config file may give each RunConfig field type (never a bool)
-_FILE_TYPES = {"int": int, "float": (int, float), "Optional[str]": (str, type(None))}
+#: per RunConfig field type: the flag's argparse type, and the JSON values a
+#: config file may give the field (never a bool)
+_FIELD_TYPES = {"int": (int, int), "float": (float, (int, float)), "Optional[str]": (str, (str, type(None)))}
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -222,7 +226,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a flat JSON object")
-        kinds = {f.name: _FILE_TYPES[f.type] for f in fields(RunConfig)}
+        kinds = {f.name: _FIELD_TYPES[f.type][1] for f in fields(RunConfig)}
         unknown = set(raw) - set(kinds)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -250,10 +254,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError(f"simulate needs t_max/t_step < {MAX_SIMULATE_ROWS}, got {steps:.6g}")
     params = cfg.params()
     t = np.arange(math.floor(steps) + 1) * cfg.t_step
-    qv = quad_variances(params, t, cfg.alpha, cfg.beta)
-    env = envelope(params, t)
-    nb_c, xi_c = squeezed_thermal(qv.var_xc, qv.var_pc, params, t, "c")
-    nb_v, xi_v = squeezed_thermal(qv.var_xv, qv.var_pv, params, t, "v")
+    with np.errstate(over="ignore", invalid="ignore"):  # squeezed_thermal refuses a non-finite variance
+        qv = quad_variances(params, t, cfg.alpha, cfg.beta)
+        env = envelope(params, t)
+        nb_c, xi_c = squeezed_thermal(qv.var_xc, qv.var_pc, params, t, "c")
+        nb_v, xi_v = squeezed_thermal(qv.var_xv, qv.var_pv, params, t, "v")
     columns = [t, qv.var_xc, qv.var_pc, qv.var_xv, qv.var_pv,
                nb_c, nb_v, xi_c, xi_v, env.f, env.g, env.h]
     _write_csv(cfg.out_path, CSV_HEADER, np.column_stack(columns))
@@ -384,17 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
+        # argparse's own ^-\d+$|^-\d*\.\d+$ (no public hook) reads -2.4e-06 as an option string
+        p._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
         p.add_argument("--config", help="JSON config file (keys = RunConfig fields)")
         for f in fields(RunConfig):
-            if f.name == "out_path":
-                p.add_argument("--out_path", type=str, default=None)
-            elif f.name in ("nc", "nv"):
-                p.add_argument(f"--{f.name}", type=int, default=None)
-            elif f.name == "dt_int":
-                p.add_argument("--dt_int", type=float, default=None,
-                               help="ignored: the exact propagator takes no step size")
-            else:
-                p.add_argument(f"--{f.name}", type=float, default=None)
+            p.add_argument(f"--{f.name}", type=_FIELD_TYPES[f.type][0], default=None,
+                           help=f.metadata.get("help"))
 
     add_common(sub.add_parser("simulate", help="emit a time-series CSV"))
     add_common(sub.add_parser("revivals", help="print the revival schedule"))
@@ -417,9 +417,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_revivals(cfg)
         if args.command == "validate":
             return cmd_validate(cfg, _parse_times(args.times))
-        if args.command == "sweep-ratio":
-            return cmd_sweep_ratio(cfg, _parse_times(args.times))
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep_ratio(cfg, _parse_times(args.times))  # argparse admits no other command
     except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -189,15 +189,17 @@ def revival_schedule(params: CouplingParams, horizon: float) -> RevivalSchedule:
     tau_n = arccos(-(gamma/4)/sqrt(omega1^2 - omega2^2))/L + n pi/L with the
     arccos branch in [pi/2, pi);  tau'_n = n pi/L.  The base root tau_0 is
     polished with one Newton step on f (using f' = -(L0^2/L) sin(L t)
-    e^{-gamma t/4}); the step must move it by less than 1e-9.
+    e^{-gamma t/4}); the step must move it by less than 1e-9.  Each list is
+    first + n pi/L over an array of n, kept where it is <= ``horizon``, which
+    must be finite and >= 0.
     """
     if params.regime is not Regime.OSCILLATORY:
         raise RegimeError(
             f"no revivals in the {params.regime.value} regime "
             "(requires omega1^2 > omega2^2 + gamma^2/16)"
         )
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    if not 0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and >= 0")
     lam = math.sqrt(params.lambda_sq)
     spacing = math.pi / lam
     tau0 = math.acos(-(params.gamma / 4.0) / math.sqrt(params.lambda0_sq)) / lam
@@ -212,19 +214,12 @@ def revival_schedule(params: CouplingParams, horizon: float) -> RevivalSchedule:
         )
     tau0 = polished
 
-    tau_motion = []
-    n = 0
-    while tau0 + n * spacing <= horizon:
-        tau_motion.append(tau0 + n * spacing)
-        n += 1
-    tau_cavity = []
-    n = 0
-    while n * spacing <= horizon:
-        tau_cavity.append(n * spacing)
-        n += 1
-    return RevivalSchedule(
-        tau_motion=tuple(tau_motion), tau_cavity=tuple(tau_cavity), horizon=horizon
-    )
+    def upto(first: float) -> Tuple[float, ...]:
+        # n runs one past floor((horizon - first)/spacing), so a rounded quotient drops no element
+        taus = first + np.arange(math.floor((horizon - first) / spacing) + 2) * spacing
+        return tuple(taus[taus <= horizon].tolist())
+
+    return RevivalSchedule(tau_motion=upto(tau0), tau_cavity=upto(0.0), horizon=horizon)
 
 
 def quad_variances(

@@ -24,9 +24,10 @@ which every envelope of the package is evaluated:
 
 Once exp(-gamma t/4) underflows, the exact steady-state values (0, 0, 0)
 are returned.  The helper takes a scalar or an array of times, and one
-CouplingParams or a sequence of them (the branch is then taken per element);
-public functions return Python floats for a scalar and arrays of the same
-shape otherwise.
+CouplingParams or a sequence of them; the branch is taken per element, by the
+same three masks on L^2 for one CouplingParams as for many.  Public
+functions return Python floats for a scalar and arrays of the same shape
+otherwise.
 
 Besides f, h and the damped sine ratio s = g/omega2, ``_damped_parts``
 returns the motion weight w = (1 - f^2)/L0^2 with L0^2 = omega1^2 - omega2^2.
@@ -211,9 +212,10 @@ def _damped_parts(params, t: ArrayLike, rates: Optional[tuple] = None):
 
     s = sin(L t) e^{-gamma t/4} / L is the damped sine ratio (g = omega2 s)
     and w = (1 - f^2)/L0^2 the motion weight (see the module docstring).
-    This is the one place that branches on L^2, per element: a branch that
-    holds every element runs on the full arrays, else on those its mask picks;
-    either way each value is bit for bit that of its CouplingParams alone.
+    This is the one place that branches on L^2, per element, by the same three
+    masks for one CouplingParams as for many: a branch that holds every element
+    runs on the full arrays, else on those its mask picks; either way each
+    value is bit for bit that of its CouplingParams alone.
 
     Overdamped, the rate |L| - gamma/4 = -L0^2 / (|L| + gamma/4) and the
     weight 1 - r = 1 - gamma/(4|L|) = -4 L0^2 / (|L| (4|L| + gamma)) are
@@ -234,12 +236,10 @@ def _damped_parts(params, t: ArrayLike, rates: Optional[tuple] = None):
     o1, _, g, lam_sq, lam0_sq = rates or _rates(params, t.ndim)
     t = np.atleast_1d(t)  # scalars take the same numpy kernels as arrays
     over, osc = lam_sq < -DEGENERATE_ATOL * o1 * o1, lam_sq > DEGENERATE_ATOL * o1 * o1
-    if isinstance(params, CouplingParams):
-        held = [(Regime.OVERDAMPED if over else Regime.OSCILLATORY if osc else Regime.DEGENERATE, None)]
-    else:
-        shape = over.shape[:1] + shape
-        held = [(branch, mask.ravel()) for branch, mask in ((Regime.OVERDAMPED, over),
-                (Regime.OSCILLATORY, osc), (Regime.DEGENERATE, ~(over | osc))) if mask.any()]
+    shape = np.shape(over)[:1] + shape
+    # logical_not, not ~: for one CouplingParams the masks are Python bools, and ~True is -2
+    held = [(branch, np.ravel(mask)) for branch, mask in ((Regime.OVERDAMPED, over),
+            (Regime.OSCILLATORY, osc), (Regime.DEGENERATE, np.logical_not(over | osc))) if np.any(mask)]
     if len(held) == 1:
         parts = _branch_parts(held[0][0], g, lam_sq, lam0_sq, t)
     else:

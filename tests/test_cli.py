@@ -9,6 +9,7 @@ n_bar = sqrt(Var X Var P) - 1/2 and xi = (1/4) ln(Var P / Var X).
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -78,6 +79,19 @@ class TestSimulate:
         assert main(["simulate", "--t_step", t_step, "--out_path", str(out)]) == EXIT_CONFIG
         assert "error: invalid configuration" in capsys.readouterr().err
         assert not out.exists() and not list(tmp_path.iterdir())
+
+    def test_non_finite_variance_refused_quietly(self, tmp_path):
+        # at (1, 1.4, 3.2), Var X_c Var P_c overflows at t = 384: exit 3 naming that time,
+        # no file, and no numpy warning
+        out = tmp_path / "sim.csv"
+        done = _run_fresh("-m", "ioncavity.cli", "simulate", "--gamma", "3.2", "--omega2", "1.4",
+                          "--t_max", "1000", "--t_step", "1", "--out_path", str(out))
+        assert done.returncode == EXIT_VALIDITY
+        assert done.stderr == ("error: formula validity guard: squeezed-thermal map out of range: "
+                               "Var X = 6.105780016627064e+154, Var P = 1.0176300027711771e+154 "
+                               "(need finite, positive variances with product >= 1/4) at "
+                               "(omega1=1.0, omega2=1.4, gamma=3.2, t=384.0, mode=c)\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepRatio:
@@ -367,6 +381,42 @@ class TestConfigFileTypes:
         assert main(["revivals", "--config", str(config)]) == EXIT_OK
 
 
+class TestFlagTypes:
+    """Each flag parses with its RunConfig field's type, and a negative value
+    in e-notation is a number, not an option string."""
+
+    @pytest.mark.parametrize("command", ["simulate", "revivals", "validate", "sweep-ratio"])
+    def test_each_flag_has_its_field_type(self, command):
+        kinds = {"int": int, "float": float, "Optional[str]": str}
+        parser = cli._build_parser()
+        for f in dataclasses.fields(cli.RunConfig):
+            assert type(getattr(parser.parse_args([command, f"--{f.name}", "3"]), f.name)) is kinds[f.type]
+        assert parser.parse_args([command, "--out_path", "3"]).out_path == "3"
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--nc", "6.5"])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["simulate", "revivals", "validate", "sweep-ratio"])
+    def test_dt_int_help(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--dt_int DT_INT ignored: the exact propagator takes no step size --series_tol" in help_text
+
+    def test_simulate_takes_negative_e_notation(self, tmp_path):
+        argv = ["simulate", "--beta_im", "-2.4008587340008667e-06", "--alpha_re", "-1E+0",
+                "--t_max", "1", "--out_path", str(tmp_path / "sim.csv")]
+        args = cli._build_parser().parse_args(argv)
+        assert (args.beta_im, args.alpha_re) == (-2.4008587340008667e-06, -1.0)
+        assert main(argv) == EXIT_OK
+
+    def test_validate_takes_negative_e_notation(self, capsys):
+        argv = ["validate", "--alpha_re", "-1e-3", "--nc", "6", "--nv", "6", "--times", "0.5"]
+        assert cli._build_parser().parse_args(argv).alpha_re == -1e-3
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.endswith("all validation checks passed\n")
+
+
 def _run_fresh(*args):
     """``python *args`` run in a fresh interpreter that imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ioncavity.__file__)))
@@ -457,13 +507,18 @@ class TestParserReuse:
 
     def test_defaults_survive_earlier_flags(self, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "cmd_validate", lambda cfg, times: seen.append((cfg, times)) or 0)
-        monkeypatch.setattr(cli, "cmd_sweep_ratio", lambda cfg, times: seen.append((cfg, times)) or 0)
-        assert main(["simulate", "--omega2", "0.5", "--out_path", str(tmp_path / "sim.csv")]) == 0
+        for name in ("cmd_simulate", "cmd_revivals", "cmd_validate", "cmd_sweep_ratio"):
+            monkeypatch.setattr(cli, name, lambda cfg, *times, name=name: seen.append((name, cfg, *times)) or 0)
+        sim_path = str(tmp_path / "sim.csv")
+        assert main(["simulate", "--omega2", "0.5", "--out_path", sim_path]) == 0
+        assert main(["revivals", "--t_max", "3"]) == 0
         assert main(["validate", "--times", "0.5"]) == 0
         assert main(["sweep-ratio", "--out_path", str(tmp_path / "sweep.csv")]) == 0
-        (validate_cfg, validate_times), (sweep_cfg, sweep_times) = seen
-        assert validate_cfg.omega2 == cli.VALIDATE_OMEGA2 and validate_times == [0.5]
+        (sim, sim_cfg), (rev, rev_cfg), (val, val_cfg, val_times), (sweep, sweep_cfg, sweep_times) = seen
+        assert (sim, rev, val, sweep) == ("cmd_simulate", "cmd_revivals", "cmd_validate", "cmd_sweep_ratio")
+        assert sim_cfg.omega2 == 0.5 and sim_cfg.out_path == sim_path
+        assert rev_cfg.omega2 == 0.6 and rev_cfg.t_max == 3.0 and rev_cfg.out_path is None
+        assert val_cfg.omega2 == cli.VALIDATE_OMEGA2 and val_times == [0.5]
         assert sweep_cfg.omega2 == 0.6 and sweep_times == [1.0, 5.0, 10.0]
 
     def test_second_simulate_matches_a_fresh_process(self, tmp_path):

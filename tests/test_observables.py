@@ -271,6 +271,31 @@ class TestRevivalSchedule:
         with pytest.raises(RegimeError):
             revival_schedule(params, 10.0)
 
+    @pytest.mark.parametrize("horizon", [-1.0, math.nan, math.inf])
+    def test_horizon_must_be_finite_and_nonnegative(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and >= 0"):
+            revival_schedule(OSC, horizon)
+
+    @pytest.mark.parametrize("params", [OSC, OSC3, LOSSLESS])  # the revivals workload points
+    def test_lists_match_the_defining_loop(self, params):
+        def loop(first, spacing, horizon):
+            taus, n = [], 0
+            while first + n * spacing <= horizon:
+                taus.append(first + n * spacing)
+                n += 1
+            return tuple(taus)
+
+        spacing = math.pi / math.sqrt(params.lambda_sq)
+        tau0 = revival_schedule(params, 1000.0).tau_motion[0]
+        # each tau_k and tau'_k is a horizon that its own list must include
+        boundaries = [loop(first, spacing, 1000.0)[k] for first in (tau0, 0.0) for k in (0, 1, 2, 17, -1)]
+        for horizon in [0.0, 1e-9, 1000.0, *boundaries]:
+            sched = revival_schedule(params, horizon)
+            assert sched.tau_motion == loop(tau0, spacing, horizon)
+            assert sched.tau_cavity == loop(0.0, spacing, horizon)
+            assert all(type(tau) is float for tau in sched.tau_motion + sched.tau_cavity)
+        assert revival_schedule(params, boundaries[1]).tau_motion[-1] == boundaries[1]
+
 
 class TestQuadVariances:
     def test_vacuum_start(self):
