@@ -12,10 +12,10 @@ flags override file values; each takes its RunConfig field's type, and a
 negative flag value may be in e-notation.  CSV output is UTF-8 with LF line
 endings and 15 significant digits, the bytes ``np.savetxt(..., fmt="%.15g")``
 writes, formatted in blocks of ``CSV_BLOCK_ROWS`` rows (one ``%`` per block,
-so no per-row Python loop and no whole-table string).  They go to a temporary file
-that is renamed on success so no partial files are left behind; the file gets
-the mode a plain open() would give: an existing file keeps its own, a new one
-0666 less the umask.
+so no per-row Python loop and no whole-table string).  They go to a temporary
+file that is renamed on success so no partial files are left behind; the file
+gets the mode a plain open() would give: an existing file keeps its own, a new
+one 0666 less the umask.
 
 The argument parser is built on the first ``main`` call and reused by every
 later call in the process; parsing leaves it unchanged, so calls share no
