@@ -8,14 +8,16 @@ X-variance versus omega2/omega1).
 Rates from the command line or config file are normalized internally so
 that omega1 = 1; all times are then in units of omega1 t.  Config files are
 flat JSON objects whose keys are the RunConfig field names; command-line
-flags override file values; each takes its RunConfig field's type, and a
-negative flag value may be in e-notation.  CSV output is UTF-8 with LF line
-endings and 15 significant digits, the bytes ``np.savetxt(..., fmt="%.15g")``
-writes, formatted in blocks of ``CSV_BLOCK_ROWS`` rows (one ``%`` per block,
-so no per-row Python loop and no whole-table string).  They go to a temporary
-file that is renamed on success so no partial files are left behind; the file
-gets the mode a plain open() would give: an existing file keeps its own, a new
-one 0666 less the umask.
+flags override file values; each takes its RunConfig field's type.  A
+negative flag value may be in e-notation, or -inf or -nan, which the
+configuration check refuses by name as it does inf.  CSV output is UTF-8
+with LF line endings and 15 significant digits, the bytes
+``np.savetxt(..., fmt="%.15g")`` writes, formatted in blocks of
+``CSV_BLOCK_ROWS`` rows (one ``%`` per block, so no per-row Python loop and
+no whole-table string).  They go to a temporary file that is renamed on
+success so no partial files are left behind; the file gets the mode a plain
+open() would give: an existing file keeps its own, a new one 0666 less the
+umask.
 
 The argument parser is built on the first ``main`` call and reused by every
 later call in the process; parsing leaves it unchanged, so calls share no
@@ -389,8 +391,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        # argparse's own ^-\d+$|^-\d*\.\d+$ (no public hook) reads -2.4e-06 as an option string
-        p._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+        # argparse's own ^-\d+$|^-\d*\.\d+$ (no public hook) reads -2.4e-06 and -inf as option
+        # strings; RunConfig.check refuses the non-finite ones by name
+        p._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
         p.add_argument("--config", help="JSON config file (keys = RunConfig fields)")
         for f in fields(RunConfig):
             p.add_argument(f"--{f.name}", type=_FIELD_TYPES[f.type][0], default=None,

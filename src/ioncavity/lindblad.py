@@ -41,6 +41,15 @@ whose Hermiticity error max |rho - rho^dag| or trace drift |tr rho - 1|
 exceeds TRACE_DRIFT_TOL is refused before any step; a smaller Hermiticity
 error, such as the rounding of np.outer, is dropped.
 
+At gamma = 0 the equation is von Neumann's, L(X) = K X + X K^T, so
+exp(L t)(psi psi^dag) = (e^{Kt} psi)(e^{Kt} psi)^dag exactly.  A start within
+TRACE_DRIFT_TOL of psi psi^dag, psi its column j of the largest rho_jj over
+sqrt(rho_jj), propagates psi alone: the real columns [Re psi, Im psi], or Re
+psi if Im psi = 0, under v -> K v with mu = 0 and the exact ||K||_1, its
+largest column sum.  psi psi^dag is formed in real arithmetic, so it is
+exactly Hermitian.  Mixed starts at gamma = 0, and all at gamma > 0,
+propagate their density.
+
 exp(h L) v is Algorithm 3.2 of Al-Mohy & Higham, "Computing the action of the
 matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011), at u = 2^-53: s
 substeps e^{h mu/s} T_m(h (L - mu I)/s), each Taylor sum cut off once two
@@ -198,8 +207,8 @@ def _kernel(params: CouplingParams, dims: Sequence[int]):
 
 
 def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.ndarray:
-    """exp(h (A + mu I)) v, where apply(x, out=y) writes A x into y and returns it and
-    norm1 >= ||A||_1 (Al-Mohy & Higham, Alg. 3.2)."""
+    """exp(h (A + mu I)) v, where apply(x, out=y) returns A x, written into y or a new
+    array, and norm1 >= ||A||_1 (Al-Mohy & Higham, Alg. 3.2)."""
     m = min(_THETA, key=lambda m: m * math.ceil(h * norm1 / _THETA[m]))
     s = max(1, math.ceil(h * norm1 / _THETA[m]))
     eta, mag = math.exp(h * mu / s), np.empty(v.shape)
@@ -250,7 +259,9 @@ def evolve_trajectory(
     drift |tr rho - 1| are checked at the start, where they refuse rho0
     before any step, and the trace drift and the Hermiticity error at every
     checkpoint.  A step that needs more than MAX_SUBSTEPS substeps, or a
-    non-finite number of them, is refused before any is taken.
+    non-finite number of them, is refused before any is taken.  At gamma = 0
+    a start within TRACE_DRIFT_TOL of a pure psi psi^dag propagates psi by
+    e^{Kt} instead (see the module docstring), its substeps sized on ||K||_1.
     """
     if not rho0.joint:
         raise ValueError("evolve_trajectory needs a two-mode density")
@@ -261,8 +272,19 @@ def evolve_trajectory(
     _require(float(np.abs(X - X.conj().T).max()), "start Hermiticity error max |rho - rho^dag|",
              params, dims, 0.0)
     _require(abs(float(np.trace(X).real) - 1.0), "start trace drift |tr rho - 1|", params, dims, 0.0)
+    ket = None
+    if params.gamma == 0:  # a pure start psi psi^dag, psi read off its largest diagonal entry
+        j = int(np.argmax(X.diagonal().real))
+        psi = X[:, j] / math.sqrt(X[j, j].real)
+        if np.abs(X - np.outer(psi, psi.conj())).max() <= TRACE_DRIFT_TOL:
+            # K is real, so psi propagates as the real columns [Re psi, Im psi], or Re psi alone
+            ket = np.stack([psi.real, psi.imag] if psi.imag.any() else [psi.real], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
-        apply, mu, norm1 = _kernel(params, dims)
+        if ket is None:
+            apply, mu, norm1 = _kernel(params, dims)
+        else:  # v -> K v, with tr K = 0 and the exact ||K||_1
+            K = _k_matrix(params, dims)
+            apply, mu, norm1 = (lambda v, out: K @ v), 0.0, float(abs(K).sum(axis=0).max())
     for t0, t in zip([0.0, *times], times):
         # the fewest substeps of any degree m; inf or nan once the norm overflows
         s = (t - t0) * norm1 / _THETA[55] if t > t0 else 0.0
@@ -270,15 +292,22 @@ def evolve_trajectory(
             raise IntegrationError(f"propagator step of {t - t0:.6g} needs {s:.3g} substeps > "
                                    f"{MAX_SUBSTEPS} at {_where(params, dims, t)}")
     rho = X if X.imag.any() else X.real
-    E, O = _parity_order(dims)
-    # exp(L h) 0 = 0, so a zero part or sector is dropped; the real part's trace is 1
-    parts = {sign: v for sign, R in ((1, X.real), (-1, X.imag))
-             if (v := _pack(0.5 * (R + sign * R.T), E, O)) is not None}
+    if ket is None:
+        E, O = _parity_order(dims)
+        # exp(L h) 0 = 0, so a zero part or sector is dropped; the real part's trace is 1
+        parts = {sign: v for sign, R in ((1, X.real), (-1, X.imag))
+                 if (v := _pack(0.5 * (R + sign * R.T), E, O)) is not None}
 
     out: list[FockDensity] = []
     t_prev = 0.0
     for t in times:
-        if t > t_prev:
+        if t > t_prev and ket is not None:
+            ket = _taylor_expm(apply, ket, t - t_prev, mu, norm1)
+            a, b = ket[:, 0], ket[:, -1]
+            rho = np.outer(a, a)
+            if ket.shape[1] == 2:  # in real arithmetic, where Im rho is exactly antisymmetric
+                rho = rho + np.outer(b, b) + 1j * (np.outer(b, a) - np.outer(a, b))
+        elif t > t_prev:
             parts = {sign: _taylor_expm(partial(apply, sign=sign), v, t - t_prev, mu, norm1)
                      for sign, v in parts.items()}
             rho = _unpack(parts[1], 1, E, O)

@@ -383,7 +383,7 @@ class TestConfigFileTypes:
 
 class TestFlagTypes:
     """Each flag parses with its RunConfig field's type, and a negative value
-    in e-notation is a number, not an option string."""
+    in e-notation, or -inf or -nan, is a number, not an option string."""
 
     @pytest.mark.parametrize("command", ["simulate", "revivals", "validate", "sweep-ratio"])
     def test_each_flag_has_its_field_type(self, command):
@@ -409,6 +409,24 @@ class TestFlagTypes:
         args = cli._build_parser().parse_args(argv)
         assert (args.beta_im, args.alpha_re) == (-2.4008587340008667e-06, -1.0)
         assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["simulate", "revivals", "validate", "sweep-ratio"])
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_negative_non_finite_values_are_numbers(self, command, value):
+        parsed = cli._build_parser().parse_args([command, "--t_max", value, "--alpha_re", value])
+        for got in (parsed.t_max, parsed.alpha_re):
+            assert math.isnan(got) if "nan" in value.lower() else got == -math.inf
+
+    @pytest.mark.parametrize("value", ["-infin", "-nanx", "--inf", "-e5", "-"])
+    def test_other_dash_words_stay_option_strings(self, value):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(["revivals", "--t_max", value])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [("t_max", "-inf"), ("alpha_re", "-nan")])
+    def test_config_check_refuses_negative_non_finite_values(self, capsys, flag, value):
+        assert main(["revivals", f"--{flag}", value]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: invalid configuration: non-finite values: {flag}\n"
 
     def test_validate_takes_negative_e_notation(self, capsys):
         argv = ["validate", "--alpha_re", "-1e-3", "--nc", "6", "--nv", "6", "--times", "0.5"]

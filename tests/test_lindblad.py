@@ -11,6 +11,8 @@ propagator is compared at the ``validate`` workload's point.
 
 import math
 import re
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -344,26 +346,33 @@ class TestParitySectors:
     @pytest.mark.parametrize("dims", [(4, 4), (5, 5), (4, 7)])
     def test_vacuum_start_never_holds_the_off_sector(self, name, dims, monkeypatch):
         # every kernel application gets the diagonal sector of the real part
-        # alone, and every state is exactly zero between the parities
+        # alone, and every state is exactly zero between the parities; at
+        # gamma = 0 the pure start is propagated as its ket, with no kernel call
         E, O = lindblad._parity_order(dims)
         calls = count_kernel_calls(monkeypatch)
         states = evolve_trajectory(POINTS[name], vacuum_joint(*dims), [0.5, 1.0, 2.0])
-        assert calls[1] > 0 and calls[-1] == 0
-        assert calls["sizes"] == {E.size ** 2 + O.size ** 2}
+        if name == "LOSSLESS":
+            assert calls["apply"] == 0
+        else:
+            assert calls[1] > 0 and calls[-1] == 0
+            assert calls["sizes"] == {E.size ** 2 + O.size ** 2}
         for rho in states:
             assert not rho.entries[np.ix_(E, O)].any() and not rho.entries[np.ix_(O, E)].any()
 
     @pytest.mark.parametrize("name", ["OSC3", "LOSSLESS"])
     def test_complex_coherent_start_matches_dense_expm(self, name, monkeypatch):
         # (0.2 + 0.3i, -0.4i) on (5, 5): both parts hold both sectors, on
-        # parity blocks of 13 and 12 states
+        # parity blocks of 13 and 12 states; at gamma = 0 the ket is propagated
         params, dims = POINTS[name], (5, 5)
         rho0 = coherent_joint(0.2 + 0.3j, -0.4j, *dims)
         calls = count_kernel_calls(monkeypatch)
         times = [0.5, 1.0, 2.0]
         states = evolve_trajectory(params, rho0, times)
-        assert calls[1] > 0 and calls[-1] > 0
-        assert calls["sizes"] == {13 * 13 + 13 * 12 + 12 * 12}
+        if name == "LOSSLESS":
+            assert calls["apply"] == 0
+        else:
+            assert calls[1] > 0 and calls[-1] > 0
+            assert calls["sizes"] == {13 * 13 + 13 * 12 + 12 * 12}
         step = scipy.linalg.expm(0.5 * dense_liouvillian(params, dims).real)
         want, done = rho0.entries.ravel(), 0.0
         for t, rho in zip(times, states):
@@ -371,6 +380,85 @@ class TestParitySectors:
                 want, done = step @ want, done + 0.5
             assert (rho.entries == rho.entries.conj().T).all()
             np.testing.assert_allclose(rho.entries.ravel(), want, rtol=0, atol=1e-12)
+
+
+def density_path(params, rho0, times):
+    """The density propagator of evolve_trajectory, run step by step on its
+    own kernel and _taylor_expm, with no start check and no ket path."""
+    apply, mu, norm1 = lindblad._kernel(params, rho0.dims)
+    E, O = lindblad._parity_order(rho0.dims)
+    X = rho0.entries
+    parts = {sign: lindblad._pack(0.5 * (R + sign * R.T), E, O) for sign, R in ((1, X.real), (-1, X.imag))}
+    parts = {sign: v for sign, v in parts.items() if v is not None}
+    out, t_prev = [], 0.0
+    for t in times:
+        parts = {sign: lindblad._taylor_expm(partial(apply, sign=sign), v, t - t_prev, mu, norm1)
+                 for sign, v in parts.items()}
+        rho = lindblad._unpack(parts[1], 1, E, O)
+        out.append(rho + 1j * lindblad._unpack(parts[-1], -1, E, O) if -1 in parts else rho)
+        t_prev = t
+    return out
+
+
+def dense_expm_states(params, rho0, times):
+    """exp(L t) rho0 at checkpoints that are multiples of 0.5, from the dense generator."""
+    step = scipy.linalg.expm(0.5 * dense_liouvillian(params, rho0.dims).real)
+    want, done, out = rho0.entries.ravel(), 0.0, []
+    for t in times:
+        while done < t:
+            want, done = step @ want, done + 0.5
+        out.append(want)
+    return out
+
+
+class TestKetPath:
+    """At gamma = 0 a pure start psi psi^dag is propagated as psi by e^{Kt}."""
+
+    @pytest.mark.parametrize("params", [LOSSLESS, LOSSLESS3], ids=["LOSSLESS", "LOSSLESS3"])
+    @pytest.mark.parametrize("start", ["vacuum", "complex coherent"])
+    def test_pure_start_matches_dense_expm(self, params, start, monkeypatch):
+        # (0.2 + 0.3i, -0.4i) on (5, 5), as in TestParitySectors
+        dims, times = (5, 5), [0.5, 1.0, 2.0]
+        rho0 = vacuum_joint(*dims) if start == "vacuum" else coherent_joint(0.2 + 0.3j, -0.4j, *dims)
+        calls = count_kernel_calls(monkeypatch)
+        states = evolve_trajectory(params, rho0, times)
+        assert calls["apply"] == 0
+        for rho, want in zip(states, dense_expm_states(params, rho0, times)):
+            assert rho.entries.dtype == (np.float64 if start == "vacuum" else np.complex128)
+            assert (rho.entries == rho.entries.conj().T).all()
+            np.testing.assert_allclose(rho.entries.ravel(), want, rtol=0, atol=1e-12)
+
+    def test_matches_the_density_path(self):
+        # the lossless validate run from (0.5i, 0.3) on (16, 16)
+        dims, times = (16, 16), [0.5, 1.0, 2.0]
+        rho0 = coherent_joint(0.5j, 0.3, *dims)
+        for rho, want in zip(evolve_trajectory(LOSSLESS3, rho0, times),
+                             density_path(LOSSLESS3, rho0, times)):
+            np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("params", [LOSSLESS, LOSSLESS3], ids=["LOSSLESS", "LOSSLESS3"])
+    def test_mixed_start_takes_the_density_path(self, params, monkeypatch):
+        # a rank-2 start is not psi psi^dag for any psi: its density is propagated
+        dims, times = (5, 5), [0.5, 1.0]
+        rho0 = FockDensity(entries=0.6 * vacuum_joint(*dims).entries
+                           + 0.4 * coherent_joint(0.2 + 0.3j, -0.4j, *dims).entries, dims=dims)
+        calls = count_kernel_calls(monkeypatch)
+        states = evolve_trajectory(params, rho0, times)
+        assert calls[1] > 0 and calls[-1] > 0
+        for rho, want in zip(states, dense_expm_states(params, rho0, times)):
+            np.testing.assert_allclose(rho.entries.ravel(), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("omega1, s", [(1e300, r"\d\.\d+e\+299"), (1e308, "inf")])
+    def test_substep_guard(self, omega1, s, monkeypatch):
+        # h ||K||_1 / theta_55 is huge, or inf once ||K||_1 overflows: refused
+        # before any step, and with no numpy warning
+        steps = []
+        monkeypatch.setattr(lindblad, "_taylor_expm", lambda *args: steps.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError, match=f"needs {s} substeps > 1000 at .* t = 1$"):
+                evolve_trajectory(classify_regime(omega1, 0.3, 0.0), vacuum_joint(4, 4), [0.0, 1.0])
+        assert steps == []
 
 
 class TestEvolve:
