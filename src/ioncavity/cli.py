@@ -27,11 +27,9 @@ The subcommands hold no physics.  ``simulate`` makes one ``quad_variances``
 and one ``envelope`` call over its whole time grid and maps both modes'
 variances to (n_bar, xi) with ``squeezed_thermal``; ``sweep-ratio`` makes one
 call over its whole ratio grid and times; ``revivals`` one ``envelope`` call per
-revival list.  Only ``validate`` loops over its checkpoints: one propagator
-run serves them all, and at each one it prints a line per check.  A formula
-validity guard tripped inside a check (a non-PSD assembled density, say), or
-a series the assembly refuses to sum, is that check's ``FAIL`` line, naming
-the guard's value or the refusal, and the other checks still run (exit 1).
+revival list.  ``validate`` prints the records of ``lindblad.validation_checks``
+as each comes, a line per check; a record with a note, or over its tolerance,
+is a ``FAIL`` line (exit 1).
 
 Only ``validate`` loads scipy: ``fock`` imports scipy.linalg and ``lindblad``
 scipy.sparse where they are first called, so ``simulate``, ``sweep-ratio``
@@ -54,7 +52,7 @@ import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,20 +64,8 @@ from .errors import (
     TruncationError,
     ValidityError,
 )
-from .fock import (
-    AssemblyBudget,
-    FockDensity,
-    _frame,
-    assemble_joint_density,
-    lossless_ket,
-    partial_trace,
-    quad_stats,
-    reduced_density,
-    state_metrics,
-    trace_distance,
-)
-from .lindblad import evolve_trajectory
-from .observables import QuadTuple, quad_variances, revival_schedule, squeezed_thermal
+from .lindblad import validation_checks
+from .observables import quad_variances, revival_schedule, squeezed_thermal
 from .params import CouplingParams, classify_regime, envelope
 
 __all__ = ["RunConfig", "main"]
@@ -98,11 +84,6 @@ MAX_SIMULATE_ROWS = 10**6
 
 #: validate's default drive omega2/omega1, under any config file and flags
 VALIDATE_OMEGA2 = 0.3
-
-#: cross-check tolerances of cmd_validate
-TD_TOL = 1e-4
-FID_DEFICIT_TOL = 1e-6
-QUAD_TOL = 1e-4
 
 CSV_HEADER = "t,var_xc,var_pc,var_xv,var_pv,nbar_c,nbar_v,xi_c,xi_v,f,g,h"
 
@@ -288,67 +269,22 @@ def cmd_revivals(cfg: RunConfig, stream=None) -> int:
     return EXIT_OK
 
 
-def _coherent_joint(alpha: complex, beta: complex, nc: int, nv: int) -> FockDensity:
-    """|alpha>|beta>: the exact coherent columns on (nc, nv) levels, normalized there."""
-    psi = np.kron(_frame(alpha, 0.0, nc)[:, 0], _frame(beta, 0.0, nv)[:, 0])
-    psi /= np.linalg.norm(psi)
-    return FockDensity(entries=np.outer(psi, psi.conj()), dims=(nc, nv))
-
-
-def _pure_state_deficit(psi: np.ndarray, rho: np.ndarray) -> float:
-    """1 - F, F = <psi|rho|psi> / (||psi||^2 tr rho): the Uhlmann fidelity with a
-    pure state, clipped at 1 as ``state_metrics`` clips."""
-    fid = np.vdot(psi, rho @ psi).real / (np.vdot(psi, psi).real * np.trace(rho).real)
-    return 1.0 - min(float(fid), 1.0)
-
-
-def _variance_delta(q: QuadTuple, r: QuadTuple) -> float:
-    """Largest difference between the four variances of two QuadTuples."""
-    return max(abs(q.var_xc - r.var_xc), abs(q.var_pc - r.var_pc),
-               abs(q.var_xv - r.var_xv), abs(q.var_pv - r.var_pv))
-
-
 def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
     stream = stream or sys.stdout
     if cfg.nc * cfg.nv > MAX_VALIDATE_DIM:
         raise ConfigError(f"validate needs nc*nv <= {MAX_VALIDATE_DIM}, got {cfg.nc * cfg.nv}")
-    params = cfg.params()
-    budget = AssemblyBudget(dims=(cfg.nc, cfg.nv), series_tol=cfg.series_tol)
+    checks = validation_checks(cfg.params(), cfg.alpha, cfg.beta, (cfg.nc, cfg.nv), times, cfg.series_tol)
     failures: List[str] = []
-
-    def report(label: str, tol: float, check: Callable[[], float]) -> None:
-        try:
-            value = check()
-        except (ValidityError, TruncationError) as exc:  # fails this check only
-            print(f"{label}: {exc} FAIL", file=stream)
-            failures.append(label)
-            return
-        ok = value <= tol
-        print(f"{label}: {value:.3e} (tol {tol:.1e}) {'ok' if ok else 'FAIL'}", file=stream)
-        if not ok:
-            failures.append(label)
-
-    a, b = cfg.alpha, cfg.beta
     try:
-        oracle_states = evolve_trajectory(params, _coherent_joint(a, b, cfg.nc, cfg.nv), times)
-        for t, rho in zip(times, oracle_states):
-            report(f"t={t:g} joint trace distance", TD_TOL, lambda: trace_distance(
-                assemble_joint_density(params, t, a, b, budget), rho))
-            for mode, N in (("c", cfg.nc), ("v", cfg.nv)):
-                report(f"t={t:g} mode-{mode} fidelity deficit", FID_DEFICIT_TOL,
-                       lambda: 1.0 - state_metrics(reduced_density(params, t, mode, a, b, N),
-                                                   partial_trace(rho, mode)).fidelity)
-            report(f"t={t:g} quadrature delta", QUAD_TOL,
-                   lambda: _variance_delta(quad_stats(rho), quad_variances(params, t, a, b)))
-
-        if params.gamma == 0:
-            for t, rho in zip(times, oracle_states):
-                report(f"t={t:g} lossless fidelity deficit", FID_DEFICIT_TOL, lambda: _pure_state_deficit(
-                    lossless_ket(params, a, b, t, (cfg.nc, cfg.nv)), rho.entries))
+        for c in checks:
+            label = f"t={c.t:g} {c.name}"
+            shown = f"{c.value:.3e} (tol {c.tol:.1e})" if c.note is None else c.note
+            print(f"{label}: {shown} {'ok' if c.ok else 'FAIL'}", file=stream)
+            if not c.ok:
+                failures.append(label)
     except IntegrationError as exc:
         print(f"validation aborted: {exc}", file=stream)
         return EXIT_VALIDATION
-
     if failures:
         print(f"FAILED: {len(failures)} check(s): {'; '.join(failures)}", file=stream)
         return EXIT_VALIDATION

@@ -287,11 +287,14 @@ def lossless_spec(
 ) -> LosslessSpec:
     """Parameters of the exact pure-state solution when gamma = 0.
 
-    Requires lambda0^2 = omega1^2 - omega2^2 > 0.  All quantities are
+    Requires a finite lambda0^2 = omega1^2 - omega2^2 > 0.  All quantities are
     periodic in t with period 2 pi/L0.
     """
     if params.gamma != 0:
         raise RegimeError("lossless solution requires gamma = 0")
+    if not math.isfinite(params.lambda0_sq):
+        raise ValidityError(f"L0^2 = {params.lambda0_sq:g} is not finite at "
+                            f"(omega1={params.omega1:g}, omega2={params.omega2:g}, gamma=0)")
     if params.lambda0_sq <= 0:
         raise RegimeError("lossless solution requires omega1 > omega2")
     o1, o2 = params.omega1, params.omega2

@@ -13,7 +13,8 @@ with L^2 = omega1^2 - omega2^2 - gamma^2/16.  All three satisfy
 y'' + (gamma/2) y' + (omega1^2 - omega2^2) y = 0.
 
 The branch on L^2 lives in one private helper, ``_damped_parts``, through
-which every envelope of the package is evaluated:
+which every envelope of the package is evaluated; an L^2 that overflows to
+inf or nan fits no branch and raises ValidityError:
 
 * oscillatory (L^2 > 0): damped cos/sin with L = sqrt(L^2);
 * overdamped (L^2 < 0, includes equal coupling with gamma > 0): cosh/sinh
@@ -44,6 +45,8 @@ from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
+
+from .errors import ValidityError
 
 __all__ = [
     "Regime",
@@ -233,7 +236,11 @@ def _damped_parts(params, t: ArrayLike, rates: Optional[tuple] = None):
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     shape = t.shape
-    o1, _, g, lam_sq, lam0_sq = rates or _rates(params, t.ndim)
+    o1, o2, g, lam_sq, lam0_sq = rates or _rates(params, t.ndim)
+    if not np.all(np.isfinite(lam_sq)):  # an overflowing L^2 fits no branch: name the first
+        i = np.argmin(np.isfinite(np.ravel(lam_sq)))
+        raise ValidityError("L^2 = {:g} is not finite at (omega1={:g}, omega2={:g}, gamma={:g})".format(
+            *(np.ravel(x)[i] for x in (lam_sq, o1, o2, g))))
     t = np.atleast_1d(t)  # scalars take the same numpy kernels as arrays
     over, osc = lam_sq < -DEGENERATE_ATOL * o1 * o1, lam_sq > DEGENERATE_ATOL * o1 * o1
     shape = np.shape(over)[:1] + shape

@@ -23,7 +23,7 @@ import pytest
 import scipy.linalg
 
 import ioncavity
-from ioncavity import cli, lossless_ket, quad_variances
+from ioncavity import cli, lindblad, lossless_ket, quad_variances
 from ioncavity.cli import (CSV_HEADER, EXIT_CONFIG, EXIT_NO_REVIVALS, EXIT_OK, EXIT_VALIDATION,
                            EXIT_VALIDITY, main)
 from ioncavity.params import classify_regime
@@ -93,6 +93,17 @@ class TestSimulate:
                                "(omega1=1.0, omega2=1.4, gamma=3.2, t=384.0, mode=c)\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_lambda_sq_refused_quietly(self, tmp_path):
+        # gamma = 1e200 overflows L^2 = 1 - omega2^2 - gamma^2/16 to -inf: exit 3 naming
+        # the coupling, no file, and no numpy warning
+        out = tmp_path / "sim.csv"
+        done = _run_fresh("-m", "ioncavity.cli", "simulate", "--gamma", "1e200", "--t_max", "1",
+                          "--out_path", str(out))
+        assert done.returncode == EXIT_VALIDITY
+        assert done.stderr == ("error: formula validity guard: L^2 = -inf is not finite at "
+                               "(omega1=1, omega2=0.6, gamma=1e+200)\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepRatio:
     def test_equal_coupling_row(self, tmp_path):
@@ -133,6 +144,17 @@ class TestSweepRatio:
         assert done.returncode == EXIT_VALIDITY
         assert done.stderr == ("error: formula validity guard: Var X_v = inf is not finite at "
                                "(omega1=1.0, omega2=1.31, gamma=3.2, t=1000.0)\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_lambda_sq_refused_quietly(self, tmp_path):
+        # gamma = 1e200 overflows every ratio's L^2 to -inf: exit 3 naming the first ratio,
+        # no file, and no numpy warning (it once wrote a CSV from the degenerate branch)
+        out = tmp_path / "sweep.csv"
+        done = _run_fresh("-m", "ioncavity.cli", "sweep-ratio", "--gamma", "1e200",
+                          "--out_path", str(out))
+        assert done.returncode == EXIT_VALIDITY
+        assert done.stderr == ("error: formula validity guard: L^2 = -inf is not finite at "
+                               "(omega1=1, omega2=0.1, gamma=1e+200)\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -304,13 +326,13 @@ class TestValidate:
         # at gamma = 0 the lossless line is read off the propagated density;
         # it must be the ket overlap 1 - |<psi_ana|psi>|^2 / (||psi_ana|| ||psi||)^2
         # with psi = exp(-iHt) psi0, and no line may print a negative value
-        deficit, seen = cli._pure_state_deficit, []
+        deficit, seen = lindblad._pure_state_deficit, []
 
         def recording(psi, rho):
             seen.append((psi, deficit(psi, rho)))
             return seen[-1][1]
 
-        monkeypatch.setattr(cli, "_pure_state_deficit", recording)
+        monkeypatch.setattr(lindblad, "_pure_state_deficit", recording)
         assert main([*self.ARGV, "--gamma", "0"]) == EXIT_OK
         values = [float(line.split(": ")[1].split()[0])
                   for line in capsys.readouterr().out.splitlines()[:-1]]

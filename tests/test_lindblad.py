@@ -20,6 +20,7 @@ import scipy.linalg
 
 from ioncavity import (
     AssemblyBudget,
+    Check,
     FockDensity,
     IntegrationError,
     assemble_joint_density,
@@ -30,6 +31,7 @@ from ioncavity import (
     lindblad,
     lossless_ket,
     state_metrics,
+    validation_checks,
 )
 from ioncavity.fock import _frame
 from rk4_oracle import RK4Config, dense_hamiltonian, make_rhs, rk4_evolve, rk4_ket, rk4_trajectory
@@ -706,3 +708,48 @@ class TestConfig:
     def test_rejects_non_finite_times(self, bad):
         with pytest.raises(ValueError):
             evolve_trajectory(OSC, vacuum_joint(4, 4), [0.5, bad])
+
+
+class TestValidationChecks:
+    """The records that ``validate`` prints: one per check, in its order, with its tolerance."""
+
+    PER_CHECKPOINT = (("joint trace distance", 1e-4), ("mode-c fidelity deficit", 1e-6),
+                      ("mode-v fidelity deficit", 1e-6), ("quadrature delta", 1e-4))
+
+    @pytest.mark.parametrize("gamma", [0.4, 0.0], ids=["lossy", "lossless"])
+    def test_names_order_and_tolerances(self, gamma):
+        # each checkpoint's four checks, then at gamma = 0 the lossless line of each
+        params, times = classify_regime(1.0, 0.2, gamma), [0.5, 1.0]
+        checks = list(validation_checks(params, 0.0, 0.0, (10, 10), times, 1e-12))
+        want = [(t, name, tol) for t in times for name, tol in self.PER_CHECKPOINT]
+        if gamma == 0:
+            want += [(t, "lossless fidelity deficit", 1e-6) for t in times]
+        assert [(c.t, c.name, c.tol) for c in checks] == want
+        assert all(c.ok and c.note is None and 0.0 <= c.value <= c.tol for c in checks)
+
+    def test_guard_trip_is_a_note(self):
+        # a series_tol of 1e-6 stops the series early enough that the assembled joint
+        # density dips below -TOL_PSD: each joint record holds the guard's message and
+        # no value, and every other check still runs
+        params = classify_regime(1.0, 1.0, 0.4)
+        checks = list(validation_checks(params, 0.0, 0.0, (16, 16), [0.1, 0.25], 1e-6))
+        assert [c.ok for c in checks] == [False, True, True, True] * 2
+        joint = checks[0]
+        assert joint.note == "matrix is not PSD within tolerance (min eig -7.803e-08)"
+        assert math.isnan(joint.value) and joint.tol == 1e-4
+        assert [c.note is None for c in checks] == [c.ok for c in checks]
+
+    def test_propagator_refusal_comes_before_any_record(self, monkeypatch):
+        # gamma = 1e300 needs about 4.5e299 substeps: the generator raises on its first
+        # record, and no closed form is assembled
+        assembled = []
+        monkeypatch.setattr(lindblad, "assemble_joint_density", lambda *a: assembled.append(a))
+        checks = validation_checks(classify_regime(1.0, 0.3, 1e300), 0.0, 0.0, (4, 4), [1.0], 1e-12)
+        with pytest.raises(IntegrationError, match=r"step of 1 needs 4\.\S+ substeps > 1000"):
+            next(checks)
+        assert assembled == []
+
+    @pytest.mark.parametrize("value, note, ok", [(1e-4, None, True), (2e-4, None, False),
+                                                 (math.nan, None, False), (0.0, "refused", False)])
+    def test_ok_needs_no_note_and_a_value_within_tol(self, value, note, ok):
+        assert Check(0.5, "joint trace distance", value, 1e-4, note).ok is ok

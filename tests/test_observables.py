@@ -520,6 +520,12 @@ class TestLosslessSpec:
         with pytest.raises(RegimeError):
             lossless_spec(classify_regime(1.0, 1.3, 0.0), 0.1, 0.1, 1.0)
 
+    def test_overflowing_lambda0_sq_refused(self):
+        # omega1^2 overflows, so L0^2 = inf: named, not taken as a finite frequency
+        with pytest.raises(ValidityError) as exc:
+            lossless_spec(classify_regime(1e300, 0.3, 0.0), 0.1, 0.1, 1.0)
+        assert str(exc.value) == "L0^2 = inf is not finite at (omega1=1e+300, omega2=0.3, gamma=0)"
+
 
 class TestArrayContract:
     """One call over an array of times agrees with the scalar calls.
@@ -642,3 +648,11 @@ class TestSequenceOfParams:
         for t in (-1e-300, [0.0, 1.0, -2.0]):
             with pytest.raises(ValueError, match="t must be >= 0"):
                 quad_variances(seq, t)
+
+    def test_overflowing_member_is_named(self):
+        # the first member whose L^2 overflows, of two, is named; the others are finite
+        seq = [classify_regime(1.0, 0.3, 0.4), classify_regime(1.0, 0.5, 1e160),
+               classify_regime(1.0, 0.7, 1e170), classify_regime(1.0, 1.2, 4.0)]
+        with pytest.raises(ValidityError) as exc:
+            quad_variances(seq, SWEEP_TIMES)
+        assert str(exc.value) == "L^2 = -inf is not finite at (omega1=1, omega2=0.5, gamma=1e+160)"

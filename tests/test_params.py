@@ -16,6 +16,7 @@ from scipy.integrate import solve_ivp
 from ioncavity import (
     LabParams,
     Regime,
+    ValidityError,
     classify_regime,
     envelope,
     from_lab_params,
@@ -329,3 +330,31 @@ class TestSequenceBranches:
         for got, *alone in zip(_damped_parts(seq, t), *(_damped_parts(p, t) for p in seq)):
             assert got.shape == (len(seq), *np.shape(t))
             assert np.array_equal(got, np.array(alone))
+
+
+class TestNonFiniteLambdaSq:
+    """An L^2 that overflows to inf or nan fits no branch: CouplingParams accepts it (the
+    propagator refuses such a point on its own terms), and the closed forms raise
+    ValidityError naming the coupling, where they once took the degenerate branch."""
+
+    @pytest.mark.parametrize("point, t, message", [
+        ((1e300, 0.3, 0.0), 1.0, "L^2 = inf is not finite at (omega1=1e+300, omega2=0.3, gamma=0)"),
+        ((1.0, 0.3, 1e155), 1.0, "L^2 = -inf is not finite at (omega1=1, omega2=0.3, gamma=1e+155)"),
+        ((1e200, 0.3, 0.0), 1e-200, "L^2 = inf is not finite at (omega1=1e+200, omega2=0.3, gamma=0)"),
+        ((1.0, 1e300, 0.0), 1.0, "L^2 = -inf is not finite at (omega1=1, omega2=1e+300, gamma=0)"),
+    ], ids=["omega1", "gamma", "omega1_small_t", "omega2"])
+    def test_envelope_refuses(self, point, t, message):
+        p = classify_regime(*point)
+        assert not math.isfinite(p.lambda_sq)
+        with pytest.raises(ValidityError) as exc:
+            envelope(p, t)
+        assert str(exc.value) == message
+        with pytest.raises(ValidityError):
+            _damped_parts([OSC, p], [0.0, t])
+
+    def test_largest_finite_gamma_keeps_its_branch(self):
+        # gamma^2/16 still fits at 1e154: overdamped, with f(1) = 1 to rounding, as it
+        # tends from below; at 1e155 it overflows and is refused above
+        p = classify_regime(1.0, 0.3, 1e154)
+        assert p.regime is Regime.OVERDAMPED and math.isfinite(p.lambda_sq)
+        assert envelope(p, 1.0).f == pytest.approx(1.0, abs=1e-12)

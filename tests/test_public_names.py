@@ -1,10 +1,13 @@
 """The package's public surface: each module's ``__all__`` is the one list."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 import ioncavity
-from ioncavity import errors, fock, lindblad, observables, params
+from ioncavity import cli, errors, fock, lindblad, observables, params
 
 MODULES = (errors, params, observables, fock, lindblad)
 
@@ -54,3 +57,31 @@ def test_operators_and_kets_are_arrays():
     for op in (ioncavity.ladder(8), ioncavity.r_operator(1, 0, 0.2, 8)):
         assert type(op) is np.ndarray and op.shape == (8, 8)
     assert ioncavity.lossless_ket(p, 0.0, 0.0, 0.5, (6, 8)).shape == (48,)
+
+
+def _package_imports(module):
+    """(module path, name) of each name the module imports from this package."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name.split("."), None) for alias in node.names
+                        if alias.name.split(".")[0] == "ioncavity")
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("ioncavity")):
+            yield from (((node.module or "").split("."), alias.name) for alias in node.names)
+
+
+def test_cli_imports_no_fock_and_no_private_name():
+    # the CLI prints what the library computes: validate's checks, their start and
+    # their tolerances live in lindblad, and nothing reaches into fock
+    imports = list(_package_imports(cli))
+    assert imports
+    assert not [(path, name) for path, name in imports if "fock" in [*path, name]]
+    assert not [name for _, name in imports if name and name.startswith("_")]
+    assert [name for path, name in imports if path[-1] == "lindblad"] == ["validation_checks"]
+
+
+@pytest.mark.parametrize("name", ["TD_TOL", "FID_DEFICIT_TOL", "QUAD_TOL", "_coherent_joint",
+                                  "_pure_state_deficit", "_variance_delta"])
+def test_validation_policy_left_the_cli(name):
+    assert not hasattr(cli, name)
+    assert hasattr(lindblad, name)
