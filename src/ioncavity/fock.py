@@ -65,14 +65,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import TruncationError, ValidityError
-from .observables import (
-    ModeSpec,
-    QuadTuple,
-    displacement_trajectory,
-    lossless_spec,
-    mode_spec,
-)
+from .errors import RegimeError, TruncationError, ValidityError
+from .observables import ModeSpec, QuadTuple, displacement_trajectory, mode_spec
 from .params import CouplingParams
 
 __all__ = [
@@ -474,26 +468,33 @@ def lossless_ket(
     """Pure two-mode state for gamma = 0 on a truncated basis, as the flat
     joint ket (cavity index major, like ``FockDensity``).
 
-    Applies D_c(u0) S_c(-xi0) (x) D_v(v0) S_v(xi0) to the two-mode-squeezed
-    sum over |k>_c |k>_v with thermal-like weights in n_bar0.  1 - ||psi||^2 is the
-    Schmidt tail (n_bar0/(n_bar0+1))^{min(dims)} plus the weight the frames' exact
-    corners move past the truncated levels.
+    Applies D_c(u) S_c(xi_c) (x) D_v(v) S_v(xi_v) to the two-mode-squeezed
+    sum over |k>_c |k>_v with weights (sign(zeta) sqrt(n_bar/(n_bar+1)))^k /
+    sqrt(n_bar+1).  n_bar, xi_c, xi_v and zeta = f g come from ``mode_spec``
+    of each mode, and (u, v) from ``displacement_trajectory``: the calls of
+    ``assemble_joint_density``.  The state is pure, so n_bar is either mode's.
+    These forms need no L0 = sqrt(omega1^2 - omega2^2), so the ket serves
+    every coupling at gamma = 0, equal coupling and omega2 > omega1 too.
+    1 - ||psi||^2 is the Schmidt tail (n_bar/(n_bar+1))^{min(dims)} plus the
+    weight the frames' exact corners move past the truncated levels.
 
-    The pair-creation direction alternates every half cycle of 2 L0 t, so
-    the Schmidt weights carry sign(sin(2 L0 t))^k; with positive weights
-    throughout, the state would be wrong wherever sin(2 L0 t) < 0 (verified
+    The pair-creation direction alternates with the sign of zeta, which is
+    that of sin(2 L0 t) where omega1 > omega2; with positive weights
+    throughout, the state would be wrong wherever zeta < 0 (verified
     against the propagator).
     """
-    spec = lossless_spec(params, alpha, beta, t)
+    if params.gamma != 0:
+        raise RegimeError("lossless solution requires gamma = 0")
+    spec_c, spec_v = mode_spec(params, t, "c"), mode_spec(params, t, "v")
+    u, v = displacement_trajectory(params, alpha, beta, t)
     Nc, Nv = dims
-    kmax = min(Nc, Nv)
-    nb = spec.n_bar0
-    sign = -1.0 if math.sin(2.0 * math.sqrt(params.lambda0_sq) * t) < 0.0 else 1.0
-    k = np.arange(kmax)
+    nb = spec_c.n_bar
+    sign = -1.0 if spec_c.zeta < 0.0 else 1.0
+    k = np.arange(min(Nc, Nv))
     psi = np.zeros((Nc, Nv), dtype=complex)
     psi[k, k] = (sign * math.sqrt(nb / (nb + 1.0))) ** k / math.sqrt(nb + 1.0)
     # (U_c (x) U_v) acts on the (Nc, Nv) amplitude matrix as U_c psi U_v^T
-    Uc, Uv = _frame(spec.u0, -spec.xi0, Nc), _frame(spec.v0, spec.xi0, Nv)
+    Uc, Uv = _frame(u, spec_c.xi, Nc), _frame(v, spec_v.xi, Nv)
     return (Uc @ psi @ Uv.T).ravel()
 
 

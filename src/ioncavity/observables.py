@@ -1,6 +1,6 @@
 """Closed-form observables: squeezed-thermal mode parameters, quadrature
-variances, revival schedules, displacement trajectories and the lossless
-pure-state solution.
+variances, revival schedules and displacement trajectories.  gamma = 0 is
+served by the same forms as every other coupling.
 
 Each reduced state of the damped two-mode solution is a squeezed thermal
 state, fixed by its quadrature variances.  With s = g/omega2 and
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "ModeSpec",
     "RevivalSchedule",
     "QuadTuple",
-    "LosslessSpec",
     "mode_spec",
     "squeezed_thermal",
     "steady_squeeze",
@@ -51,7 +50,6 @@ __all__ = [
     "revival_schedule",
     "quad_variances",
     "displacement_trajectory",
-    "lossless_spec",
 ]
 
 #: tolerated numerical slack below the exact lower bound 1/4 of the
@@ -98,24 +96,6 @@ class QuadTuple:
     mean_pc: ArrayLike = 0.0
     mean_xv: ArrayLike = 0.0
     mean_pv: ArrayLike = 0.0
-
-
-@dataclass(frozen=True)
-class LosslessSpec:
-    """Parameters of the pure two-mode state when dissipation is absent.
-
-    ``product_state`` is 1..4 when t coincides (to 1e-9 relative) with a
-    disentangling time t_m = m pi/(2 L0), cycling psi_1 -> psi_2 -> psi_3 ->
-    psi_4 for m = 0..3 mod 4; None otherwise.
-    """
-
-    n_bar0: float
-    xi0: float
-    u0: complex
-    v0: complex
-    alpha_bar: complex
-    beta_bar: complex
-    product_state: Optional[int] = None
 
 
 def squeezed_thermal(var_x: ArrayLike, var_p: ArrayLike, params: CouplingParams,
@@ -280,47 +260,3 @@ def _displacements(o1, o2, alpha: complex, beta: complex, f, s, h) -> Tuple:
     u = alpha * h + (beta * qg + beta.conjugate() * g)
     v = (-alpha * qg + alpha.conjugate() * g) + beta * f
     return u, v
-
-
-def lossless_spec(
-    params: CouplingParams, alpha: complex, beta: complex, t: float
-) -> LosslessSpec:
-    """Parameters of the exact pure-state solution when gamma = 0.
-
-    Requires a finite lambda0^2 = omega1^2 - omega2^2 > 0.  All quantities are
-    periodic in t with period 2 pi/L0.
-    """
-    if params.gamma != 0:
-        raise RegimeError("lossless solution requires gamma = 0")
-    if not math.isfinite(params.lambda0_sq):
-        raise ValidityError(f"L0^2 = {params.lambda0_sq:g} is not finite at "
-                            f"(omega1={params.omega1:g}, omega2={params.omega2:g}, gamma=0)")
-    if params.lambda0_sq <= 0:
-        raise RegimeError("lossless solution requires omega1 > omega2")
-    o1, o2 = params.omega1, params.omega2
-    lam0 = math.sqrt(params.lambda0_sq)
-    alpha = complex(alpha)
-    beta = complex(beta)
-    alpha_bar = (np.conj(beta) * o2 + beta * o1) / lam0
-    beta_bar = (np.conj(alpha) * o2 - alpha * o1) / lam0
-    c2, s2 = math.cos(2 * lam0 * t), math.sin(2 * lam0 * t)
-    n_bar0 = 0.5 * (math.sqrt(1.0 + (o2 * o2 / params.lambda0_sq) * s2 * s2) - 1.0)
-    xi0 = 0.25 * math.log(((o1 + o2) * (o1 - o2 * c2)) / ((o1 - o2) * (o1 + o2 * c2)))
-    c, s = math.cos(lam0 * t), math.sin(lam0 * t)
-    u0 = alpha * c + alpha_bar * s
-    v0 = beta * c + beta_bar * s
-
-    product_state = None
-    m_float = t * 2.0 * lam0 / math.pi
-    m = round(m_float)
-    if abs(m_float - m) <= 1e-9 * max(1.0, abs(m_float)):
-        product_state = (m % 4) + 1
-    return LosslessSpec(
-        n_bar0=n_bar0,
-        xi0=xi0,
-        u0=complex(u0),
-        v0=complex(v0),
-        alpha_bar=complex(alpha_bar),
-        beta_bar=complex(beta_bar),
-        product_state=product_state,
-    )

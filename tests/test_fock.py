@@ -7,7 +7,9 @@ same object.  For the comparison the raised input is built with m+n spare
 levels and cropped, so both sides are exact on the compared block.  The
 defining Q^{m,n} / C_k^{m,n} forms of the series come from the
 ``series_oracle`` helper module; the assembly, its level tables and the
-reduced states are pinned against them.
+reduced states are pinned against them.  The lossless ket is pinned against
+the paper's gamma = 0 formulas of the ``lossless_oracle`` helper module, the
+series assembly and the propagator.
 """
 
 import itertools
@@ -20,6 +22,7 @@ import pytest
 from ioncavity import (
     AssemblyBudget,
     FockDensity,
+    RegimeError,
     TruncationError,
     ValidityError,
     assemble_joint_density,
@@ -29,7 +32,6 @@ from ioncavity import (
     jacobi_poly,
     ladder,
     lossless_ket,
-    lossless_spec,
     mode_spec,
     partial_trace,
     quad_stats,
@@ -43,7 +45,9 @@ from ioncavity import (
 )
 from ioncavity import fock
 from ioncavity.fock import _frame, _level_norm, _level_tables, _r_tables
+from ioncavity.lindblad import _coherent_joint, _pure_state_deficit
 from ioncavity.observables import ModeSpec
+from lossless_oracle import lossless_spec
 from series_oracle import _q_level, _r_diagonals, c_coefficient, exact_frame, q_operator
 from superop_oracle import raise_superop
 
@@ -816,6 +820,24 @@ class TestReducedDensity:
         assert state_metrics(rho_v, target).fidelity > 1 - 1e-8
 
 
+#: starts of the gamma = 0 checks: vacuum, a real-imaginary pair and a complex pair
+LOSSLESS_STARTS = [(0j, 0j), (0.5j, 0.3 + 0j), (0.2 + 0.3j, -0.4j)]
+
+
+def oracle_ket(p, alpha, beta, t, dims):
+    """The lossless ket from the paper's own variables (``lossless_oracle``): the
+    Schmidt core in n_bar0 with weights of sign sin(2 L0 t), framed by
+    D_c(u0) S_c(-xi0) (x) D_v(v0) S_v(xi0)."""
+    spec = lossless_spec(p, alpha, beta, t)
+    Nc, Nv = dims
+    nb = spec.n_bar0
+    sign = -1.0 if math.sin(2.0 * math.sqrt(p.lambda0_sq) * t) < 0.0 else 1.0
+    k = np.arange(min(Nc, Nv))
+    psi = np.zeros((Nc, Nv), dtype=complex)
+    psi[k, k] = (sign * math.sqrt(nb / (nb + 1.0))) ** k / math.sqrt(nb + 1.0)
+    return (_frame(spec.u0, -spec.xi0, Nc) @ psi @ _frame(spec.v0, spec.xi0, Nv).T).ravel()
+
+
 class TestLosslessKet:
     def test_initial_product_of_coherents(self):
         p = classify_regime(1.0, 0.6, 0.0)
@@ -850,8 +872,47 @@ class TestLosslessKet:
         assert abs(np.linalg.norm(ket) ** 2 - (1.0 - want)) < 1e-8
 
     def test_rejects_lossy_params(self):
-        with pytest.raises(Exception):
+        with pytest.raises(RegimeError, match="^lossless solution requires gamma = 0$"):
             lossless_ket(OSC, 0.0, 0.0, 1.0, (8, 8))
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.1, 0.3, 0.6, 0.9, 0.99])
+    def test_matches_the_oracle_ket(self, ratio):
+        # the ket from the general forms is the one the paper's lossless variables build
+        p = classify_regime(1.0, ratio, 0.0)
+        for t in np.linspace(0.0, 12.0, 25).tolist():
+            for alpha, beta in LOSSLESS_STARTS:
+                got = lossless_ket(p, alpha, beta, t, (20, 20))
+                want = oracle_ket(p, alpha, beta, t, (20, 20))
+                assert np.abs(got - want).max() <= 1e-13, (ratio, t, alpha, beta)
+
+    @pytest.mark.parametrize("ratio, N", [(0.3, 16), (0.5, 26), (0.6, 15), (0.9, 15)])
+    def test_matches_the_series_assembly(self, ratio, N):
+        # the two gamma = 0 closed forms, with no propagator: both take the same exact
+        # frame corners, so only the series tail and rounding separate rho from psi psi^dag;
+        # a time whose series is refused (|f g| too large for the level cap) is skipped
+        p = classify_regime(1.0, ratio, 0.0)
+        budget = AssemblyBudget(dims=(N, N))
+        compared = 0
+        for t in (0.1, 0.5, 1.0, 2.0, 4.0):
+            for alpha, beta in LOSSLESS_STARTS:
+                try:
+                    rho = assemble_joint_density(p, t, alpha, beta, budget).entries
+                except TruncationError:
+                    continue
+                psi = lossless_ket(p, alpha, beta, t, (N, N))
+                assert np.abs(rho - np.outer(psi, psi.conj())).max() <= 1e-12, (ratio, t, alpha, beta)
+                compared += 1
+        assert compared >= 6
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.3], ids=["equal_coupling", "omega2_above_omega1"])
+    def test_matches_the_propagator_past_omega1(self, ratio):
+        # omega2 >= omega1 has no L0 = sqrt(omega1^2 - omega2^2), but the general forms
+        # serve it; on 20 x 20 levels the basis holds the state for t <= 0.4
+        p = classify_regime(1.0, ratio, 0.0)
+        alpha, beta, dims, times = 0.2 + 0.3j, -0.4j, (20, 20), [0.1, 0.2, 0.4]
+        states = evolve_trajectory(p, _coherent_joint(alpha, beta, *dims), times)
+        for t, rho in zip(times, states):
+            assert _pure_state_deficit(lossless_ket(p, alpha, beta, t, dims), rho.entries) <= 1e-8, t
 
 
 class TestPartialTraceAndMetrics:

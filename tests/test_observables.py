@@ -11,9 +11,11 @@ H = i omega1 (ad b - a bd) + i omega2 (ad bd - a b) and cavity loss gamma:
            [-(o1-o2), 0, 0, 0], [0, -(o1+o2), 0, 0]].
 
 Both are integrated with solve_ivp at tight tolerance and never touch the
-closed forms they check.
+closed forms they check.  At gamma = 0 the forms are also held against the
+paper's lossless formulas, the ``lossless_oracle`` helper module.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +29,7 @@ from ioncavity import (
     classify_regime,
     displacement_trajectory,
     envelope,
-    lossless_spec,
+    lossless_ket,
     mode_spec,
     nbar_max,
     quad_variances,
@@ -37,6 +39,7 @@ from ioncavity import (
 import ioncavity.observables as observables
 from ioncavity.observables import QuadTuple, squeezed_thermal
 from ioncavity.params import _damped_parts
+from lossless_oracle import lossless_spec
 
 OSC = classify_regime(1.0, 0.6, 0.4)
 OSC3 = classify_regime(1.0, 0.3, 0.4)
@@ -471,60 +474,123 @@ class TestDisplacementTrajectory:
             assert abs(v - v_ref) < 1e-8
 
 
+#: the gamma = 0 sweep against the paper's lossless formulas: couplings, times and starts
+LOSSLESS_RATIOS = [0.0, 0.1, 0.3, 0.6, 0.9, 0.99]
+LOSSLESS_TIMES = np.linspace(0.0, 12.0, 49)
+LOSSLESS_STARTS = [(0j, 0j), (0.5j, 0.3 + 0j), (0.2 + 0.3j, -0.4j)]
+
+
 class TestLosslessSpec:
+    """At gamma = 0 the library's general forms against the paper's lossless
+    formulas, the test oracle ``lossless_oracle``."""
+
     def test_initial_state(self):
         spec = lossless_spec(LOSSLESS, 0.3, 0.2j, 0.0)
-        assert spec.n_bar0 == 0.0 and spec.xi0 == pytest.approx(0.0, abs=1e-15)
-        assert spec.u0 == 0.3 and spec.v0 == 0.2j
         assert spec.product_state == 1
+        for mode, sign in (("c", -1.0), ("v", 1.0)):
+            ms = mode_spec(LOSSLESS, 0.0, mode)
+            assert ms.n_bar == spec.n_bar0 == 0.0
+            assert ms.xi == pytest.approx(sign * spec.xi0, abs=1e-15)
+        assert displacement_trajectory(LOSSLESS, 0.3, 0.2j, 0.0) == (spec.u0, spec.v0)
 
     def test_quarter_period_state(self):
         lam0 = math.sqrt(LOSSLESS.lambda0_sq)
-        spec = lossless_spec(LOSSLESS, 0.3, 0.2j, math.pi / (2 * lam0))
-        assert abs(spec.n_bar0) < 1e-12
-        assert spec.xi0 == pytest.approx(steady_squeeze(LOSSLESS), abs=1e-12)
-        assert spec.u0 == pytest.approx(spec.alpha_bar, abs=1e-12)
-        assert spec.v0 == pytest.approx(spec.beta_bar, abs=1e-12)
+        t = math.pi / (2 * lam0)
+        spec = lossless_spec(LOSSLESS, 0.3, 0.2j, t)
         assert spec.product_state == 2
+        u, v = displacement_trajectory(LOSSLESS, 0.3, 0.2j, t)
+        assert u == pytest.approx(spec.alpha_bar, abs=1e-12)
+        assert v == pytest.approx(spec.beta_bar, abs=1e-12)
+        for mode, sign in (("c", -1.0), ("v", 1.0)):
+            ms = mode_spec(LOSSLESS, t, mode)
+            assert abs(ms.n_bar) < 1e-12
+            assert ms.xi == pytest.approx(sign * steady_squeeze(LOSSLESS), abs=1e-12)
 
     def test_bar_amplitudes(self):
-        alpha, beta = 0.3, 0.2j
-        spec = lossless_spec(LOSSLESS, alpha, beta, 0.7)
-        lam0 = math.sqrt(LOSSLESS.lambda0_sq)
-        assert spec.alpha_bar == pytest.approx(
-            (np.conj(beta) * 0.6 + beta * 1.0) / lam0, abs=1e-15)
-        assert spec.beta_bar == pytest.approx(
-            (np.conj(alpha) * 0.6 - alpha * 1.0) / lam0, abs=1e-15)
+        # at t_m = m pi/(2 L0) the displacements cycle (alpha, beta) -> (alpha_bar, beta_bar)
+        # -> (-alpha, -beta) -> (-alpha_bar, -beta_bar)
+        for ratio, (alpha, beta) in itertools.product(LOSSLESS_RATIOS, LOSSLESS_STARTS):
+            p = classify_regime(1.0, ratio, 0.0)
+            lam0 = math.sqrt(p.lambda0_sq)
+            spec = lossless_spec(p, alpha, beta, 0.7)
+            cycle = [(alpha, beta), (spec.alpha_bar, spec.beta_bar)]
+            cycle += [(-a, -b) for a, b in cycle]
+            for m, want in enumerate(cycle):
+                got = displacement_trajectory(p, alpha, beta, m * math.pi / (2 * lam0))
+                assert np.abs(np.subtract(got, want)).max() <= 1e-13, (ratio, alpha, beta, m)
+
+    @pytest.mark.parametrize("ratio", LOSSLESS_RATIOS)
+    def test_general_forms_match_oracle(self, ratio):
+        # mode_spec gives (n_bar0, -xi0) for the cavity and (n_bar0, xi0) for the motion,
+        # displacement_trajectory gives (u0, v0), and zeta = f g has the sign of
+        # sin(2 L0 t); n_bar0 -> 0 at every t_m, so each value is held to 1e-13
+        # relative to max(|oracle|, 1)
+        p = classify_regime(1.0, ratio, 0.0)
+        lam0 = math.sqrt(p.lambda0_sq)
+        spec_c, spec_v = mode_spec(p, LOSSLESS_TIMES, "c"), mode_spec(p, LOSSLESS_TIMES, "v")
+        for alpha, beta in LOSSLESS_STARTS:
+            u, v = displacement_trajectory(p, alpha, beta, LOSSLESS_TIMES)
+            for i, t in enumerate(LOSSLESS_TIMES.tolist()):
+                spec = lossless_spec(p, alpha, beta, t)
+                pairs = [(spec_c.n_bar[i], spec.n_bar0), (spec_c.xi[i], -spec.xi0),
+                         (spec_v.n_bar[i], spec.n_bar0), (spec_v.xi[i], spec.xi0),
+                         (u[i], spec.u0), (v[i], spec.v0)]
+                for got, want in pairs:
+                    assert abs(got - want) <= 1e-13 * max(abs(want), 1.0), (ratio, t, alpha, beta)
+        s2 = np.sin(2 * lam0 * LOSSLESS_TIMES)
+        live = np.abs(s2) > 1e-12
+        if ratio > 0:
+            assert live.sum() > 40
+            assert np.array_equal(np.sign(spec_c.zeta[live]), np.sign(s2[live]))
+        else:
+            assert not spec_c.zeta.any()
 
     def test_periodicity(self):
         lam0 = math.sqrt(LOSSLESS.lambda0_sq)
         period = 2 * math.pi / lam0
-        for t in (0.3, 1.1, 2.9):
-            a = lossless_spec(LOSSLESS, 0.3, 0.2j, t)
-            b = lossless_spec(LOSSLESS, 0.3, 0.2j, t + period)
-            assert a.n_bar0 == pytest.approx(b.n_bar0, abs=1e-12)
-            assert a.xi0 == pytest.approx(b.xi0, abs=1e-12)
-            assert abs(a.u0 - b.u0) < 1e-12 and abs(a.v0 - b.v0) < 1e-12
+        ts = np.array([0.3, 1.1, 2.9])
+        for mode in ("c", "v"):
+            a, b = mode_spec(LOSSLESS, ts, mode), mode_spec(LOSSLESS, ts + period, mode)
+            for field in ("n_bar", "xi", "zeta"):
+                np.testing.assert_allclose(getattr(a, field), getattr(b, field), rtol=0, atol=1e-12)
+        for x, y in zip(displacement_trajectory(LOSSLESS, 0.3, 0.2j, ts),
+                        displacement_trajectory(LOSSLESS, 0.3, 0.2j, ts + period)):
+            assert np.abs(x - y).max() < 1e-12
 
     def test_product_state_cycle(self):
+        # the oracle's product state psi_1 .. psi_4 at each t_m, where the library's
+        # entangling weight zeta = f g vanishes
         lam0 = math.sqrt(LOSSLESS.lambda0_sq)
         want = [1, 2, 3, 4, 1, 2, 3, 4]
-        got = [lossless_spec(LOSSLESS, 0.1, 0.2, m * math.pi / (2 * lam0)).product_state
-               for m in range(8)]
-        assert got == want
+        t_m = [m * math.pi / (2 * lam0) for m in range(8)]
+        assert [lossless_spec(LOSSLESS, 0.1, 0.2, t).product_state for t in t_m] == want
         assert lossless_spec(LOSSLESS, 0.1, 0.2, 0.37).product_state is None
+        for mode in ("c", "v"):
+            assert np.abs(mode_spec(LOSSLESS, np.array(t_m), mode).zeta).max() <= 1e-15
+        assert abs(mode_spec(LOSSLESS, 0.37, "c").zeta) > 0.1
+
+    def test_revivals_are_the_quarter_periods(self):
+        # up to t = 12 the motion revivals tau_n are the odd t_m and the cavity
+        # revivals tau'_n the even t_m
+        lam0 = math.sqrt(LOSSLESS.lambda0_sq)
+        t_m = [m * math.pi / (2 * lam0) for m in range(7)]  # t_7 = 13.7
+        sched = revival_schedule(LOSSLESS, 12.0)
+        np.testing.assert_allclose(sched.tau_motion, t_m[1::2], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sched.tau_cavity, t_m[0::2], rtol=0, atol=1e-12)
 
     def test_rejected_inputs(self):
-        with pytest.raises(RegimeError):
+        # a lossy point is refused by the library's lossless ket as by the oracle
+        with pytest.raises(RegimeError) as want:
             lossless_spec(OSC, 0.1, 0.1, 1.0)
-        with pytest.raises(RegimeError):
-            lossless_spec(classify_regime(1.0, 1.3, 0.0), 0.1, 0.1, 1.0)
+        with pytest.raises(RegimeError) as got:
+            lossless_ket(OSC, 0.1, 0.1, 1.0, (8, 8))
+        assert str(got.value) == str(want.value) == "lossless solution requires gamma = 0"
 
     def test_overflowing_lambda0_sq_refused(self):
-        # omega1^2 overflows, so L0^2 = inf: named, not taken as a finite frequency
+        # omega1^2 overflows, so L^2 = L0^2 = inf: named by the closed forms, as at every gamma
         with pytest.raises(ValidityError) as exc:
-            lossless_spec(classify_regime(1e300, 0.3, 0.0), 0.1, 0.1, 1.0)
-        assert str(exc.value) == "L0^2 = inf is not finite at (omega1=1e+300, omega2=0.3, gamma=0)"
+            lossless_ket(classify_regime(1e300, 0.3, 0.0), 0.1, 0.1, 1.0, (8, 8))
+        assert str(exc.value) == "L^2 = inf is not finite at (omega1=1e+300, omega2=0.3, gamma=0)"
 
 
 class TestArrayContract:

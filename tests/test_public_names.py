@@ -26,7 +26,7 @@ def test_package_lists_exactly_the_module_names():
 
 @pytest.mark.parametrize("name", ["FockOperator", "FockKet", "quad_stats_single", "thermal_state",
                                   "c_coefficient", "q_operator", "default_dim",
-                                  "displacement_op", "squeeze_op"])
+                                  "displacement_op", "squeeze_op", "lossless_spec", "LosslessSpec"])
 def test_removed_names_are_gone(name):
     assert not hasattr(ioncavity, name)
     assert not hasattr(fock, name)
