@@ -66,7 +66,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import RegimeError, TruncationError, ValidityError
-from .observables import ModeSpec, QuadTuple, displacement_trajectory, mode_spec
+from .observables import ModeSpec, QuadTuple, _state
 from .params import CouplingParams
 
 __all__ = [
@@ -415,29 +415,23 @@ def _conjugate(X: np.ndarray, Uc: np.ndarray, Uv: np.ndarray) -> np.ndarray:
 
 
 def assemble_joint_density(
-    params: CouplingParams,
-    t: float,
-    alpha: complex,
-    beta: complex,
-    budget: AssemblyBudget,
+    params: CouplingParams, t: float, alpha: complex, beta: complex, budget: AssemblyBudget
 ) -> FockDensity:
     """Assemble the exact joint density operator at time t on a truncated basis.
 
-    Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over the levels L = m+n, each
-    factor conjugated by its mode's D(w) S(xi) (w = u(t), v(t)).  The series
-    is summed once in the unconjugated basis (``_joint_core``), which also
-    picks the cutoff from the level norms, and conjugated once by
-    D_c S_c (x) D_v S_v (``_conjugate``); rho is Hermitian to rounding, and
-    its consumers take the Hermitian part.  Serves every regime: at
-    omega2 = 0, f g = 0 leaves the single product term, and at equal
-    coupling the mode-v parameters stay finite.  Its ``trace_deficit`` is
-    the loss of the series cutoff plus the weight the exact frames move past
-    the truncated levels of each mode.
+    Sums (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n} over the levels L = m+n, each factor
+    conjugated by its mode's D(w) S(xi) (w = u(t), v(t)); both modes' (n_bar, xi),
+    f g and (u, v) come from one closed-form evaluation.  The series is summed once
+    in the unconjugated basis (``_joint_core``), which also picks the cutoff from
+    the level norms, and conjugated once by D_c S_c (x) D_v S_v (``_conjugate``);
+    rho is Hermitian to rounding, and its consumers take the Hermitian part.
+    Serves every regime: at omega2 = 0, f g = 0 leaves the single product term,
+    and at equal coupling the mode-v parameters stay finite.  Its
+    ``trace_deficit`` is the loss of the series cutoff plus the weight the exact
+    frames move past the truncated levels of each mode.
     """
-    spec_c = mode_spec(params, t, "c")
-    spec_v = mode_spec(params, t, "v")
+    spec_c, spec_v, u, v = _state(params, t, alpha, beta, "cv")
     Nc, Nv = budget.dims
-    u, v = displacement_trajectory(params, alpha, beta, t)
     # without displacement both frames are real, and then so is every buffer
     X = _joint_core(spec_c, spec_v, budget, complex if u or v else float)
     rho = _conjugate(X, _frame(u, spec_c.xi, Nc), _frame(v, spec_v.xi, Nv))
@@ -450,12 +444,12 @@ def reduced_density(
     """Reduced state of one mode, D(w) S(xi) R^{0,0}(n_bar) S(xi)^dag D(w)^dag:
     the L = 0 term of the joint series.
 
-    w is u(t) for the cavity and v(t) for the motion.  The trace deficit is
+    (n_bar, xi) and w (u(t) for the cavity, v(t) for the motion) come from one
+    closed-form evaluation, which maps this mode only.  The trace deficit is
     1 - sum_{k<N} p_k ||U|k>||^2 for the thermal weights p_k and the frame's exact
     corner U: the thermal tail (n_bar/(n_bar+1))^N plus what U moves past N levels.
     """
-    spec = mode_spec(params, t, mode)
-    u, v = displacement_trajectory(params, alpha, beta, t)
+    spec, u, v = _state(params, t, alpha, beta, (mode,))
     U = _frame(u if mode == "c" else v, spec.xi, N)
     nb = spec.n_bar  # R^{0,0}: the thermal diagonal, the values of _r_tables(0, 1, nb, N)[0][0]
     p = np.exp(-math.log(nb + 1.0)) * (nb / (nb + 1.0)) ** np.arange(N)
@@ -468,25 +462,22 @@ def lossless_ket(
     """Pure two-mode state for gamma = 0 on a truncated basis, as the flat
     joint ket (cavity index major, like ``FockDensity``).
 
-    Applies D_c(u) S_c(xi_c) (x) D_v(v) S_v(xi_v) to the two-mode-squeezed
-    sum over |k>_c |k>_v with weights (sign(zeta) sqrt(n_bar/(n_bar+1)))^k /
-    sqrt(n_bar+1).  n_bar, xi_c, xi_v and zeta = f g come from ``mode_spec``
-    of each mode, and (u, v) from ``displacement_trajectory``: the calls of
-    ``assemble_joint_density``.  The state is pure, so n_bar is either mode's.
-    These forms need no L0 = sqrt(omega1^2 - omega2^2), so the ket serves
-    every coupling at gamma = 0, equal coupling and omega2 > omega1 too.
-    1 - ||psi||^2 is the Schmidt tail (n_bar/(n_bar+1))^{min(dims)} plus the
-    weight the frames' exact corners move past the truncated levels.
+    Applies D_c(u) S_c(xi_c) (x) D_v(v) S_v(xi_v) to the two-mode-squeezed sum over
+    |k>_c |k>_v with weights (sign(zeta) sqrt(n_bar/(n_bar+1)))^k / sqrt(n_bar+1).
+    n_bar, xi_c, xi_v, zeta = f g and (u, v) come from one closed-form evaluation,
+    as in ``assemble_joint_density``; the state is pure, so n_bar is either mode's.
+    These forms need no L0 = sqrt(omega1^2 - omega2^2), so the ket serves every
+    coupling at gamma = 0, equal coupling and omega2 > omega1 too.  1 - ||psi||^2
+    is the Schmidt tail (n_bar/(n_bar+1))^{min(dims)} plus the weight the frames'
+    exact corners move past the truncated levels.
 
-    The pair-creation direction alternates with the sign of zeta, which is
-    that of sin(2 L0 t) where omega1 > omega2; with positive weights
-    throughout, the state would be wrong wherever zeta < 0 (verified
-    against the propagator).
+    The pair-creation direction alternates with the sign of zeta, which is that of
+    sin(2 L0 t) where omega1 > omega2; with positive weights throughout, the state
+    would be wrong wherever zeta < 0 (verified against the propagator).
     """
     if params.gamma != 0:
         raise RegimeError("lossless solution requires gamma = 0")
-    spec_c, spec_v = mode_spec(params, t, "c"), mode_spec(params, t, "v")
-    u, v = displacement_trajectory(params, alpha, beta, t)
+    spec_c, spec_v, u, v = _state(params, t, alpha, beta, "cv")
     Nc, Nv = dims
     nb = spec_c.n_bar
     sign = -1.0 if spec_c.zeta < 0.0 else 1.0

@@ -25,7 +25,9 @@ or an ndarray of times through one body.  A scalar gives Python floats
 (complex for the displacements); an array gives arrays of its shape.
 :func:`quad_variances` also takes a sequence of R CouplingParams, and each
 field then gains a leading axis of length R.  The envelope parts come from
-``params._damped_parts``, the one place that branches on L^2.
+``params._damped_parts``, the one place that branches on L^2, once per state:
+``_state`` maps one evaluation to each named mode's ModeSpec and (u, v) for
+:func:`mode_spec`, :func:`displacement_trajectory` and fock's builders.
 """
 
 from __future__ import annotations
@@ -134,13 +136,22 @@ def mode_spec(params: CouplingParams, t: ArrayLike, mode: str) -> ModeSpec:
     ``_damped_parts`` evaluation.  Serves every regime; for omega2 = 0 the
     state stays vacuum and all fields are zero.
     """
-    if mode not in ("c", "v"):
-        raise ValueError(f"mode must be 'c' or 'v', got {mode!r}")
-    f, s, _, w = _damped_parts(params, t)
-    variances = _variances(params.omega1, params.omega2, s, w)
-    var_x, var_p = variances[:2] if mode == "c" else variances[2:]
-    n_bar, xi = squeezed_thermal(var_x, var_p, params, t, mode)
-    return ModeSpec(n_bar=n_bar, xi=xi, zeta=_shaped(f * (params.omega2 * s), t))
+    return _state(params, t, 0j, 0j, (mode,))[0]
+
+
+def _state(params: CouplingParams, t: ArrayLike, alpha: complex, beta: complex, modes) -> Tuple:
+    """The ModeSpec of each of ``modes`` ('c' or 'v'), then (u, v), from one ``_damped_parts``
+    evaluation; only the modes named are mapped, so a refusal names one of them."""
+    if bad := [mode for mode in modes if mode not in ("c", "v")]:
+        raise ValueError(f"mode must be 'c' or 'v', got {bad[0]!r}")
+    f, s, h, w = _damped_parts(params, t)
+    specs = []
+    for mode in modes:  # variances per mode, so (u, v) alone forms none that could overflow
+        variances = _variances(params.omega1, params.omega2, s, w)
+        n_bar, xi = squeezed_thermal(*(variances[:2] if mode == "c" else variances[2:]), params, t, mode)
+        specs.append(ModeSpec(n_bar=n_bar, xi=xi, zeta=_shaped(f * (params.omega2 * s), t)))
+    u, v = _displacements(params.omega1, params.omega2, alpha, beta, f, s, h)
+    return (*specs, _shaped(u, t), _shaped(v, t))
 
 
 def steady_squeeze(params: CouplingParams) -> float:
@@ -247,9 +258,7 @@ def displacement_trajectory(
     which stays finite in the omega2 -> 0 limit.  Complex scalars for a
     scalar t, complex arrays otherwise.
     """
-    f, s, h, _ = _damped_parts(params, t)
-    u, v = _displacements(params.omega1, params.omega2, alpha, beta, f, s, h)
-    return _shaped(u, t), _shaped(v, t)
+    return _state(params, t, alpha, beta, ())
 
 
 def _displacements(o1, o2, alpha: complex, beta: complex, f, s, h) -> Tuple:

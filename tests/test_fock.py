@@ -43,10 +43,11 @@ from ioncavity import (
     steady_squeeze,
     trace_distance,
 )
-from ioncavity import fock
+from ioncavity import fock, observables
 from ioncavity.fock import _frame, _level_norm, _level_tables, _r_tables
 from ioncavity.lindblad import _coherent_joint, _pure_state_deficit
 from ioncavity.observables import ModeSpec
+from ioncavity.params import _damped_parts
 from lossless_oracle import lossless_spec
 from series_oracle import _q_level, _r_diagonals, c_coefficient, exact_frame, q_operator
 from superop_oracle import raise_superop
@@ -455,9 +456,10 @@ class TestRTables:
     def test_reduced_density_holds_the_level_zero_table(self, monkeypatch, nb, N):
         # reduced_density writes R^{0,0} as the thermal diagonal nb^k/(nb + 1)^{k+1}
         # in closed form: to the bit the level-0 table of _r_tables, between its frames
-        monkeypatch.setattr(fock, "mode_spec", lambda *_: ModeSpec(n_bar=nb, xi=0.3, zeta=0.0))
         p, alpha, beta = classify_regime(1.0, 0.5, 0.4), 0.2 - 0.1j, 0.3j
-        for mode, w in zip("cv", displacement_trajectory(p, alpha, beta, 1.0)):
+        u, v = displacement_trajectory(p, alpha, beta, 1.0)
+        monkeypatch.setattr(fock, "_state", lambda *_: (ModeSpec(n_bar=nb, xi=0.3, zeta=0.0), u, v))
+        for mode, w in zip("cv", (u, v)):
             U = _frame(w, 0.3, N)
             want = (U * _r_tables(0, 1, nb, N)[0][0]) @ U.conj().T
             np.testing.assert_array_equal(reduced_density(p, 1.0, mode, alpha, beta, N).entries, want)
@@ -913,6 +915,45 @@ class TestLosslessKet:
         states = evolve_trajectory(p, _coherent_joint(alpha, beta, *dims), times)
         for t, rho in zip(times, states):
             assert _pure_state_deficit(lossless_ket(p, alpha, beta, t, dims), rho.entries) <= 1e-8, t
+
+
+#: one call of each builder and reader of a state at (1, 0.6, 0.4), t = 0.7; the ket at gamma = 0
+ONE_STATE_CALLS = {
+    "assemble_joint_density": lambda: assemble_joint_density(OSC, 0.7, 0.2, 0.3j, AssemblyBudget(dims=(6, 6))),
+    "lossless_ket": lambda: lossless_ket(classify_regime(1.0, 0.6, 0.0), 0.2, 0.3j, 0.7, (6, 6)),
+    "reduced_density-c": lambda: reduced_density(OSC, 0.7, "c", 0.2, 0.3j, 6),
+    "reduced_density-v": lambda: reduced_density(OSC, 0.7, "v", 0.2, 0.3j, 6),
+    "mode_spec": lambda: mode_spec(OSC, 0.7, "v"),
+    "displacement_trajectory": lambda: displacement_trajectory(OSC, 0.2, 0.3j, 0.7),
+}
+
+
+class TestOneEvaluationPerState:
+    @pytest.mark.parametrize("name", list(ONE_STATE_CALLS))
+    def test_one_envelope_evaluation(self, monkeypatch, name):
+        # (n_bar, xi) of each mode, zeta = f g and (u, v) share one set of damped envelopes
+        calls = []
+        monkeypatch.setattr(observables, "_damped_parts",
+                            lambda *args: calls.append(args) or _damped_parts(*args))
+        ONE_STATE_CALLS[name]()
+        assert len(calls) == 1
+
+    def test_fock_composes_no_readers(self):
+        assert not hasattr(fock, "mode_spec")
+        assert not hasattr(fock, "displacement_trajectory")
+
+    def test_single_mode_refusals_stay_single_mode(self):
+        # at (1, 1.4, 3.2), t = 383, only the motion's variance product overflows (on a
+        # 0.5 grid mode v is first refused at t = 382, mode c at t = 383.5): a caller of
+        # mode c alone gets its state, and every caller of mode v the refusal naming it
+        p, t = classify_regime(1.0, 1.4, 3.2), 383.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isfinite(mode_spec(p, t, "c").n_bar)
+            assert reduced_density(p, t, "c", 0.2, 0.3j, 4).dims == (4,)
+            for refused in (lambda: mode_spec(p, t, "v"), lambda: reduced_density(p, t, "v", 0.2, 0.3j, 4),
+                            lambda: assemble_joint_density(p, t, 0.2, 0.3j, AssemblyBudget(dims=(4, 4)))):
+                with pytest.raises(ValidityError, match=r"at \(omega1=1.0, omega2=1.4, gamma=3.2, t=383.0, mode=v\)$"):
+                    refused()
 
 
 class TestPartialTraceAndMetrics:
