@@ -29,7 +29,8 @@ variances to (n_bar, xi) with ``squeezed_thermal``; ``sweep-ratio`` makes one
 call over its whole ratio grid and times; ``revivals`` one ``envelope`` call per
 revival list.  ``validate`` prints the records of ``lindblad.validation_checks``
 as each comes, a line per check; a record with a note, or over its tolerance,
-is a ``FAIL`` line (exit 1).
+is a ``FAIL`` line (exit 1).  The joint series stops by ``fock``'s fixed rule
+(``TOL_SERIES``, ``MAX_MN_CUTOFF``), which no flag or config key sets.
 
 Only ``validate`` loads scipy: ``fock`` imports scipy.linalg and ``lindblad``
 scipy.sparse where they are first called, so ``simulate``, ``sweep-ratio``
@@ -117,7 +118,6 @@ class RunConfig:
     t_step: float = 0.01
     dt_int: float = field(default=1e-3,
                           metadata={"help": "ignored: the exact propagator takes no step size"})
-    series_tol: float = 1e-12
     out_path: Optional[str] = None
 
     @property
@@ -152,8 +152,6 @@ class RunConfig:
             raise ConfigError("need t_max >= 0 and t_step > 0")
         if not self.dt_int > 0:
             raise ConfigError("dt_int must be > 0")
-        if not self.series_tol > 0:
-            raise ConfigError("series_tol must be > 0")
         self.params()
 
 
@@ -273,7 +271,7 @@ def cmd_validate(cfg: RunConfig, times: Sequence[float], stream=None) -> int:
     stream = stream or sys.stdout
     if cfg.nc * cfg.nv > MAX_VALIDATE_DIM:
         raise ConfigError(f"validate needs nc*nv <= {MAX_VALIDATE_DIM}, got {cfg.nc * cfg.nv}")
-    checks = validation_checks(cfg.params(), cfg.alpha, cfg.beta, (cfg.nc, cfg.nv), times, cfg.series_tol)
+    checks = validation_checks(cfg.params(), cfg.alpha, cfg.beta, (cfg.nc, cfg.nv), times)
     failures: List[str] = []
     try:
         for c in checks:

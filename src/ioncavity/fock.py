@@ -20,18 +20,26 @@ Conventions.  R^{m,n}(n_bar) is anchored to its superoperator construction
 which the independent closed form (Jacobi-polynomial matrix elements plus
 the adjoint rule) must reproduce; relative to that construction the plain
 closed form acquires a factor (-1)^n, applied here so the two code paths
-agree identically.  The per-mode sign cancels in the joint products, so the
-assembled density operator is independent of this bookkeeping.
+agree identically.  For m >= n its Fock matrix elements are
+
+    (-1)^n sqrt(n! k!/(m! (k+m-n)!)) (n_bar+1)^{-(m+1)}
+           P_m^{k,k-n}(n_bar/(n_bar+1))   at |k+m-n><k| ,
+
+on ``jacobi_poly``'s domain m >= n; for m < n, R^{m,n} is (-1)^{m+n} times
+R^{n,m} transposed.  R^{0,0} is the thermal state, tr R^{m,n} = delta_{m0}
+delta_{n0}, and every R^{m,n} is real.  The per-mode sign cancels in the
+joint products, so the assembled density operator is independent of this
+bookkeeping.
 
 One builder, ``_r_tables``, gives every R^{L-k,k} of a block of levels L = m+n
 by its one diagonal, from one ``jacobi_poly`` call; ``_dense`` spreads a level
-into matrices, and ``r_operator`` is one of them.  ``jacobi_poly`` takes ints
-or int arrays for every index, broadcast together: scalars give a Python float,
-and any bad element raises the scalar ValueError.  Its sum is a Jacobi
-polynomial in 1 - 2x, run up the stable forward three-term recurrence once per
-pair of Jacobi parameters and read off at each entry's degree, so array and
-scalar calls agree.  One builder, ``_frame``, gives every D(w) S(xi): its exact
-N x N corner, so the states built from it miss their weight past N levels.
+into matrices.  ``jacobi_poly`` takes ints or int arrays for every index,
+broadcast together: scalars give a Python float, and any bad element raises
+the scalar ValueError.  Its sum is a Jacobi polynomial in 1 - 2x, run up the
+stable forward three-term recurrence once per pair of Jacobi parameters and
+read off at each entry's degree, so array and scalar calls agree.  One
+builder, ``_frame``, gives every D(w) S(xi): its exact N x N corner, so the
+states built from it miss their weight past N levels.
 
 The paper writes the joint density as the series
 sum_{m,n} (f g)^{m+n} Q_c^{m,n} (x) Q_v^{m,n}, each Q^{m,n} a sum of
@@ -75,7 +83,6 @@ __all__ = [
     "StateMetrics",
     "ladder",
     "jacobi_poly",
-    "r_operator",
     "assemble_joint_density",
     "reduced_density",
     "lossless_ket",
@@ -90,6 +97,9 @@ TOL_PSD = 1e-8
 
 #: ``FockDensity.validate`` refuses a trace further than this from 1
 TOL_TRACE = 1e-6
+
+#: the series stops once its level norms bound the tail below this
+TOL_SERIES = 1e-12
 
 #: direct summation of the operator-family series is capped here; the
 #: assembler's level-norm rule must stop by then
@@ -163,20 +173,18 @@ class FockDensity:
 
 @dataclass(frozen=True)
 class AssemblyBudget:
-    """Truncation budget for assembling the joint density operator.
+    """Truncation budget for assembling the joint density operator: the two
+    Fock dimensions.
 
-    The series over the levels L = m+n stops at the first level whose exact
-    Frobenius norm, extrapolated geometrically at its ratio to the level
-    below, bounds the tail below ``series_tol``; a series that needs more
-    than ``MAX_MN_CUTOFF`` levels is refused.
+    The series truncation is fixed: the series over the levels L = m+n stops
+    at the first level whose exact Frobenius norm, extrapolated geometrically
+    at its ratio to the level below, bounds the tail below ``TOL_SERIES``; a
+    series that needs more than ``MAX_MN_CUTOFF`` levels is refused.
     """
 
     dims: Tuple[int, int]
-    series_tol: float = 1e-12
 
     def __post_init__(self):
-        if not self.series_tol > 0:
-            raise ValueError("series_tol must be > 0")
         if len(self.dims) != 2 or any(d < 2 for d in self.dims):
             raise ValueError("dims must be two Fock dimensions >= 2")
 
@@ -274,8 +282,9 @@ def _r_tables(L0: int, L1: int, n_bar: float, N: int) -> list:
     R^{L-k,k} lies on the diagonal row - col = L - 2k; row k of a table
     holds its entries at min(row, col) = c, zero where max(row, col) >= N.
     Rows k <= L/2, where m = L - k >= k, come from one ``jacobi_poly`` call
-    over every level's (k, c) with row < N (see ``r_operator``); the others
-    are (-1)^L times their mirror L - k, by the adjoint rule.
+    over every level's (k, c) with row < N (the matrix elements of the module
+    docstring); the others are (-1)^L times their mirror L - k, by the adjoint
+    rule.
     """
     if n_bar < 0:
         raise ValueError("n_bar must be >= 0")
@@ -299,23 +308,6 @@ def _dense(r: np.ndarray) -> np.ndarray:
     out = np.zeros((L + 1, N, N))
     out[k, c + np.maximum(d, 0), c - np.minimum(d, 0)] = r[k, c]
     return out
-
-
-def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
-    """R^{m,n}(n_bar) on N levels, in the superoperator-anchored convention.
-
-    For m >= n the Fock matrix elements are
-
-        (-1)^n sqrt(n! k!/(m! (k+m-n)!)) (n_bar+1)^{-(m+1)}
-               P_m^{k,k-n}(n_bar/(n_bar+1))   at |k+m-n><k| ,
-
-    row n of the level-(m+n) table of ``_r_tables``, on ``jacobi_poly``'s domain m >= n;
-    for m < n it is (-1)^{m+n} times r_operator(n, m) transposed.  R^{0,0} is
-    the thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.  A real matrix.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("need m, n >= 0")
-    return _dense(_r_tables(m + n, m + n + 1, n_bar, N)[0])[n]
 
 
 def _level_tables(sigma: float):
@@ -359,7 +351,8 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
 
     It stops at the first level L >= 1 whose norm n_L, extrapolated
     geometrically at the ratio q = n_L/n_{L-1} < 1, bounds the tail
-    n_L q/(1 - q) below ``series_tol``.  n_L is exact (``_level_norm``), and
+    n_L q/(1 - q) below the module's ``TOL_SERIES``, and refuses a series
+    longer than ``MAX_MN_CUTOFF`` levels.  n_L is exact (``_level_norm``), and
     it bounds the norm of the conjugated level: the frame is a corner of a
     unitary, so a contraction.
     """
@@ -380,7 +373,7 @@ def _joint_core(spec_c: ModeSpec, spec_v: ModeSpec, budget: AssemblyBudget,
         v_levels.append((zT @ _dense(rv).reshape(L + 1, -1)).reshape(L + 1, Nv, Nv))
         prev, norm = norm, _level_norm(zT, rc, rv)
         # the tail n_L q/(1 - q) past level L, q = n_L/n_{L-1} < 1; a zero level ends it
-        if L > 0 and (norm == 0 or norm < prev and norm * norm / (prev - norm) < budget.series_tol):
+        if L > 0 and (norm == 0 or norm < prev and norm * norm / (prev - norm) < TOL_SERIES):
             break
         if L == MAX_MN_CUTOFF:
             raise TruncationError(

@@ -244,16 +244,15 @@ def _taylor_expm(apply, v: np.ndarray, h: float, mu: float, norm1: float) -> np.
     return v
 
 
-def _require(err: float, what: str, params: CouplingParams, dims: Sequence[int], t: float) -> None:
-    if not err <= TRACE_DRIFT_TOL:  # not <=, so a nan fails too
-        raise IntegrationError(f"{what} = {err:.3e} > {TRACE_DRIFT_TOL} at {_where(params, dims, t)}")
-
-
-def _check_state(rho: np.ndarray, params: CouplingParams, dims: Sequence[int], t: float) -> None:
-    _require(abs(float(np.trace(rho).real) - 1.0), "propagator trace drift |tr rho - 1|",
-             params, dims, t)
-    _require(float(np.abs(rho - rho.conj().T).max()),
-             "propagator Hermiticity error max |rho - rho^dag|", params, dims, t)
+def _check_state(rho: np.ndarray, stage: str, params: CouplingParams, dims: Sequence[int],
+                 t: float) -> None:
+    """Refuse a ``stage`` ("start" or "propagator") rho whose Hermiticity error, then
+    trace drift, exceeds TRACE_DRIFT_TOL."""
+    for what, err in (("Hermiticity error max |rho - rho^dag|", float(np.abs(rho - rho.conj().T).max())),
+                      ("trace drift |tr rho - 1|", abs(float(np.trace(rho).real) - 1.0))):
+        if not err <= TRACE_DRIFT_TOL:  # not <=, so a nan fails too
+            raise IntegrationError(f"{stage} {what} = {err:.3e} > {TRACE_DRIFT_TOL} at "
+                                   f"{_where(params, dims, t)}")
 
 
 def evolve_trajectory(
@@ -271,11 +270,11 @@ def evolve_trajectory(
     real part alone; the densities are float64 when the imaginary part is
     zero.  The Hermiticity error max |rho - rho^dag| and then the trace
     drift |tr rho - 1| are checked at the start, where they refuse rho0
-    before any step, and the trace drift and the Hermiticity error at every
-    checkpoint.  A step that needs more than MAX_SUBSTEPS substeps, or a
-    non-finite number of them, is refused before any is taken.  At gamma = 0
-    a start within TRACE_DRIFT_TOL of a pure psi psi^dag propagates psi by
-    e^{Kt} instead (see the module docstring), its substeps sized on ||K||_1.
+    before any step, and in the same order at every checkpoint.  A step that
+    needs more than MAX_SUBSTEPS substeps, or a non-finite number of them, is
+    refused before any is taken.  At gamma = 0 a start within TRACE_DRIFT_TOL
+    of a pure psi psi^dag propagates psi by e^{Kt} instead (see the module
+    docstring), its substeps sized on ||K||_1.
     """
     if not rho0.joint:
         raise ValueError("evolve_trajectory needs a two-mode density")
@@ -283,9 +282,7 @@ def evolve_trajectory(
     if not all(0 <= t < math.inf for t in times) or any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("times must be finite, nonnegative and nondecreasing")
     X, dims = rho0.entries, rho0.dims
-    _require(float(np.abs(X - X.conj().T).max()), "start Hermiticity error max |rho - rho^dag|",
-             params, dims, 0.0)
-    _require(abs(float(np.trace(X).real) - 1.0), "start trace drift |tr rho - 1|", params, dims, 0.0)
+    _check_state(X, "start", params, dims, 0.0)
     ket = None
     if params.gamma == 0:  # a pure start psi psi^dag, psi read off its largest diagonal entry
         j = int(np.argmax(X.diagonal().real))
@@ -327,7 +324,7 @@ def evolve_trajectory(
             rho = _unpack(parts[1], 1, E, O)
             if -1 in parts:
                 rho = rho + 1j * _unpack(parts[-1], -1, E, O)
-        _check_state(rho, params, dims, t)
+        _check_state(rho, "propagator", params, dims, t)
         t_prev = t
         out.append(FockDensity(entries=rho.copy(), dims=dims))
     return out
@@ -374,10 +371,10 @@ def _check(t: float, name: str, tol: float, measure) -> Check:
 
 
 def validation_checks(params: CouplingParams, alpha: complex, beta: complex, dims: Tuple[int, int],
-                      times: Sequence[float], series_tol: float) -> Iterator[Check]:
+                      times: Sequence[float]) -> Iterator[Check]:
     """The closed forms against |alpha>|beta> propagated on ``dims`` levels, one ``Check``
     at a time (see the module docstring); an IntegrationError comes before the first."""
-    budget = AssemblyBudget(dims=dims, series_tol=series_tol)
+    budget = AssemblyBudget(dims=dims)
     states = evolve_trajectory(params, _coherent_joint(alpha, beta, *dims), times)
     for t, rho in zip(times, states):
         yield _check(t, "joint trace distance", TD_TOL, lambda: trace_distance(

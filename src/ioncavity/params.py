@@ -39,7 +39,6 @@ divides by an L0^2 that can be zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
@@ -115,16 +114,11 @@ class LabParams:
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """The three rates of the effective model plus derived quantities.
-
-    ``q = omega1/omega2`` is stored as ``inf`` when omega2 = 0; the closed
-    forms are written in omega1 and omega2 and never need a finite q.
-    """
+    """The three rates of the effective model plus derived quantities."""
 
     omega1: float
     omega2: float
     gamma: float
-    q: float = field(init=False)
     lambda_sq: float = field(init=False)
     lambda0_sq: float = field(init=False)
     regime: Regime = field(init=False)
@@ -137,7 +131,6 @@ class CouplingParams:
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         o1, o2, g = self.omega1, self.omega2, self.gamma
-        object.__setattr__(self, "q", o1 / o2 if o2 > 0 else math.inf)
         # factored difference of squares: exact to rounding near equal coupling
         lam0_sq = (o1 - o2) * (o1 + o2)
         lam_sq = lam0_sq - g * g / 16.0
@@ -158,8 +151,8 @@ class CouplingParams:
 class EnvelopeValues:
     """The envelope triple at one time (or elementwise over an array of times).
 
-    At t = 0, (f, g, h) = (1, 0, 1), and for omega2 > 0 the triple obeys
-    f h + (q^2 - 1) g^2 = exp(-gamma t / 2).
+    At t = 0, (f, g, h) = (1, 0, 1), and with g = omega2 s the triple obeys
+    f h + L0^2 s^2 = exp(-gamma t / 2), L0^2 = omega1^2 - omega2^2.
     """
 
     f: ArrayLike

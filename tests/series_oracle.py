@@ -19,7 +19,9 @@ assembled density operator is independent of this bookkeeping.
 
 ``_r_diagonals`` is the per-level oracle of fock's R tables, which come in
 blocks of levels: one level, from one ``jacobi_poly`` call over every (k, c)
-of its half.  ``_q_level`` builds every Q^{m,L-m} of one level L from one
+of its half.  ``r_operator`` is one R^{m,n} as a matrix, read from fock's
+own ``_r_tables`` and ``_dense``, so its tests test those tables.
+``_q_level`` builds every Q^{m,L-m} of one level L from one
 ``_r_diagonals`` table and one ``c_coefficient`` call, conjugated by S(xi),
 or by D(w) S(xi) to carry a coherent displacement along; ``q_operator`` is
 one of them.  Its frames come from ``exact_frame``: the N x N corner of
@@ -38,7 +40,7 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from ioncavity.fock import _dense, _log_factorials, jacobi_poly
+from ioncavity.fock import _dense, _log_factorials, _r_tables, jacobi_poly
 
 #: levels past N on which ``exact_frame`` exponentiates: against 200 of them, 40 leave
 #: the corner 2.1e-6 off at (w, xi, N) = (0.8, 0.5, 26), 64 leave 3.0e-15
@@ -63,7 +65,7 @@ def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
     R^{L-k,k} lies on the diagonal row - col = L - 2k; row k of the table
     holds its entries at min(row, col) = c, zero where max(row, col) >= N.
     Rows k <= L/2, where m = L - k >= k, come from one ``jacobi_poly`` call
-    over (k, c) (see ``ioncavity.fock.r_operator``); the others are (-1)^L
+    over (k, c) (see ``r_operator``); the others are (-1)^L
     times their mirror L - k, by the adjoint rule.
     """
     if n_bar < 0:
@@ -76,6 +78,23 @@ def _r_diagonals(L: int, n_bar: float, N: int) -> np.ndarray:
     half = np.where(row < N, vals, 0.0)
     mirror = half[: (L + 1) // 2][::-1]
     return np.concatenate([half, -mirror if L % 2 else mirror])
+
+
+def r_operator(m: int, n: int, n_bar: float, N: int) -> np.ndarray:
+    """R^{m,n}(n_bar) on N levels, in the superoperator-anchored convention.
+
+    For m >= n the Fock matrix elements are
+
+        (-1)^n sqrt(n! k!/(m! (k+m-n)!)) (n_bar+1)^{-(m+1)}
+               P_m^{k,k-n}(n_bar/(n_bar+1))   at |k+m-n><k| ,
+
+    row n of the level-(m+n) table of ``_r_tables``, on ``jacobi_poly``'s domain m >= n;
+    for m < n it is (-1)^{m+n} times r_operator(n, m) transposed.  R^{0,0} is
+    the thermal state; tr R^{m,n} = delta_{m0} delta_{n0}.  A real matrix.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("need m, n >= 0")
+    return _dense(_r_tables(m + n, m + n + 1, n_bar, N)[0])[n]
 
 
 def _term_sum(terms: np.ndarray):

@@ -212,11 +212,12 @@ class TestValidate:
         assert len(lines) == 2 * 4 + 1
         assert all(self.CHECK_LINE.fullmatch(line) for line in lines[:-1])
 
-    def test_guard_trip_is_a_fail_line(self, capsys):
-        # a series_tol of 1e-6 stops the series early enough that the assembled
+    def test_guard_trip_is_a_fail_line(self, capsys, monkeypatch):
+        # a series tolerance of 1e-6 stops the series early enough that the assembled
         # joint density dips below -TOL_PSD: each joint check fails, every other
         # check runs
-        argv = ["validate", "--omega2", "1", "--nc", "16", "--nv", "16", "--series_tol", "1e-6"]
+        monkeypatch.setattr(ioncavity.fock, "TOL_SERIES", 1e-6)
+        argv = ["validate", "--omega2", "1", "--nc", "16", "--nv", "16"]
         assert main([*argv, "--times", "0.1,0.25"]) == EXIT_VALIDATION
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 * 4 + 1
@@ -322,6 +323,17 @@ class TestValidate:
     def test_dt_int_must_be_positive(self):
         assert main([*self.ARGV, "--dt_int", "0"]) == EXIT_CONFIG
 
+    def test_series_tol_is_refused(self, tmp_path, capsys):
+        # the series stops at the fixed fock.TOL_SERIES: no flag or config key sets it
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--series_tol", "1e-6"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --series_tol" in capsys.readouterr().err
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"series_tol": 1e-6}), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == EXIT_CONFIG
+        assert "unknown config keys: ['series_tol']" in capsys.readouterr().err
+
     def test_lossless_lines_match_ket_overlap(self, capsys, monkeypatch):
         # at gamma = 0 the lossless line is read off the propagated density;
         # it must be the ket overlap 1 - |<psi_ana|psi>|^2 / (||psi_ana|| ||psi||)^2
@@ -363,7 +375,7 @@ class TestNonFiniteTimes:
         ["validate", "--gamma", "nan", "--times", "0.5"],
         ["simulate", "--beta_im", "inf"],
         ["revivals", "--omega2", "nan"],
-        ["sweep-ratio", "--series_tol", "inf"],
+        ["sweep-ratio", "--alpha_re", "inf"],
     ])
     def test_refused_as_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out.csv"
@@ -423,7 +435,7 @@ class TestFlagTypes:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "--dt_int DT_INT ignored: the exact propagator takes no step size --series_tol" in help_text
+        assert "--dt_int DT_INT ignored: the exact propagator takes no step size --out_path" in help_text
 
     def test_simulate_takes_negative_e_notation(self, tmp_path):
         argv = ["simulate", "--beta_im", "-2.4008587340008667e-06", "--alpha_re", "-1E+0",

@@ -1,6 +1,7 @@
 """Operator families, density assembly and state metrics.
 
-The R-family oracle pair: the Jacobi-polynomial closed form (r_operator)
+The R-family oracle pair: the Jacobi-polynomial closed form (fock's R
+tables, read as matrices by the ``series_oracle`` helper ``r_operator``)
 against the ladder-superoperator construction (raise_superop, from the
 ``superop_oracle`` helper module) -- two independent code paths for the
 same object.  For the comparison the raised input is built with m+n spare
@@ -36,7 +37,6 @@ from ioncavity import (
     partial_trace,
     quad_stats,
     quad_variances,
-    r_operator,
     reduced_density,
     revival_schedule,
     state_metrics,
@@ -49,7 +49,7 @@ from ioncavity.lindblad import _coherent_joint, _pure_state_deficit
 from ioncavity.observables import ModeSpec
 from ioncavity.params import _damped_parts
 from lossless_oracle import lossless_spec
-from series_oracle import _q_level, _r_diagonals, c_coefficient, exact_frame, q_operator
+from series_oracle import _q_level, _r_diagonals, c_coefficient, exact_frame, q_operator, r_operator
 from superop_oracle import raise_superop
 
 OSC = classify_regime(1.0, 0.6, 0.4)
@@ -708,7 +708,7 @@ class TestAssembly:
 
     def test_cutoff_from_level_norms(self, monkeypatch):
         # the cutoff is the first level whose norm, extrapolated at its ratio to the
-        # level below, bounds the tail below series_tol
+        # level below, bounds the tail below TOL_SERIES
         seen = []
 
         def recorded(*args):

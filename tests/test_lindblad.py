@@ -27,6 +27,7 @@ from ioncavity import (
     classify_regime,
     displacement_trajectory,
     evolve_trajectory,
+    fock,
     ladder,
     lindblad,
     lossless_ket,
@@ -589,15 +590,14 @@ class TestFailures:
             evolve_trajectory(OSC, rho0, [0.5])
         assert calls["apply"] == 0
 
-    @pytest.mark.parametrize("at, check", [((1, 1), "trace drift"), ((0, 1), "Hermiticity")],
-                             ids=["diagonal", "off-diagonal"])
-    def test_nan_state_fails_its_checkpoint(self, at, check):
-        # a nan on the diagonal makes the trace nan, and one off it the
-        # Hermiticity error: each fails its test
+    @pytest.mark.parametrize("at", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_state_fails_its_checkpoint(self, at):
+        # a nan off the diagonal makes the Hermiticity error nan, and one on it both
+        # that and the trace: the Hermiticity error is checked first, as at the start
         rho = np.diag([0.5, 0.5, 0.0, 0.0])
         rho[at] = rho[at[::-1]] = math.nan
-        with pytest.raises(IntegrationError, match=f"{check} .* = nan > .* t = 1$"):
-            lindblad._check_state(rho, OSC, (2, 2), 1.0)
+        with pytest.raises(IntegrationError, match=r"propagator Hermiticity .* = nan > .* t = 1$"):
+            lindblad._check_state(rho, "propagator", OSC, (2, 2), 1.0)
 
     def test_trace_drift(self, monkeypatch):
         # a kernel whose shift mu is 0.1 too large scales rho by e^{0.1 t}, so
@@ -720,19 +720,20 @@ class TestValidationChecks:
     def test_names_order_and_tolerances(self, gamma):
         # each checkpoint's four checks, then at gamma = 0 the lossless line of each
         params, times = classify_regime(1.0, 0.2, gamma), [0.5, 1.0]
-        checks = list(validation_checks(params, 0.0, 0.0, (10, 10), times, 1e-12))
+        checks = list(validation_checks(params, 0.0, 0.0, (10, 10), times))
         want = [(t, name, tol) for t in times for name, tol in self.PER_CHECKPOINT]
         if gamma == 0:
             want += [(t, "lossless fidelity deficit", 1e-6) for t in times]
         assert [(c.t, c.name, c.tol) for c in checks] == want
         assert all(c.ok and c.note is None and 0.0 <= c.value <= c.tol for c in checks)
 
-    def test_guard_trip_is_a_note(self):
-        # a series_tol of 1e-6 stops the series early enough that the assembled joint
+    def test_guard_trip_is_a_note(self, monkeypatch):
+        # a series tolerance of 1e-6 stops the series early enough that the assembled joint
         # density dips below -TOL_PSD: each joint record holds the guard's message and
         # no value, and every other check still runs
+        monkeypatch.setattr(fock, "TOL_SERIES", 1e-6)
         params = classify_regime(1.0, 1.0, 0.4)
-        checks = list(validation_checks(params, 0.0, 0.0, (16, 16), [0.1, 0.25], 1e-6))
+        checks = list(validation_checks(params, 0.0, 0.0, (16, 16), [0.1, 0.25]))
         assert [c.ok for c in checks] == [False, True, True, True] * 2
         joint = checks[0]
         assert joint.note == "matrix is not PSD within tolerance (min eig -7.803e-08)"
@@ -744,7 +745,7 @@ class TestValidationChecks:
         # record, and no closed form is assembled
         assembled = []
         monkeypatch.setattr(lindblad, "assemble_joint_density", lambda *a: assembled.append(a))
-        checks = validation_checks(classify_regime(1.0, 0.3, 1e300), 0.0, 0.0, (4, 4), [1.0], 1e-12)
+        checks = validation_checks(classify_regime(1.0, 0.3, 1e300), 0.0, 0.0, (4, 4), [1.0])
         with pytest.raises(IntegrationError, match=r"step of 1 needs 4\.\S+ substeps > 1000"):
             next(checks)
         assert assembled == []

@@ -58,7 +58,7 @@ class TestClassify:
         assert p.regime is Regime.OSCILLATORY
         assert p.lambda_sq == pytest.approx(0.63, abs=1e-15)
         assert p.lambda0_sq == pytest.approx(0.64, abs=1e-15)
-        assert p.q == pytest.approx(1.0 / 0.6)
+        assert p.omega1 / p.omega2 == pytest.approx(1.0 / 0.6)
 
     def test_equal_coupling_example(self):
         assert classify_regime(1.0, 1.0, 0.4).regime is Regime.EQUAL_COUPLING
@@ -71,8 +71,16 @@ class TestClassify:
     def test_degenerate_boundary(self):
         assert degenerate_params().regime is Regime.DEGENERATE
 
-    def test_q_infinite_without_parametric_drive(self):
-        assert math.isinf(classify_regime(1.0, 0.0, 0.4).q)
+    def test_zero_drive_needs_no_ratio(self):
+        # omega1/omega2 is infinite at omega2 = 0, so the parameters hold no ratio; the
+        # invariant f h + L0^2 s^2 = exp(-gamma t/2), with g = omega2 s, holds there too
+        p = classify_regime(1.0, 0.0, 0.4)
+        assert not hasattr(p, "q")
+        t = np.linspace(0.0, 12.0, 49)
+        f, s, h, _ = _damped_parts(p, t)
+        assert np.all(envelope(p, t).g == 0.0)
+        np.testing.assert_allclose(f * h + p.lambda0_sq * s * s, np.exp(-p.gamma * t / 2.0),
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("bad", [(0.0, 0.5, 0.1), (-1.0, 0.5, 0.1),
                                      (1.0, -0.1, 0.1), (1.0, 0.5, -0.1)])
@@ -102,7 +110,7 @@ class TestLabParams:
         p2 = from_lab_params(lab2, gamma=0.0)
         assert p2.omega1 == pytest.approx(0.5 * p1.omega1, rel=1e-15)
         assert p2.omega2 == pytest.approx(0.5 * p1.omega2, rel=1e-15)
-        assert p1.q == pytest.approx(p2.q, rel=1e-15)
+        assert p1.omega1 / p1.omega2 == pytest.approx(p2.omega1 / p2.omega2, rel=1e-15)
 
     def test_rejects_zero_detuning(self):
         with pytest.raises(ValueError):
@@ -272,7 +280,7 @@ class TestEnvelopeIdentity:
         p = degenerate_params()
         for t in np.linspace(0.0, 12.0, 49):
             env = envelope(p, t)
-            lhs = env.f * env.h + (p.q * p.q - 1.0) * env.g * env.g
+            lhs = env.f * env.h + p.lambda0_sq * (env.g / p.omega2) ** 2  # L0^2 s^2, g = omega2 s
             rhs = math.exp(-p.gamma * t / 2.0)
             assert abs(lhs - rhs) < 1e-12 * rhs
 

@@ -8,6 +8,7 @@ import pytest
 
 import ioncavity
 from ioncavity import cli, errors, fock, lindblad, observables, params
+from series_oracle import r_operator
 
 MODULES = (errors, params, observables, fock, lindblad)
 
@@ -26,7 +27,8 @@ def test_package_lists_exactly_the_module_names():
 
 @pytest.mark.parametrize("name", ["FockOperator", "FockKet", "quad_stats_single", "thermal_state",
                                   "c_coefficient", "q_operator", "default_dim",
-                                  "displacement_op", "squeeze_op", "lossless_spec", "LosslessSpec"])
+                                  "displacement_op", "squeeze_op", "lossless_spec", "LosslessSpec",
+                                  "r_operator"])
 def test_removed_names_are_gone(name):
     assert not hasattr(ioncavity, name)
     assert not hasattr(fock, name)
@@ -43,10 +45,14 @@ def test_density_has_no_hermiticity_error():
 
 
 def test_removed_options_are_refused():
-    # the series cutoff is read from the level norms only, and the trace
-    # tolerance of validate() is fixed
+    # the series cutoff is read from the level norms only, at the fixed
+    # fock.TOL_SERIES, and the trace tolerance of validate() is fixed
     with pytest.raises(TypeError):
         ioncavity.AssemblyBudget(dims=(8, 8), mn_cutoff=4)
+    with pytest.raises(TypeError):
+        ioncavity.AssemblyBudget(dims=(8, 8), series_tol=1e-6)
+    with pytest.raises(TypeError):
+        ioncavity.validation_checks(ioncavity.classify_regime(1.0, 0.3, 0.4), 0.0, 0.0, (4, 4), [0.5], 1e-6)
     rho = ioncavity.FockDensity(entries=np.eye(2) / 2, dims=(2,))
     with pytest.raises(TypeError):
         rho.validate(tol_trace=1e-8)
@@ -54,7 +60,7 @@ def test_removed_options_are_refused():
 
 def test_operators_and_kets_are_arrays():
     p = ioncavity.classify_regime(1.0, 0.6, 0.0)
-    for op in (ioncavity.ladder(8), ioncavity.r_operator(1, 0, 0.2, 8)):
+    for op in (ioncavity.ladder(8), r_operator(1, 0, 0.2, 8)):
         assert type(op) is np.ndarray and op.shape == (8, 8)
     assert ioncavity.lossless_ket(p, 0.0, 0.0, 0.5, (6, 8)).shape == (48,)
 
