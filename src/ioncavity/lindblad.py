@@ -47,8 +47,8 @@ TRACE_DRIFT_TOL of psi psi^dag, psi its column j of the largest rho_jj over
 sqrt(rho_jj), propagates psi alone: the real columns [Re psi, Im psi], or Re
 psi if Im psi = 0, under v -> K v with mu = 0 and the exact ||K||_1, its
 largest column sum.  psi psi^dag is formed in real arithmetic, so it is
-exactly Hermitian.  Mixed starts at gamma = 0, and all at gamma > 0,
-propagate their density.
+exactly Hermitian.  Other starts propagate their density; at gamma = 0 the
+jump's weights are exactly zero, so it adds nothing, with no branch on gamma.
 
 exp(h L) v is Algorithm 3.2 of Al-Mohy & Higham, "Computing the action of the
 matrix exponential", SIAM J. Sci. Comput. 33, 488 (2011), at u = 2^-53: s
@@ -207,14 +207,13 @@ def _kernel(params: CouplingParams, dims: Sequence[int]):
             P, PO = PR[:, :nE], MO @ OO
             add(P, P.T, out=YEE)
             add(PO, PO.T, out=YOO)
-            if g:  # the jump fills each diagonal block from its partner
-                YEE[:hE, :hE] += np.multiply(wEE, OO[sO:, sO:], out=hopE)
-                YOO[:hO, :hO] += np.multiply(wOO, EE[sE:, sE:], out=hopO)
+            # the jump fills each diagonal block from its partner; at gamma = 0 its weights are 0
+            YEE[:hE, :hE] += np.multiply(wEE, OO[sO:, sO:], out=hopE)
+            YOO[:hO, :hO] += np.multiply(wOO, EE[sE:, sE:], out=hopO)
         if EO is not None:
             # X_EO M_O^T = (M_O X_EO^T)^T, and (a X a^T)_EO = w X_OE[sO:, sE:] with X_OE = sign X_EO^T
             np.add(PR[:, -nO:], (MO @ EO.T).T, out=YEO)
-            if g:
-                add(YEO[:hE, :hO], np.multiply(wEO, EO[sE:, sO:].T, out=hopEO), out=YEO[:hE, :hO])
+            add(YEO[:hE, :hO], np.multiply(wEO, EO[sE:, sO:].T, out=hopEO), out=YEO[:hE, :hO])
         return out
 
     return apply, mu, float(cols.max())
@@ -274,7 +273,8 @@ def evolve_trajectory(
     needs more than MAX_SUBSTEPS substeps, or a non-finite number of them, is
     refused before any is taken.  At gamma = 0 a start within TRACE_DRIFT_TOL
     of a pure psi psi^dag propagates psi by e^{Kt} instead (see the module
-    docstring), its substeps sized on ||K||_1.
+    docstring), its substeps sized on ||K||_1; any other start propagates its
+    density, where the jump term is then exactly zero, with no branch.
     """
     if not rho0.joint:
         raise ValueError("evolve_trajectory needs a two-mode density")
@@ -283,49 +283,48 @@ def evolve_trajectory(
         raise ValueError("times must be finite, nonnegative and nondecreasing")
     X, dims = rho0.entries, rho0.dims
     _check_state(X, "start", params, dims, 0.0)
-    ket = None
-    if params.gamma == 0:  # a pure start psi psi^dag, psi read off its largest diagonal entry
-        j = int(np.argmax(X.diagonal().real))
-        psi = X[:, j] / math.sqrt(X[j, j].real)
-        if np.abs(X - np.outer(psi, psi.conj())).max() <= TRACE_DRIFT_TOL:
-            # K is real, so psi propagates as the real columns [Re psi, Im psi], or Re psi alone
-            ket = np.stack([psi.real, psi.imag] if psi.imag.any() else [psi.real], axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
-        if ket is None:
-            apply, mu, norm1 = _kernel(params, dims)
-        else:  # v -> K v, with tr K = 0 and the exact ||K||_1
+    j = int(np.argmax(X.diagonal().real))  # psi of a pure start psi psi^dag, read off its largest rho_jj
+    psi = X[:, j] / math.sqrt(X[j, j].real)
+    # each route sets up its real blocks, their steps, mu, the exact 1-norm and the rho they form
+    if params.gamma == 0 and np.abs(X - np.outer(psi, psi.conj())).max() <= TRACE_DRIFT_TOL:
+        # K is real, so psi propagates as the real columns [Re psi, Im psi], or Re psi alone
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is refused below
             K = _k_matrix(params, dims)
-            apply, mu, norm1 = (lambda v, out: K @ v), 0.0, float(abs(K).sum(axis=0).max())
+            mu, norm1 = 0.0, float(abs(K).sum(axis=0).max())
+        blocks = {"psi": np.stack([psi.real, psi.imag] if psi.imag.any() else [psi.real], axis=1)}
+        steps = {"psi": lambda v, out: K @ v}  # v -> K v, with tr K = 0 and the exact ||K||_1
+
+        def density(parts: dict) -> np.ndarray:
+            a, b = parts["psi"][:, 0], parts["psi"][:, -1]
+            rho = np.outer(a, a)
+            if parts["psi"].shape[1] == 2:  # in real arithmetic, where Im rho is exactly antisymmetric
+                rho = rho + np.outer(b, b) + 1j * (np.outer(b, a) - np.outer(a, b))
+            return rho
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            apply, mu, norm1 = _kernel(params, dims)
+        E, O = _parity_order(dims)
+        # exp(L h) 0 = 0, so a zero part or sector is dropped; the real part's trace is 1
+        blocks = {sign: v for sign, R in ((1, X.real), (-1, X.imag))
+                  if (v := _pack(0.5 * (R + sign * R.T), E, O)) is not None}
+        steps = {sign: partial(apply, sign=sign) for sign in blocks}
+
+        def density(parts: dict) -> np.ndarray:
+            rho = _unpack(parts[1], 1, E, O)
+            return rho + 1j * _unpack(parts[-1], -1, E, O) if -1 in parts else rho
     for t0, t in zip([0.0, *times], times):
         # the fewest substeps of any degree m; inf or nan once the norm overflows
         s = (t - t0) * norm1 / _THETA[55] if t > t0 else 0.0
         if not s <= MAX_SUBSTEPS:
             raise IntegrationError(f"propagator step of {t - t0:.6g} needs {s:.3g} substeps > "
                                    f"{MAX_SUBSTEPS} at {_where(params, dims, t)}")
-    rho = X if X.imag.any() else X.real
-    if ket is None:
-        E, O = _parity_order(dims)
-        # exp(L h) 0 = 0, so a zero part or sector is dropped; the real part's trace is 1
-        parts = {sign: v for sign, R in ((1, X.real), (-1, X.imag))
-                 if (v := _pack(0.5 * (R + sign * R.T), E, O)) is not None}
-
+    rho = X if X.imag.any() else X.real  # the state at a checkpoint before any step
     out: list[FockDensity] = []
-    t_prev = 0.0
-    for t in times:
-        if t > t_prev and ket is not None:
-            ket = _taylor_expm(apply, ket, t - t_prev, mu, norm1)
-            a, b = ket[:, 0], ket[:, -1]
-            rho = np.outer(a, a)
-            if ket.shape[1] == 2:  # in real arithmetic, where Im rho is exactly antisymmetric
-                rho = rho + np.outer(b, b) + 1j * (np.outer(b, a) - np.outer(a, b))
-        elif t > t_prev:
-            parts = {sign: _taylor_expm(partial(apply, sign=sign), v, t - t_prev, mu, norm1)
-                     for sign, v in parts.items()}
-            rho = _unpack(parts[1], 1, E, O)
-            if -1 in parts:
-                rho = rho + 1j * _unpack(parts[-1], -1, E, O)
+    for t0, t in zip([0.0, *times], times):
+        if t > t0:
+            blocks = {k: _taylor_expm(steps[k], v, t - t0, mu, norm1) for k, v in blocks.items()}
+            rho = density(blocks)
         _check_state(rho, "propagator", params, dims, t)
-        t_prev = t
         out.append(FockDensity(entries=rho.copy(), dims=dims))
     return out
 

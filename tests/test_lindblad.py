@@ -464,6 +464,29 @@ class TestKetPath:
         assert steps == []
 
 
+class TestRepeatedCheckpoints:
+    """A checkpoint at the time of the one before takes no step: it returns
+    the same state again, as its own copy, on each route of evolve_trajectory."""
+
+    @pytest.mark.parametrize("params, mixed, ket", [(LOSSLESS, False, True), (OSC, False, False),
+                                                     (LOSSLESS, True, False)],
+                             ids=["ket at gamma 0", "density at gamma 0.4", "mixed density at gamma 0"])
+    def test_repeated_time_returns_an_unshared_copy(self, params, mixed, ket, monkeypatch):
+        dims = (5, 5)
+        rho0 = coherent_joint(0.2 + 0.3j, -0.4j, *dims)
+        if mixed:  # rank 2, so not psi psi^dag for any psi
+            rho0 = FockDensity(entries=0.6 * vacuum_joint(*dims).entries + 0.4 * rho0.entries, dims=dims)
+        calls = count_kernel_calls(monkeypatch)
+        first, again, last = evolve_trajectory(params, rho0, [0.5, 0.5, 1.0])
+        assert (calls["apply"] == 0) is ket
+        assert first.entries.dtype == again.entries.dtype == np.complex128
+        assert first.entries.tobytes() == again.entries.tobytes()
+        assert not np.shares_memory(first.entries, again.entries)
+        want = evolve_trajectory(params, rho0, [0.5, 1.0])[1]
+        assert last.entries.dtype == want.entries.dtype
+        assert last.entries.tobytes() == want.entries.tobytes()
+
+
 class TestEvolve:
     def test_zero_time_is_identity(self):
         rho = coherent_joint(0.2, 0.1, 6, 6)

@@ -38,6 +38,20 @@ def degenerate_params(omega2=0.6):
     return p
 
 
+def branches_taken(monkeypatch, params, t):
+    """The branches on L^2 that envelope(params, t) hands to params._branch_parts."""
+    taken, real = [], params_module._branch_parts
+
+    def recording(branch, *rest):
+        taken.append(branch)
+        return real(branch, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(params_module, "_branch_parts", recording)
+        envelope(params, t)
+    return taken
+
+
 def ode_envelopes(params, ts):
     o2, g, l0sq = params.omega2, params.gamma, params.lambda0_sq
 
@@ -159,7 +173,7 @@ class TestEnvelope:
             assert env.h == pytest.approx(math.exp(-gamma * t / 2), rel=1e-13)
 
     @pytest.mark.parametrize("side", [+1.0, -1.0])
-    def test_branch_continuity_at_degenerate_boundary(self, side):
+    def test_branch_continuity_at_degenerate_boundary(self, side, monkeypatch):
         gamma = 0.8
         omega2 = math.sqrt(1.0 - gamma * gamma / 16.0 - side * 1e-8)
         near = classify_regime(1.0, omega2, gamma)
@@ -171,6 +185,27 @@ class TestEnvelope:
             assert abs(a.f - b.f) < 1e-6
             assert abs(a.g - b.g) < 1e-6
             assert abs(a.h - b.h) < 1e-6
+        # the L^2 threshold is written twice, in the regime tag and in _damped_parts' masks:
+        # the tag names the branch the envelopes take, at the scalar and at the array
+        for p in (near, limit):
+            for t in (0.5, np.linspace(0.0, 10.0, 41)):
+                assert branches_taken(monkeypatch, p, t) == [p.regime]
+
+    # omega2 = 0 and gamma = 4 sqrt(1 - x): L^2 = 1 - gamma^2/16 is x to rounding, so the first
+    # four sit just across the threshold DEGENERATE_ATOL and inside it.  At omega1 = omega2,
+    # L^2 = -gamma^2/16 is below the threshold for gamma > 0 and zero at gamma = 0.
+    @pytest.mark.parametrize("omega2, gamma, tag, branch", [
+        *((0.0, 4.0 * math.sqrt(1.0 - x * params_module.DEGENERATE_ATOL), tag, tag)
+          for x, tag in ((-2.0, Regime.OVERDAMPED), (-0.5, Regime.DEGENERATE),
+                         (0.5, Regime.DEGENERATE), (2.0, Regime.OSCILLATORY))),
+        (1.0, 0.4, Regime.EQUAL_COUPLING, Regime.OVERDAMPED),
+        (1.0, 0.0, Regime.EQUAL_COUPLING, Regime.DEGENERATE)],
+        ids=["-2 atol", "-0.5 atol", "0.5 atol", "2 atol", "equal, gamma 0.4", "equal, gamma 0"])
+    def test_tag_names_the_branch_the_envelopes_take(self, omega2, gamma, tag, branch, monkeypatch):
+        p = classify_regime(1.0, omega2, gamma)
+        assert p.regime is tag
+        for t in (0.5, np.linspace(0.0, 10.0, 41)):
+            assert branches_taken(monkeypatch, p, t) == [branch]
 
     def test_decay_bound_and_steady_state(self):
         lam = math.sqrt(OSC.lambda_sq)
